@@ -7,7 +7,9 @@ with dotted section prefixes (see ``DEFAULTS``), overridable by --seed,
 content hashes) to its output directory; rerunning with the same config
 reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 config error, 3 model/schedule mismatch, 1 other.
+Exit codes: 0 success, 2 config error, 3 model/schedule mismatch,
+4 numerical error (a non-finite sampler state, guidance gradient or training
+loss), 1 other.
 """
 
 import argparse
@@ -24,11 +26,13 @@ from . import metrics as metrics_mod
 from . import models as models_mod
 from . import sampler as sampler_mod
 from . import schedule as schedule_mod
+from .errors import NumericalError
 from .guidance import GuidanceRule
 from .svgplot import LinePlot
 
 EXIT_CONFIG = 2
 EXIT_MISMATCH = 3
+EXIT_NUMERICAL = 4
 
 PRESETS = ("norm_curves", "distance_law", "cutoff", "scale_sweep", "respace_study")
 
@@ -286,6 +290,10 @@ def cmd_eval(args):
     reference = data_mod.load(ref_path) if ref_path else cfg.dataset()
     base = cfg.base_schedule()
     desc = generated.descriptor or reference.descriptor
+    if desc is None:
+        raise ConfigError(f"neither eval.generated ({gen_path}) nor eval.reference "
+                          f"or data.path ({ref_path}) carries the manifold descriptor "
+                          "that the class-fidelity oracle needs")
     oracle = models_mod.AnalyticClassifier(desc, base)
     report = _evaluate(generated.points, generated.labels, reference.points,
                        oracle, cfg.get_int("eval.k"), config=cfg.get("guidance.kind"))
@@ -589,6 +597,9 @@ def main(argv=None):
     except (models_mod.ModelMismatchError, sampler_mod.SamplerError) as exc:
         print(f"model/schedule mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (data_mod.DataFormatError, models_mod.ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .schedule import NoiseSchedule
 
 KINDS = ("none", "adm_g", "geoguide", "geoguide_scaled")
 
 
-class GuidanceError(RuntimeError):
+class GuidanceError(NumericalError):
     pass
 
 

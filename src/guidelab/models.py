@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ManifoldDescriptor
+from .errors import NumericalError
 from .schedule import NoiseSchedule, ScheduleError
 
 MODEL_MAGIC = b"GMOD"
@@ -41,7 +42,7 @@ class ModelMismatchError(ModelError):
     """Checkpoint does not match the schedule or expected backend."""
 
 
-class TrainingError(RuntimeError):
+class TrainingError(NumericalError):
     pass
 
 
@@ -62,7 +63,7 @@ def mu_from_eps(x_t, t, eps_hat, schedule: NoiseSchedule):
 
 class _AnalyticBase:
     def __init__(self, descriptor: ManifoldDescriptor, schedule: NoiseSchedule):
-        if descriptor.kind != "gaussian_mixture":
+        if getattr(descriptor, "kind", None) != "gaussian_mixture":
             raise ModelError("analytic backends require a gaussian_mixture descriptor")
         self.descriptor = descriptor
         self.schedule = schedule

@@ -1,10 +1,18 @@
 """CLI: config parsing, subcommand wiring, manifests, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from guidelab import cli
 from guidelab import data as gd
+from guidelab import models as gm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -112,6 +120,39 @@ class TestSampleAndEval:
         frechet = float(text.splitlines()[0].split()[-1])
         assert frechet < 0.25   # finite-sample floor at 2000 vs 2000 points
 
+    def test_eval_without_descriptor_is_config_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for name in ("gen", "ref"):
+            gd.save(gd.LabeledDataset(points=rng.standard_normal((40, 4)),
+                                      labels=np.zeros(40, dtype=np.int64)),
+                    tmp_path / f"{name}.glab")
+        cfg = tmp_path / "ev.txt"
+        cfg.write_text(f"eval.generated = {tmp_path / 'gen.glab'}\n"
+                       f"eval.reference = {tmp_path / 'ref.glab'}\n")
+        assert run(["--config", cfg, "--out", tmp_path / "ev", "eval"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "eval.generated" in err and "eval.reference" in err
+
+    def test_blas_and_sampler_threads_byte_identical(self, tmp_path):
+        # BLAS does the distance screen; neither its thread count nor the
+        # sampler's may change a byte of the outputs
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 2000\nschedule.T = 50\nsampling.n_chains = 8\n"
+                       "guidance.kind = geoguide\nguidance.s = 1.0\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        manifests = set()
+        for blas in ("1", None):
+            for threads in ("1", "2"):
+                out = tmp_path / f"blas{blas}_t{threads}"
+                run_env = dict(env, **({"OPENBLAS_NUM_THREADS": blas} if blas else {}))
+                subprocess.run([sys.executable, "-m", "guidelab.cli", "--config", str(cfg),
+                                "--out", str(out), "--threads", threads, "sample"],
+                               env=run_env, check=True, capture_output=True, timeout=300)
+                manifests.add((out / "manifest.txt").read_text())
+        assert len(manifests) == 1
+
     def test_sample_writes_trajectory_csv(self, tmp_path, small_cfg):
         out = tmp_path / "s"
         run(["--config", small_cfg, "--out", out, "sample"])
@@ -143,6 +184,39 @@ class TestTraining:
                        f"models.denoiser = {out / 'denoiser.gmod'}\n")
         assert run(["--config", bad, "--out", tmp_path / "x",
                     "sample"]) == cli.EXIT_MISMATCH
+
+
+def nan_like(model, x, *args):
+    """Stands in for a model method that returns NaN."""
+    return np.full(np.shape(x), np.nan)
+
+
+class TestNumericalErrors:
+    """Non-finite values exit with EXIT_NUMERICAL, not as a mismatch or a
+    traceback."""
+
+    def test_non_finite_sampler_state(self, tmp_path, small_cfg, monkeypatch, capsys):
+        monkeypatch.setattr(gm.AnalyticDenoiser, "predict_eps", nan_like)
+        assert run(["--config", small_cfg, "--out", tmp_path, "sample"]) == cli.EXIT_NUMERICAL
+        assert "non-finite state" in capsys.readouterr().err
+
+    def test_non_finite_guidance_gradient(self, tmp_path, small_cfg, monkeypatch, capsys):
+        monkeypatch.setattr(gm.AnalyticClassifier, "class_grad_direction", nan_like)
+        assert run(["--config", small_cfg, "--out", tmp_path, "sample"]) == cli.EXIT_NUMERICAL
+        assert "non-finite classifier gradient" in capsys.readouterr().err
+
+    def test_non_finite_training_loss(self, tmp_path, monkeypatch, capsys):
+        forward = gm.MLP.forward
+
+        def nan_forward(mlp, h):
+            out, cache = forward(mlp, h)
+            return np.full_like(out, np.nan), cache
+
+        monkeypatch.setattr(gm.MLP, "forward", nan_forward)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 200\nschedule.T = 20\ntrain.epochs = 1\n")
+        assert run(["--config", cfg, "--out", tmp_path, "train-denoiser"]) == cli.EXIT_NUMERICAL
+        assert "non-finite loss" in capsys.readouterr().err
 
 
 class TestExperimentPresets:

@@ -1,9 +1,12 @@
 """Reverse sampling loop: determinism, respacing, logs, distance traces."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidelab import data as gd
 from guidelab import models as gm
@@ -162,6 +165,116 @@ class TestManifoldDistance:
         object.__setattr__(bad, "points", np.zeros((0, 64)))
         with pytest.raises(ValueError):
             gsam.trace_manifold_distance(batch.logs[0], bad)
+
+
+def exhaustive_distance(X, r, P):
+    """The reference scan: every point's exact norm, row by row."""
+    return np.array([np.min(np.linalg.norm(rj * P - x, axis=1)) for x, rj in zip(X, r)])
+
+
+@st.composite
+def distance_problems(draw):
+    """Random datasets with duplicated or nearly duplicated rows, and states
+    on, within rounding of, or away from a rescaled dataset point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = draw(st.integers(1, 70))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    pool = scale * rng.standard_normal((draw(st.integers(1, 30)), D))
+    P = pool[rng.integers(0, len(pool), size=draw(st.integers(1, 60)))]
+    P = P + draw(st.sampled_from([0.0, 1e-15, 1e-12])) * rng.standard_normal(P.shape)
+    n = draw(st.integers(1, 8))
+    alpha_bar = np.array(draw(st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+        min_size=n, max_size=n)))
+    r = np.sqrt(alpha_bar)
+    offset = draw(st.sampled_from([0.0, 1e-300, 1e-15, 1e-8, 1.0, 10.0]))
+    X = r[:, None] * P[rng.integers(0, len(P), size=n)] + offset * rng.standard_normal((n, D))
+    return X, r, P
+
+
+class TestNearestDistanceKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(distance_problems())
+    def test_equals_exhaustive_scan(self, problem):
+        X, r, P = problem
+        assert np.array_equal(gsam._nearest_distance(X, r, P), exhaustive_distance(X, r, P))
+
+    def test_state_on_a_dataset_point(self, bench_dataset):
+        P = bench_dataset.points[:500]
+        r = np.sqrt(np.array([0.3, 0.7, 1.0]))
+        X = r[:, None] * P[[7, 123, 499]]
+        d = gsam._nearest_distance(X, r, P)
+        assert np.all(d == 0.0)
+        # the GEMM form alone cancels to rounding noise, not to zero
+        screen = (np.sum(X * X, axis=1)[:, None] - 2 * r[:, None] * (X @ P.T)
+                  + (r * r)[:, None] * np.sum(P * P, axis=1))
+        assert np.all(np.abs(screen.min(axis=1)) < 1e-9)
+
+    def test_duplicated_and_near_tied_points(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((40, 16)) * 5
+        P = np.concatenate([base, base[:10], base[:10] * (1 + 1e-15),
+                            base[:10] + 1e-13])
+        r = np.sqrt(rng.uniform(0.01, 1.0, size=30))
+        X = r[:, None] * P[rng.integers(0, len(P), size=30)] \
+            + 1e-10 * rng.standard_normal((30, 16))
+        # a block of 4 rows, so several blocks run
+        monkeypatch.setattr(gsam, "_SCREEN_ENTRIES", 4 * len(P))
+        np.testing.assert_array_equal(gsam._nearest_distance(X, r, P),
+                                      exhaustive_distance(X, r, P))
+
+    def test_alpha_bar_one(self, bench_dataset):
+        P = bench_dataset.points
+        X = np.random.default_rng(2).standard_normal((5, 64)) * 3
+        r = np.ones(5)
+        np.testing.assert_array_equal(gsam._nearest_distance(X, r, P),
+                                      exhaustive_distance(X, r, P))
+
+    def test_one_point_dataset(self):
+        P = np.full((1, 64), 0.25)
+        X = np.random.default_rng(3).standard_normal((9, 64))
+        r = np.sqrt(np.linspace(0.1, 1.0, 9))
+        d = gsam._nearest_distance(X, r, P)
+        np.testing.assert_array_equal(d, np.linalg.norm(r[:, None] * P - X, axis=1))
+
+    def test_non_finite_state_propagates(self):
+        P = np.eye(3)
+        X = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        r = np.ones(3)
+        np.testing.assert_array_equal(gsam._nearest_distance(X, r, P),
+                                      exhaustive_distance(X, r, P))
+
+    def test_forward_traces_match_exhaustive_scan(self, linb_1000):
+        ds = gd.generate(gd.eight_gaussians(), 2000, seed=1)
+        sch = gs.respace(linb_1000, 50)
+        n_draws, seed = 6, 3
+        traces = gsam.forward_manifold_traces(ds, sch, n_draws=n_draws, seed=seed)
+        # the same draws, in the same order, as forward_manifold_traces
+        pts = ds.points
+        rng = rng_stream(seed, 0xF0)
+        x0 = pts[rng.integers(0, len(pts), size=n_draws)]
+        for k, pos in enumerate(range(1, sch.T + 1)):
+            ab = sch.alpha_bars[pos - 1]
+            eps = rng.standard_normal((n_draws, pts.shape[1]))
+            xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+            ref = exhaustive_distance(xt, np.full(n_draws, np.sqrt(ab)), pts)
+            got = [trace[k]["d_hat"] for trace in traces]
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_trace_memory_bounded(self, bench_dataset, linb_1000):
+        desc = gd.eight_gaussians()
+        sch = gs.respace(linb_1000, 51)
+        den = gm.AnalyticDenoiser(desc, sch)
+        log = gsam.sample(den, None, GuidanceRule("none"), sch, 0, 1, seed=0,
+                          store_full=True).logs[0]
+        assert len(log.stored_x) == 51
+        tracemalloc.start()
+        try:
+            gsam.trace_manifold_distance(log, bench_dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCsvExport:
