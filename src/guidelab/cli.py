@@ -130,9 +130,8 @@ class RunConfig:
             ambient_jitter=self.get_float("data.ambient_jitter"))
 
     def dataset(self):
-        path = self.get("data.path")
-        if path:
-            return data_mod.load(path)
+        if self.get("data.path"):
+            return data_mod.load(_input_file(self, "data.path"))
         return data_mod.generate(self.descriptor(), self.get_int("data.n"),
                                  self.get_int("data.seed"))
 
@@ -157,9 +156,9 @@ class RunConfig:
         den_spec = self.get("models.denoiser")
         clf_spec = self.get("models.classifier")
         den = (models_mod.AnalyticDenoiser(descriptor, base) if den_spec == "analytic"
-               else models_mod.load_model(den_spec, base))
+               else models_mod.load_model(_input_file(self, "models.denoiser"), base))
         clf = (models_mod.AnalyticClassifier(descriptor, base) if clf_spec == "analytic"
-               else models_mod.load_model(clf_spec, base))
+               else models_mod.load_model(_input_file(self, "models.classifier"), base))
         return den, clf
 
     def rule(self):
@@ -178,6 +177,15 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"sampling.target: expected class index or 'cycle', got {spec!r}")
         return np.full(n_chains, y, dtype=np.int64)
+
+
+def _input_file(cfg, key):
+    """The input file that config ``key`` names; a ConfigError naming the key
+    and the path if there is no such file."""
+    path = cfg.get(key)
+    if not Path(path).is_file():
+        raise ConfigError(f"{key}: no such file {path!r}")
+    return path
 
 
 def out_dir(args) -> Path:
@@ -285,9 +293,10 @@ def cmd_eval(args):
     gen_path = cfg.get("eval.generated")
     if not gen_path:
         raise ConfigError("eval.generated must point to a samples file")
-    generated = data_mod.load(gen_path)
+    generated = data_mod.load(_input_file(cfg, "eval.generated"))
     ref_path = cfg.get("eval.reference") or cfg.get("data.path")
-    reference = data_mod.load(ref_path) if ref_path else cfg.dataset()
+    reference = (data_mod.load(_input_file(cfg, "eval.reference"))
+                 if cfg.get("eval.reference") else cfg.dataset())
     base = cfg.base_schedule()
     desc = generated.descriptor or reference.descriptor
     if desc is None:

@@ -114,15 +114,18 @@ class ManifoldDescriptor:
     @classmethod
     def from_text(cls, text: str) -> "ManifoldDescriptor":
         d = json.loads(text)
-        kw = dict(kind=d["kind"], dim=d["dim"], weights=np.array(d["weights"]))
-        if d["kind"] == "gaussian_mixture":
-            kw["means"] = np.array(d["means"])
-            kw["variances"] = np.array(d["variances"])
-        else:
-            if d["kind"] == "rings":
-                kw["radii"] = np.array(d["radii"])
-            kw["curve_noise"] = d["curve_noise"]
-            kw["ambient_jitter"] = d["ambient_jitter"]
+        try:
+            kw = dict(kind=d["kind"], dim=d["dim"], weights=np.array(d["weights"]))
+            if d["kind"] == "gaussian_mixture":
+                kw["means"] = np.array(d["means"])
+                kw["variances"] = np.array(d["variances"])
+            else:
+                if d["kind"] == "rings":
+                    kw["radii"] = np.array(d["radii"])
+                kw["curve_noise"] = d["curve_noise"]
+                kw["ambient_jitter"] = d["ambient_jitter"]
+        except KeyError as exc:
+            raise DescriptorError(f"descriptor lacks {exc}") from None
         return cls(**kw)
 
 

@@ -10,6 +10,11 @@ The unit direction is computed from grad log p (equal to grad p up to a
 positive factor, which cancels in the normalization) for numerical
 stability.  T_eff is the number of reverse steps actually executed, unless
 overridden by ``t_override``.
+
+A classifier provides ``class_grad(x, t, y) -> (log p, grad log p)`` for
+adm_g and ``class_grad_direction(x, t, y)``, the saturation-stable unit
+vector along grad log p (zero where it vanishes), for the geoguide kinds.
+Both backends in ``models`` do.
 """
 
 from dataclasses import dataclass
@@ -31,7 +36,6 @@ class GuidanceRule:
     kind: str = "none"
     scale: float = 0.0
     cutoff_fraction: float = 1.0  # fraction of initial reverse steps guided
-    eps_norm: float = 1e-12       # below this gradient norm, skip the step
     t_override: int = None        # replaces T_eff in the sqrt(D)/T factor
 
     def __post_init__(self):
@@ -56,39 +60,24 @@ def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
         return np.zeros_like(x_t)
     t_label = int(schedule.timesteps[position - 1])
     if rule.kind == "adm_g":
-        _, grad = classifier.class_grad(x_t, t_label, y)
-        if not np.all(np.isfinite(grad)):
-            raise GuidanceError(f"non-finite classifier gradient at t={t_label}, y={y}")
-        return schedule.gammas[position - 1] * grad
-    # geoguide kinds: constant-norm unit direction.  Prefer the backend's
-    # saturation-stable direction; fall back to normalizing the raw gradient.
-    if hasattr(classifier, "class_grad_direction"):
-        unit = classifier.class_grad_direction(x_t, t_label, y)
-        if not np.all(np.isfinite(unit)):
-            raise GuidanceError(f"non-finite classifier gradient at t={t_label}, y={y}")
+        _, vec = classifier.class_grad(x_t, t_label, y)
+        factor = schedule.gammas[position - 1]
     else:
-        _, grad = classifier.class_grad(x_t, t_label, y)
-        if not np.all(np.isfinite(grad)):
-            raise GuidanceError(f"non-finite classifier gradient at t={t_label}, y={y}")
-        norm = np.linalg.norm(grad, axis=-1, keepdims=x_t.ndim > 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = grad / norm
-        small = np.asarray(norm) < rule.eps_norm
-        if np.any(small):
-            unit = np.where(np.broadcast_to(small, unit.shape), 0.0, unit)
-    factor = np.sqrt(x_t.shape[-1]) / (rule.t_override or total_steps)
-    if rule.kind == "geoguide_scaled":
-        factor = factor * np.sqrt(1.0 - schedule.alpha_bars[position - 1])
-    return factor * unit
+        vec = classifier.class_grad_direction(x_t, t_label, y)
+        factor = np.sqrt(x_t.shape[-1]) / (rule.t_override or total_steps)
+        if rule.kind == "geoguide_scaled":
+            factor = factor * np.sqrt(1.0 - schedule.alpha_bars[position - 1])
+    if not np.all(np.isfinite(vec)):
+        raise GuidanceError(f"non-finite classifier gradient at t={t_label}, y={y}")
+    return factor * vec
 
 
-def guided_reverse_step(mu, gamma_t: float, a_t, s: float,
-                        rng: np.random.Generator, is_final: bool = False,
+def guided_reverse_step(mu, gamma_t: float, a_t, s: float, is_final: bool = False,
                         eps=None):
     """x_{t-1} = mu + sqrt(gamma_t) * eps + s * A_t.
 
-    The final step is noise-free (eps = 0); ``eps`` may be injected for
-    deterministic tests.
+    The caller supplies the noise ``eps``; the final step is noise-free
+    (eps = 0) and needs none.
     """
     if gamma_t < 0:
         raise ValueError("gamma_t must be nonnegative")
@@ -96,5 +85,5 @@ def guided_reverse_step(mu, gamma_t: float, a_t, s: float,
     if is_final:
         eps = np.zeros_like(mu)
     elif eps is None:
-        eps = rng.standard_normal(mu.shape)
+        raise ValueError("eps is required before the final step")
     return mu + np.sqrt(gamma_t) * eps + s * np.asarray(a_t)

@@ -19,12 +19,13 @@ the zero-noise level (abar = 1).
 import json
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import ManifoldDescriptor
+from .data import (ChecksumError, DataFormatError, ManifoldDescriptor, TruncatedFileError,
+                   VersionError)
 from .errors import NumericalError
 from .schedule import NoiseSchedule, ScheduleError
 
@@ -57,9 +58,85 @@ def mu_from_eps(x_t, t, eps_hat, schedule: NoiseSchedule):
     return (np.asarray(x_t) - (1.0 - a) / np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(a)
 
 
+def _rows(x, dim):
+    """x as an (N, dim) float64 batch, and the function that gives a per-row
+    result the shape of x: for a single point (dim,) it drops the row axis
+    (a per-row scalar becomes a float)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != dim:
+        raise ModelError(f"expected dimension {dim}, got {x.shape[-1]}")
+    if x.ndim == 1:
+        return x[None], lambda out: out[0] if out.ndim > 1 else float(out[0])
+    return x, lambda out: out
+
+
+def _labels(y, n, n_classes):
+    """y broadcast to n int64 labels, each in 0..n_classes-1."""
+    yb = np.broadcast_to(np.asarray(y, dtype=np.int64), (n,))
+    if np.any(yb < 0) or np.any(yb >= n_classes):
+        raise ModelError(f"class label outside 0..{n_classes - 1}")
+    return yb
+
+
+def _logsumexp(a, axis=None):
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+
+
+def _log_softmax(logits):
+    return logits - _logsumexp(logits, axis=1)[:, None]
+
+
+def _grad_weights(logits, y):
+    """(log p_y, e_y - softmax): grad log p(y|x) is the logits' gradient
+    contracted with these weights."""
+    lp = _log_softmax(logits)
+    rows = np.arange(len(lp))
+    w = -np.exp(lp)
+    w[rows, y] += 1.0
+    return lp[rows, y], w
+
+
+def _direction_weights(logits, y):
+    """e_y - q, with q the softmax over the classes other than y.
+
+    This is (e_y - softmax) / (1 - p_y): a positive rescaling of the
+    gradient weights that stays representable when p_y -> 1 and the
+    competitors' probabilities underflow.  The weight of y is taken as
+    sum(q), so that a row with no competitor (C = 1) is all zeros.
+    """
+    rows = np.arange(len(logits))
+    comp = logits.copy()
+    comp[rows, y] = -np.inf
+    with np.errstate(invalid="ignore"):
+        w = -np.nan_to_num(np.exp(_log_softmax(comp)))
+    w[rows, y] = -w.sum(axis=1)
+    return w
+
+
+def _unit(v):
+    """Rows of v scaled to unit norm; zero rows stay zero."""
+    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    return np.divide(v, norm, out=np.zeros_like(v), where=norm > 0)
+
+
 # ---------------------------------------------------------------------------
 # Analytic backends
 # ---------------------------------------------------------------------------
+
+def _log_joint(x, tab):
+    """log w_c + log N(x; m_c, diag v_c) for every row and component, (N, C),
+    as two GEMMs: const - 1/2 (x*x) @ (1/v).T + x @ (m/v).T."""
+    inv_v, m_v, const = tab
+    return const - 0.5 * ((x * x) @ inv_v.T) + x @ m_v.T
+
+
+def _pull(w, x, tab):
+    """sum_c w_c (m_c - x) / v_c for every row, (N, D), without an (N, C, D)
+    temporary: w @ (m/v) - x * (w @ (1/v))."""
+    inv_v, m_v, _ = tab
+    return w @ m_v - x * (w @ inv_v)
+
 
 class _AnalyticBase:
     def __init__(self, descriptor: ManifoldDescriptor, schedule: NoiseSchedule):
@@ -81,52 +158,34 @@ class _AnalyticBase:
         except KeyError:
             raise ScheduleError(f"timestep {t} not in schedule") from None
 
-    def _moments(self, t: int):
+    def _table(self, t: int):
+        """(1/v, m/v, const) of the components noised to step t, with
+        m = sqrt(abar) mu, v = abar V + (1 - abar) and
+        const = log w - 1/2 sum_d (m^2/v + log v + log 2 pi)."""
         ab = self._alpha_bar(t)
         m = np.sqrt(ab) * self.descriptor.means           # (C, D)
-        v = ab * self.descriptor.variances + (1.0 - ab)   # (C, D)
-        if t == 0:
-            v = self.descriptor.variances
-        return ab, m, v
-
-    def _component_logpdfs(self, x, m, v):
-        # x: (N, D) -> (N, C)
-        diff = x[:, None, :] - m[None, :, :]
-        return -0.5 * np.sum(diff * diff / v[None] + np.log(v)[None] + LOG_2PI, axis=2)
-
-    def _responsibilities(self, x, m, v):
-        lj = self._log_w[None] + self._component_logpdfs(x, m, v)  # (N, C)
-        lz = _logsumexp(lj, axis=1)
-        return np.exp(lj - lz[:, None]), lj, lz
-
-    def _score(self, x, m, v):
-        """Gradient of log q_t at x, vectorized over rows."""
-        r, _, _ = self._responsibilities(x, m, v)
-        pulls = (m[None] - x[:, None, :]) / v[None]       # (N, C, D)
-        return np.einsum("nc,ncd->nd", r, pulls)
+        var = self.descriptor.variances
+        v = var if t == 0 else ab * var + (1.0 - ab)      # (C, D)
+        inv_v = 1.0 / v
+        m_v = m * inv_v
+        const = self._log_w - 0.5 * np.sum(m * m_v + np.log(v) + LOG_2PI, axis=1)
+        return inv_v, m_v, const
 
 
 class AnalyticDenoiser(_AnalyticBase):
     """Exact minimizer of the epsilon objective for mixture data."""
 
     def predict_eps(self, x, t):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        if xb.shape[-1] != self.dim:
-            raise ModelError(f"expected dimension {self.dim}, got {xb.shape[-1]}")
-        ab, m, v = self._moments(t)
-        eps = -np.sqrt(1.0 - ab) * self._score(xb, m, v)
-        return eps[0] if single else eps
+        xb, back = _rows(x, self.dim)
+        tab = self._table(t)
+        resp = np.exp(_log_softmax(_log_joint(xb, tab)))
+        # the score of q_t is the responsibility-weighted pull
+        return back(-np.sqrt(1.0 - self._alpha_bar(t)) * _pull(resp, xb, tab))
 
     def log_density(self, x, t):
         """log q_t(x); used by finite-difference oracles."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        _, m, v = self._moments(t)
-        lz = _logsumexp(self._log_w[None] + self._component_logpdfs(xb, m, v), axis=1)
-        return float(lz[0]) if single else lz
+        xb, back = _rows(x, self.dim)
+        return back(_logsumexp(_log_joint(xb, self._table(t)), axis=1))
 
 
 class AnalyticClassifier(_AnalyticBase):
@@ -137,70 +196,28 @@ class AnalyticClassifier(_AnalyticBase):
         return self.descriptor.n_classes
 
     def class_logprobs(self, x, t):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        _, m, v = self._moments(t)
-        _, lj, lz = self._responsibilities(xb, m, v)
-        out = lj - lz[:, None]
-        return out[0] if single else out
+        xb, back = _rows(x, self.dim)
+        return back(_log_softmax(_log_joint(xb, self._table(t))))
 
     def class_grad(self, x, t, y):
         """(log p(y|x_t), gradient of log p(y|x_t) w.r.t. x_t)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        yb = np.broadcast_to(np.asarray(y, dtype=np.int64), (len(xb),))
-        if np.any(yb < 0) or np.any(yb >= self.n_classes):
-            raise ModelError(f"class label outside 0..{self.n_classes - 1}")
-        _, m, v = self._moments(t)
-        r, lj, lz = self._responsibilities(xb, m, v)
-        rows = np.arange(len(xb))
-        logp = lj[rows, yb] - lz
-        pull_y = (m[yb] - xb) / v[yb]
-        score = np.einsum("nc,ncd->nd", r, (m[None] - xb[:, None, :]) / v[None])
-        grad = pull_y - score
-        if single:
-            return float(logp[0]), grad[0]
-        return logp, grad
+        xb, back = _rows(x, self.dim)
+        yb = _labels(y, len(xb), self.n_classes)
+        tab = self._table(t)
+        logp, w = _grad_weights(_log_joint(xb, tab), yb)
+        return back(logp), back(_pull(w, xb, tab))
 
     def class_grad_direction(self, x, t, y):
-        """Unit vector along grad log p(y|x_t), stable under saturation.
-
-        grad log p_y = sum_{k != y} r_k (pull_y - pull_k); when p_y -> 1 the
-        responsibilities r_k underflow even though the direction is well
-        defined, so the competitor weights are renormalized in log space
-        before the sum.  Returns zero where even the direction vanishes.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        yb = np.broadcast_to(np.asarray(y, dtype=np.int64), (len(xb),))
-        if np.any(yb < 0) or np.any(yb >= self.n_classes):
-            raise ModelError(f"class label outside 0..{self.n_classes - 1}")
-        _, m, v = self._moments(t)
-        lj = self._log_w[None] + self._component_logpdfs(xb, m, v)  # (N, C)
-        rows = np.arange(len(xb))
-        lj_comp = lj.copy()
-        lj_comp[rows, yb] = -np.inf
-        with np.errstate(invalid="ignore"):
-            w = np.exp(lj_comp - np.max(lj_comp, axis=1, keepdims=True))
-        w = np.nan_to_num(w)  # all-(-inf) row (C = 1) -> zeros
-        pulls = (m[None] - xb[:, None, :]) / v[None]
-        pull_y = (m[yb] - xb) / v[yb]
-        vdir = np.sum(w[:, :, None] * (pull_y[:, None, :] - pulls), axis=1)
-        norm = np.linalg.norm(vdir, axis=1, keepdims=True)
-        unit = np.divide(vdir, norm, out=np.zeros_like(vdir), where=norm > 0)
-        return unit[0] if single else unit
+        """Unit vector along grad log p(y|x_t), stable under saturation (see
+        ``_direction_weights``); zero where even the direction vanishes."""
+        xb, back = _rows(x, self.dim)
+        yb = _labels(y, len(xb), self.n_classes)
+        tab = self._table(t)
+        return back(_unit(_pull(_direction_weights(_log_joint(xb, tab), yb), xb, tab)))
 
     def predict(self, x, t=0):
         lp = self.class_logprobs(x, t)
         return np.argmax(lp, axis=-1)
-
-
-def _logsumexp(a, axis=None):
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +314,9 @@ class _LearnedBase:
 
 class LearnedDenoiser(_LearnedBase):
     def predict_eps(self, x, t):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        if xb.shape[-1] != self.dim:
-            raise ModelError(f"expected dimension {self.dim}, got {xb.shape[-1]}")
+        xb, back = _rows(x, self.dim)
         out, _ = self.mlp.forward(self._input(xb, t))
-        return out[0] if single else out
+        return back(out)
 
     def eps_vjp(self, x, t, u):
         """Gradient of u . eps_theta(x, t) w.r.t. x (for gradient checks)."""
@@ -318,65 +331,27 @@ class LearnedClassifier(_LearnedBase):
         super().__init__(mlp, schedule, dim, t_embed_dim)
         self.n_classes = n_classes
 
-    def _logits(self, xb, t):
-        out, cache = self.mlp.forward(self._input(xb, t))
-        return out, cache
-
     def class_logprobs(self, x, t):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        logits, _ = self._logits(xb, t)
-        lp = logits - _logsumexp(logits, axis=1)[:, None]
-        return lp[0] if single else lp
+        xb, back = _rows(x, self.dim)
+        logits, _ = self.mlp.forward(self._input(xb, t))
+        return back(_log_softmax(logits))
 
     def class_grad(self, x, t, y):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        yb = np.broadcast_to(np.asarray(y, dtype=np.int64), (len(xb),))
-        if np.any(yb < 0) or np.any(yb >= self.n_classes):
-            raise ModelError(f"class label outside 0..{self.n_classes - 1}")
-        logits, cache = self._logits(xb, t)
-        lz = _logsumexp(logits, axis=1)
-        rows = np.arange(len(xb))
-        logp = logits[rows, yb] - lz
-        g_logits = -np.exp(logits - lz[:, None])
-        g_logits[rows, yb] += 1.0
-        _, g_in = self.mlp.backward(cache, g_logits)
-        grad = g_in[:, :self.dim]
-        if single:
-            return float(logp[0]), grad[0]
-        return logp, grad
+        xb, back = _rows(x, self.dim)
+        yb = _labels(y, len(xb), self.n_classes)
+        logits, cache = self.mlp.forward(self._input(xb, t))
+        logp, g = _grad_weights(logits, yb)
+        return back(logp), back(self.mlp.backward(cache, g)[1][:, :self.dim])
 
     def class_grad_direction(self, x, t, y):
-        """Unit vector along grad log p(y|x_t), stable under saturation.
-
-        Backprop is linear in the upstream vector, so dividing the upstream
-        (e_y - softmax) by (1 - p_y) before the backward pass rescales the
-        input gradient without changing its direction.  The rescaled upstream
-        is e_y - q with q the softmax over the competitor classes, which
-        stays representable when p_y -> 1.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        yb = np.broadcast_to(np.asarray(y, dtype=np.int64), (len(xb),))
-        if np.any(yb < 0) or np.any(yb >= self.n_classes):
-            raise ModelError(f"class label outside 0..{self.n_classes - 1}")
-        logits, cache = self._logits(xb, t)
-        rows = np.arange(len(xb))
-        comp = logits.copy()
-        comp[rows, yb] = -np.inf
-        lz_comp = _logsumexp(comp, axis=1)
-        g = -np.exp(comp - lz_comp[:, None])
-        g = np.nan_to_num(g)
-        g[rows, yb] = 1.0
-        _, g_in = self.mlp.backward(cache, g)
-        vdir = g_in[:, :self.dim]
-        norm = np.linalg.norm(vdir, axis=1, keepdims=True)
-        unit = np.divide(vdir, norm, out=np.zeros_like(vdir), where=norm > 0)
-        return unit[0] if single else unit
+        """Unit vector along grad log p(y|x_t), stable under saturation:
+        backprop is linear in the upstream, so ``_direction_weights``'
+        rescaling keeps the input gradient's direction."""
+        xb, back = _rows(x, self.dim)
+        yb = _labels(y, len(xb), self.n_classes)
+        logits, cache = self.mlp.forward(self._input(xb, t))
+        g_in = self.mlp.backward(cache, _direction_weights(logits, yb))[1]
+        return back(_unit(g_in[:, :self.dim]))
 
     def predict(self, x, t=0):
         return np.argmax(self.class_logprobs(x, t), axis=-1)
@@ -538,7 +513,6 @@ def save_model(model, path) -> None:
 
 
 def load_model(path, schedule: NoiseSchedule):
-    from .data import ChecksumError, TruncatedFileError, VersionError
     raw = Path(path).read_bytes()
     if len(raw) < 14:
         raise TruncatedFileError(f"{path}: file too short to be a model checkpoint")
@@ -550,19 +524,34 @@ def load_model(path, schedule: NoiseSchedule):
     if (zlib.crc32(raw[:-4]) & 0xFFFFFFFF) != int.from_bytes(raw[-4:], "little"):
         raise ChecksumError(f"{path}: CRC32 mismatch")
     head_len = int.from_bytes(raw[6:10], "little")
-    header = json.loads(raw[10:10 + head_len].decode())
-    if header["fingerprint"] != schedule.base_fingerprint:
+    try:
+        header = json.loads(raw[10:10 + head_len].decode())
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: checkpoint header is not JSON ({exc})") from None
+
+    def required(name):
+        if not isinstance(header, dict) or name not in header:
+            raise DataFormatError(f"{path}: checkpoint header lacks {name!r}")
+        return header[name]
+
+    if required("fingerprint") != schedule.base_fingerprint:
         raise ModelMismatchError(
             f"{path}: checkpoint schedule fingerprint {header['fingerprint']} "
             f"does not match {schedule.base_fingerprint}")
-    backend = header["backend"]
+    backend = required("backend")
     if backend in ("analytic_denoiser", "analytic_classifier"):
-        desc = ManifoldDescriptor.from_text(header["descriptor"])
+        desc = ManifoldDescriptor.from_text(required("descriptor"))
         cls = AnalyticDenoiser if backend == "analytic_denoiser" else AnalyticClassifier
         return cls(desc, schedule)
+    if backend not in ("learned_denoiser", "learned_classifier"):
+        raise DataFormatError(f"{path}: unknown checkpoint backend {backend!r}")
+    sizes = required("sizes")
     payload = raw[10 + head_len:-4]
+    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    if len(payload) != 8 * n_params:
+        raise DataFormatError(f"{path}: {len(payload)} payload bytes, layer sizes "
+                              f"{sizes} need {8 * n_params}")
     flat = np.frombuffer(payload, dtype="<f8").copy()
-    sizes = header["sizes"]
     params, off = [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         w = flat[off:off + fan_in * fan_out].reshape(fan_in, fan_out)
@@ -572,6 +561,6 @@ def load_model(path, schedule: NoiseSchedule):
         params.append([w, b])
     mlp = MLP(sizes, params=params)
     if backend == "learned_denoiser":
-        return LearnedDenoiser(mlp, schedule, header["dim"], header["t_embed_dim"])
-    return LearnedClassifier(mlp, schedule, header["dim"], header["t_embed_dim"],
-                             header["n_classes"])
+        return LearnedDenoiser(mlp, schedule, required("dim"), required("t_embed_dim"))
+    return LearnedClassifier(mlp, schedule, required("dim"), required("t_embed_dim"),
+                             required("n_classes"))

@@ -128,7 +128,7 @@ def _run_block(denoiser, classifier, rule, schedule, ys, chains, seed, D,
         norms[:, k] = rule.scale * np.linalg.norm(a_t, axis=-1)
         active[k] = rule.kind != "none" and k < rule.cutoff_fraction * n_steps
         x = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t, rule.scale,
-                                None, is_final=(pos == 1), eps=noise[:, k + 1, :])
+                                is_final=(pos == 1), eps=noise[:, k + 1, :])
         if not np.all(np.isfinite(x)):
             bad = int(chains[np.argmax(~np.isfinite(x).all(axis=1))])
             raise NumericalError(f"non-finite state at step {k} (t={t_label}) in chain {bad}")

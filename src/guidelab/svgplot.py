@@ -21,7 +21,7 @@ def _ticks(lo, hi, n=5):
 
 
 class LinePlot:
-    def __init__(self, title="", xlabel="", ylabel="", logy=False):
+    def __init__(self, title="", xlabel="", ylabel=""):
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
         self.series = []
 

@@ -1,8 +1,10 @@
 """CLI: config parsing, subcommand wiring, manifests, exit codes."""
 
+import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +186,77 @@ class TestTraining:
                        f"models.denoiser = {out / 'denoiser.gmod'}\n")
         assert run(["--config", bad, "--out", tmp_path / "x",
                     "sample"]) == cli.EXIT_MISMATCH
+
+
+class TestInputFiles:
+    """A missing input file or a malformed checkpoint is a precise error with
+    its exit code, never a traceback."""
+
+    @pytest.mark.parametrize("key, command", [
+        ("data.path", "sample"), ("eval.generated", "eval"),
+        ("eval.reference", "eval"), ("models.denoiser", "sample"),
+        ("models.classifier", "sample")])
+    def test_missing_file_is_config_error(self, tmp_path, capsys, key, command):
+        present = tmp_path / "present.glab"
+        gd.save(gd.generate(gd.eight_gaussians(dim=4), 20, seed=0), present)
+        missing = tmp_path / "nope.glab"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\n"
+                       "sampling.n_chains = 2\n"
+                       + (f"eval.generated = {present}\n" if command == "eval" else "")
+                       + f"{key} = {missing}\n")
+        assert run(["--config", cfg, "--out", tmp_path / "out", command]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and str(missing) in err
+
+    @staticmethod
+    def _drop_header_field(path, name):
+        """Rewrite a checkpoint without one header field, CRC kept valid."""
+        raw = path.read_bytes()
+        head_len = int.from_bytes(raw[6:10], "little")
+        header = json.loads(raw[10:10 + head_len])
+        del header[name]
+        head = json.dumps(header).encode()
+        body = raw[:6] + len(head).to_bytes(4, "little") + head + raw[10 + head_len:-4]
+        path.write_bytes(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
+
+    @pytest.mark.parametrize("backend, name", [
+        ("analytic", "fingerprint"), ("analytic", "backend"), ("analytic", "descriptor"),
+        ("learned", "fingerprint"), ("learned", "sizes"), ("learned", "dim"),
+        ("learned", "t_embed_dim"), ("learned", "n_classes")])
+    def test_header_without_field(self, tmp_path, capsys, backend, name):
+        base = cli.RunConfig({"schedule.T": "20"}).base_schedule()
+        if backend == "analytic":
+            model = gm.AnalyticClassifier(gd.eight_gaussians(dim=4), base)
+        else:
+            model = gm.LearnedClassifier(gm.MLP((12, 16, 8), rng=np.random.default_rng(0)),
+                                         base, 4, 8, 8)
+        path = tmp_path / "bad.gmod"
+        gm.save_model(model, path)
+        self._drop_header_field(path, name)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\n"
+                       f"sampling.n_chains = 2\nmodels.classifier = {path}\n")
+        assert run(["--config", cfg, "--out", tmp_path / "out", "sample"]) == 1
+        err = capsys.readouterr().err
+        assert "lacks" in err and repr(name) in err
+
+    @pytest.mark.parametrize("extra", [b"", b"\0" * 16], ids=["short", "long"])
+    def test_payload_not_matching_sizes(self, tmp_path, capsys, extra):
+        base = cli.RunConfig({"schedule.T": "20"}).base_schedule()
+        model = gm.LearnedDenoiser(gm.MLP((12, 16, 4), rng=np.random.default_rng(0)),
+                                   base, 4, 8)
+        path = tmp_path / "bad.gmod"
+        gm.save_model(model, path)
+        raw = path.read_bytes()
+        # one float64 of the payload cut off, or one float64 too many
+        body = raw[:-12] + extra
+        path.write_bytes(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\n"
+                       f"sampling.n_chains = 2\nmodels.denoiser = {path}\n")
+        assert run(["--config", cfg, "--out", tmp_path / "out", "sample"]) == 1
+        assert "payload bytes" in capsys.readouterr().err
 
 
 def nan_like(model, x, *args):

@@ -29,6 +29,11 @@ class TestDescriptor:
         assert back.to_text() == text
         np.testing.assert_array_equal(back.means, bench_descriptor.means)
 
+    def test_text_missing_field(self, bench_descriptor):
+        text = bench_descriptor.to_text().replace('"means"', '"meanz"')
+        with pytest.raises(gd.DescriptorError, match="means"):
+            gd.ManifoldDescriptor.from_text(text)
+
     def test_eight_gaussians_layout(self, bench_descriptor):
         d = bench_descriptor
         assert d.n_classes == 8

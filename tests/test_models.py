@@ -214,6 +214,87 @@ class TestAnalyticClassifier:
         np.testing.assert_array_equal(preds, np.arange(8))
 
 
+def _direct_posterior(desc, sch, x, t, y):
+    """Reference values from the per-component (N, C, D) form of q_t's
+    mixture, independent of the GEMM-form kernel in ``models``."""
+    ab = 1.0 if t == 0 else sch.alpha_bars[t - 1]
+    m = np.sqrt(ab) * desc.means
+    v = desc.variances if t == 0 else ab * desc.variances + (1.0 - ab)
+    diff = x[:, None, :] - m[None]                                  # (N, C, D)
+    lj = np.log(desc.weights) - 0.5 * np.sum(diff * diff / v + np.log(v)
+                                             + np.log(2 * np.pi), axis=2)
+    lz = np.logaddexp.reduce(lj, axis=1)
+    lp = lj - lz[:, None]
+    pulls = -diff / v                                               # (N, C, D)
+    score = np.einsum("nc,ncd->nd", np.exp(lp), pulls)
+    rows = np.arange(len(x))
+    pull_y = pulls[rows, y]
+    comp = lj.copy()
+    comp[rows, y] = -np.inf
+    with np.errstate(invalid="ignore"):
+        w = np.nan_to_num(np.exp(comp - comp.max(axis=1, keepdims=True)))
+    vdir = np.sum(w[:, :, None] * (pull_y[:, None, :] - pulls), axis=1)
+    norm = np.linalg.norm(vdir, axis=1, keepdims=True)
+    return {"eps": -np.sqrt(1.0 - ab) * score, "log_density": lz, "logprobs": lp,
+            "logp": lp[rows, y], "grad": pull_y - score,
+            "unit": np.divide(vdir, norm, out=np.zeros_like(vdir), where=norm > 0),
+            "grad_scale": (np.linalg.norm(x, axis=1) * np.max(1.0 / v)
+                           + np.max(np.linalg.norm(m / v, axis=1)))}
+
+
+class TestKernelEquivalence:
+    """The GEMM-form kernel against the direct per-component form, on points
+    within 4 sigma of q_t, at t = 0, at saturation (p_y -> 1) and for C = 1."""
+
+    @pytest.mark.parametrize("case", ["eight_d8", "eight_d64", "far_d8", "one_class"])
+    @pytest.mark.parametrize("t", [0, 1, 10, 250, 500, 1000])
+    def test_matches_direct_form(self, case, t, linb_1000):
+        desc = {"eight_d8": gd.eight_gaussians(dim=8),
+                "eight_d64": gd.eight_gaussians(dim=64),
+                "far_d8": gd.eight_gaussians(dim=8, radius=200.0),
+                "one_class": gd.ManifoldDescriptor(
+                    kind="gaussian_mixture", dim=8, weights=np.array([1.0]),
+                    means=np.full((1, 8), 0.5), variances=np.array([0.3]))}[case]
+        den = gm.AnalyticDenoiser(desc, linb_1000)
+        clf = gm.AnalyticClassifier(desc, linb_1000)
+        rng = rng_stream(11, t)
+        n, C = 128, desc.n_classes
+        ab = 1.0 if t == 0 else linb_1000.alpha_bars[t - 1]
+        v = desc.variances if t == 0 else ab * desc.variances + (1.0 - ab)
+        comp = rng.integers(0, C, size=n)
+        z = np.clip(rng.standard_normal((n, desc.dim)), -4.0, 4.0)
+        x = np.sqrt(ab) * desc.means[comp] + np.sqrt(v[comp]) * z
+        y = rng.integers(0, C, size=n)
+        y[: n // 4] = comp[: n // 4]   # a quarter targets its own component
+        ref = _direct_posterior(desc, linb_1000, x, t, y)
+
+        def close_rows(got, want, scale):
+            err = np.linalg.norm(got - want, axis=1)
+            assert np.all(err <= 1e-10 * scale), float(np.max(err / scale))
+
+        def close_logs(got, want):
+            assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
+
+        eps = den.predict_eps(x, t)
+        close_rows(eps, ref["eps"], np.linalg.norm(ref["eps"], axis=1))
+        close_logs(den.log_density(x, t), ref["log_density"])
+        close_logs(clf.class_logprobs(x, t), ref["logprobs"])
+        logp, grad = clf.class_grad(x, t, y)
+        close_logs(logp, ref["logp"])
+        close_rows(grad, ref["grad"], ref["grad_scale"])
+        unit = clf.class_grad_direction(x, t, y)
+        vanished = np.linalg.norm(ref["unit"], axis=1) == 0
+        np.testing.assert_array_equal(np.linalg.norm(unit, axis=1) == 0, vanished)
+        close_rows(unit, ref["unit"], 1.0)
+        if C == 1:
+            assert vanished.all()
+        elif case == "far_d8" and t <= 10:
+            # the raw gradient has underflowed where the direction has not
+            saturated = ref["logp"] == 0.0
+            assert saturated.sum() >= n // 8
+            assert not vanished[saturated].any()
+
+
 @pytest.fixture(scope="module")
 def trained_pair():
     """Denoiser and classifier trained briefly on a small 8-GMM benchmark."""
