@@ -188,6 +188,44 @@ class TestGeoguideDirection:
             np.testing.assert_array_equal(a, 0.0)
 
 
+class _ScaledGradClassifier:
+    """Wrapper whose direction is the normalization of c times the wrapped
+    classifier's raw gradient, for a constant c >= 0."""
+
+    def __init__(self, clf, c):
+        self.clf, self.c = clf, c
+        self.base_fingerprint = clf.base_fingerprint
+        self.n_classes = clf.n_classes
+
+    def class_grad(self, x, t, y):
+        logp, grad = self.clf.class_grad(x, t, y)
+        return logp, self.c * grad
+
+    def class_grad_direction(self, x, t, y):
+        grad = self.class_grad(x, t, y)[1]
+        return gm._unit(np.atleast_2d(grad)).reshape(np.shape(grad))
+
+
+class TestDirectionInvariance:
+    @settings(max_examples=20, deadline=None)
+    @given(c=st.floats(1e-6, 1e6), seed=st.integers(0, 1000))
+    def test_positive_rescale_invariant(self, setup, c, seed):
+        sch, clf = setup
+        x = rng_stream(seed, 0).standard_normal(8)
+        rule = GuidanceRule("geoguide", 1.0)
+        base = adjustment(rule, _ScaledGradClassifier(clf, 1.0), x, 20, 0, sch, 0, 50)
+        scaled = adjustment(rule, _ScaledGradClassifier(clf, c), x, 20, 0, sch, 0, 50)
+        np.testing.assert_allclose(scaled, base, atol=1e-12)
+
+    def test_zero_gradient_skipped(self, setup):
+        sch, clf = setup
+        wrapped = _ScaledGradClassifier(clf, 0.0)
+        x = rng_stream(1, 0).standard_normal(8)
+        for kind in ("geoguide", "geoguide_scaled"):
+            a = adjustment(GuidanceRule(kind, 1.0), wrapped, x, 20, 0, sch, 0, 50)
+            np.testing.assert_array_equal(a, 0.0)
+
+
 class TestGuidedStep:
     def test_deterministic_limit(self):
         mu = np.array([1.0, -2.0])
