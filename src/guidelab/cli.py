@@ -14,6 +14,7 @@ loss), 1 other.
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from . import models as models_mod
 from . import sampler as sampler_mod
 from . import schedule as schedule_mod
 from .errors import NumericalError
-from .guidance import GuidanceRule
+from .guidance import KINDS as GUIDANCE_KINDS, GuidanceRule
 from .svgplot import LinePlot
 
 EXIT_CONFIG = 2
@@ -72,6 +73,25 @@ DEFAULTS = {
 }
 
 
+# Inclusive (low, high) bounds of the numeric keys that have them.  Every
+# get_int/get_float read checks them, and that the value is finite.
+RANGES = {
+    "data.dim": (2, math.inf),
+    "data.n": (1, math.inf),
+    "data.seed": (0, math.inf),
+    "schedule.T": (2, math.inf),
+    "guidance.s": (0.0, math.inf),
+    "guidance.cutoff": (0.0, 1.0),
+    "guidance.geoguide_T": (0, math.inf),
+    "sampling.n_chains": (1, math.inf),
+    "sampling.seed": (0, math.inf),
+    "train.epochs": (1, math.inf),
+    "train.batch_size": (1, math.inf),
+    "train.seed": (0, math.inf),
+    "eval.k": (1, math.inf),
+}
+
+
 class ConfigError(Exception):
     pass
 
@@ -105,15 +125,22 @@ class RunConfig:
 
     def get_int(self, key):
         try:
-            return int(self.values[key])
+            return self._in_range(key, int(self.values[key]))
         except ValueError:
             raise ConfigError(f"key {key!r}: expected integer, got {self.values[key]!r}")
 
     def get_float(self, key):
         try:
-            return float(self.values[key])
+            return self._in_range(key, float(self.values[key]))
         except ValueError:
             raise ConfigError(f"key {key!r}: expected number, got {self.values[key]!r}")
+
+    def _in_range(self, key, value):
+        low, high = RANGES.get(key, (-math.inf, math.inf))
+        if not (low <= value <= high and abs(value) != math.inf):  # NaN fails too
+            raise ConfigError(f"key {key!r}: expected a finite value in [{low}, {high}], "
+                              f"got {self.values[key]!r}")
+        return value
 
     def lines(self):
         return [f"{k} = {v}" for k, v in sorted(self.values.items())]
@@ -124,10 +151,14 @@ class RunConfig:
         preset = self.get("data.preset")
         if preset != "eight_gaussians":
             raise ConfigError(f"data.preset {preset!r} not recognized")
-        return data_mod.eight_gaussians(
-            dim=self.get_int("data.dim"), radius=self.get_float("data.radius"),
-            sigma=self.get_float("data.sigma"),
-            ambient_jitter=self.get_float("data.ambient_jitter"))
+        try:
+            return data_mod.eight_gaussians(
+                dim=self.get_int("data.dim"), radius=self.get_float("data.radius"),
+                sigma=self.get_float("data.sigma"),
+                ambient_jitter=self.get_float("data.ambient_jitter"))
+        except data_mod.DescriptorError as exc:
+            # a zero data.sigma or data.ambient_jitter gives a zero variance
+            raise ConfigError(f"data.sigma and data.ambient_jitter: {exc}") from None
 
     def dataset(self):
         if self.get("data.path"):
@@ -139,10 +170,16 @@ class RunConfig:
         kind = self.get("schedule.type")
         T = self.get_int("schedule.T")
         mode = self.get("schedule.gamma_mode")
+        if mode not in schedule_mod.GAMMA_MODES:
+            raise ConfigError(f"schedule.gamma_mode {mode!r} is not one of "
+                              f"{schedule_mod.GAMMA_MODES}")
         if kind == "linear_beta":
-            return schedule_mod.build_linear_beta(
-                T, self.get_float("schedule.beta_start"),
-                self.get_float("schedule.beta_end"), gamma_mode=mode)
+            start = self.get_float("schedule.beta_start")
+            end = self.get_float("schedule.beta_end")
+            if not 0.0 < start <= end < 1.0:
+                raise ConfigError(f"schedule.beta_start = {start!r}, schedule.beta_end = "
+                                  f"{end!r}: need 0 < beta_start <= beta_end < 1")
+            return schedule_mod.build_linear_beta(T, start, end, gamma_mode=mode)
         if kind == "linear_alphabar":
             return schedule_mod.build_linear_alphabar(T, gamma_mode=mode)
         raise ConfigError(f"schedule.type {kind!r} not recognized")
@@ -150,7 +187,12 @@ class RunConfig:
     def sampling_schedule(self, base=None):
         base = base or self.base_schedule()
         n = self.get_int("schedule.respace")
-        return schedule_mod.respace(base, n) if n else base
+        if n == 0:
+            return base
+        if not 2 <= n <= base.T:
+            raise ConfigError(f"schedule.respace: expected 0 (no respacing) or a step "
+                              f"count in [2, {base.T}], got {n}")
+        return schedule_mod.respace(base, n)
 
     def models(self, base, descriptor):
         den_spec = self.get("models.denoiser")
@@ -162,8 +204,11 @@ class RunConfig:
         return den, clf
 
     def rule(self):
+        kind = self.get("guidance.kind")
+        if kind not in GUIDANCE_KINDS:
+            raise ConfigError(f"guidance.kind {kind!r} is not one of {GUIDANCE_KINDS}")
         override = self.get_int("guidance.geoguide_T")
-        return GuidanceRule(kind=self.get("guidance.kind"),
+        return GuidanceRule(kind=kind,
                             scale=self.get_float("guidance.s"),
                             cutoff_fraction=self.get_float("guidance.cutoff"),
                             t_override=override or None)
@@ -176,6 +221,8 @@ class RunConfig:
             y = int(spec)
         except ValueError:
             raise ConfigError(f"sampling.target: expected class index or 'cycle', got {spec!r}")
+        if not 0 <= y < n_classes:
+            raise ConfigError(f"sampling.target: class {y} outside 0..{n_classes - 1}")
         return np.full(n_chains, y, dtype=np.int64)
 
 
@@ -365,7 +412,7 @@ def preset_norm_curves(cfg, out, threads):
         batch = sampler_mod.sample(den, clf, GuidanceRule(kind, s), sch,
                                    cfg.targets(n, ds.n_classes), n, seed=seed,
                                    threads=threads)
-        curve = metrics_mod.norm_curve_summary(batch.logs)
+        curve = metrics_mod.norm_curve_summary(batch.adjustment_norms)
         results[kind] = (batch, curve)
         with open(out / f"norms_{kind}.csv", "w") as fh:
             fh.write("step,mean_norm\n")
@@ -377,7 +424,7 @@ def preset_norm_curves(cfg, out, threads):
 
     geo_batch, geo_curve = results["geoguide"]
     target = TUNED_GEO * np.sqrt(ds.points.shape[1]) / sch.T
-    norms = np.stack([log.adjustment_norms for log in geo_batch.logs])
+    norms = geo_batch.adjustment_norms
     max_rel = float(np.max(np.abs(norms - target)) / target)
     ok = _check(summary, "geoguide norm constancy", max_rel < 1e-12,
                 f"max relative deviation {max_rel:.3e} (target < 1e-12)")
@@ -393,18 +440,18 @@ def preset_norm_curves(cfg, out, threads):
 def preset_distance_law(cfg, out, threads):
     ds = cfg.dataset()
     sch = cfg.sampling_schedule()
-    traces = sampler_mod.forward_manifold_traces(
+    D = ds.points.shape[1]
+    ts, alpha_bars, d_hat = sampler_mod.forward_manifold_traces(
         ds, sch, n_draws=200, seed=cfg.get_int("sampling.seed"))
-    fit = metrics_mod.distance_law_fit(traces)
+    fit = metrics_mod.distance_law_fit(ts, alpha_bars, d_hat, D)
     with open(out / "distance_law.csv", "w") as fh:
         fh.write("t,median_rel_error,n\n")
         for row in fit["per_t"]:
             fh.write(f"{row['t']},{row['median_rel_error']!r},{row['n']}\n")
     plot = LinePlot(title="manifold distance vs theory",
                     xlabel="timestep t", ylabel="distance")
-    one = traces[0]
-    plot.add([r["t"] for r in one], [r["d_hat"] for r in one], label="measured")
-    plot.add([r["t"] for r in one], [r["d_theory"] for r in one], label="sqrt((1-abar)D)")
+    plot.add(ts, d_hat[0], label="measured")
+    plot.add(ts, np.sqrt((1.0 - alpha_bars) * D), label="sqrt((1-abar)D)")
     plot.write(out / "distance_law.svg")
     summary = []
     ok = _check(summary, "distance law", fit["aggregate_median"] <= 0.15,

@@ -1,14 +1,13 @@
 """Synthetic labeled datasets on known low-dimensional manifolds in R^D.
 
 Descriptors record the generating geometry so analytic (closed-form) models
-can be built from the same object that produced the data.  Gaussian-mixture
-descriptors carry per-class diagonal variances; rings and moons carry curve
-parameters plus an ambient jitter applied to the padding coordinates.
+can be built from the same object that produced the data.  The one kind is a
+Gaussian mixture with per-class diagonal variances.
 """
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 MAGIC = b"GLAB"
 FORMAT_VERSION = 1
 
-KINDS = ("gaussian_mixture", "rings", "moons")
+KINDS = ("gaussian_mixture",)
 
 
 class DataFormatError(ValueError):
@@ -45,88 +44,65 @@ class ManifoldDescriptor:
 
     gaussian_mixture: ``weights`` (C,), ``means`` (C, D), ``variances`` (C, D)
     diagonal per-class variances (a scalar per class is broadcast).
-    rings: one circle per class with radius ``radii[c]`` in the first two
-    coordinates, Gaussian radial noise ``curve_noise``.
-    moons: two interleaved half circles (C = 2), ``curve_noise`` jitter.
-    All kinds pad the remaining D - 2 coordinates with ``ambient_jitter`` noise
-    (mixtures embed via their means/variances directly).
     """
 
     kind: str
     dim: int
     weights: np.ndarray
-    means: np.ndarray = None
-    variances: np.ndarray = None
-    radii: np.ndarray = None
-    curve_noise: float = 0.0
-    ambient_jitter: float = 0.0
+    means: np.ndarray
+    variances: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise DescriptorError(f"unknown kind {self.kind!r}")
-        if self.dim < 2:
-            raise DescriptorError("dim must be at least 2")
-        w = np.asarray(self.weights, dtype=np.float64)
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
+            raise DescriptorError(f"dim must be an integer of at least 2, got {self.dim!r}")
+        try:
+            w, m, v = (np.asarray(a, dtype=np.float64)
+                       for a in (self.weights, self.means, self.variances))
+        except (TypeError, ValueError):
+            raise DescriptorError("weights, means and variances must be numeric") from None
+        if not all(np.all(np.isfinite(a)) for a in (w, m, v)):
+            raise DescriptorError("weights, means and variances must be finite")
         if w.ndim != 1 or len(w) < 1 or np.any(w < 0):
             raise DescriptorError("weights must be a nonnegative vector")
         if abs(w.sum() - 1.0) > 1e-12:
             raise DescriptorError("weights must sum to 1 within 1e-12")
+        if m.shape != (len(w), self.dim):
+            raise DescriptorError("means must have shape (C, dim)")
+        if v.size not in (len(w), len(w) * self.dim):
+            raise DescriptorError("variances must have one value or dim values per class")
+        v = np.broadcast_to(v.reshape(len(w), -1), (len(w), self.dim)).copy()
+        if np.any(v <= 0):
+            raise DescriptorError("all variances must be positive")
         object.__setattr__(self, "weights", w)
-        if self.kind == "gaussian_mixture":
-            m = np.asarray(self.means, dtype=np.float64)
-            if m.shape != (len(w), self.dim):
-                raise DescriptorError("means must have shape (C, dim)")
-            v = np.asarray(self.variances, dtype=np.float64)
-            v = np.broadcast_to(v.reshape(len(w), -1), (len(w), self.dim)).copy()
-            if np.any(v <= 0):
-                raise DescriptorError("all variances must be positive")
-            object.__setattr__(self, "means", m)
-            object.__setattr__(self, "variances", v)
-        elif self.kind == "rings":
-            r = np.asarray(self.radii, dtype=np.float64)
-            if r.shape != (len(w),) or np.any(r <= 0):
-                raise DescriptorError("radii must be positive, one per class")
-            object.__setattr__(self, "radii", r)
-            if self.curve_noise <= 0 or self.ambient_jitter <= 0:
-                raise DescriptorError("curve_noise and ambient_jitter must be positive")
-        else:  # moons
-            if len(w) != 2:
-                raise DescriptorError("moons has exactly two classes")
-            if self.curve_noise <= 0 or self.ambient_jitter <= 0:
-                raise DescriptorError("curve_noise and ambient_jitter must be positive")
+        object.__setattr__(self, "means", m)
+        object.__setattr__(self, "variances", v)
 
     @property
     def n_classes(self) -> int:
         return len(self.weights)
 
     def to_text(self) -> str:
-        d = {"kind": self.kind, "dim": self.dim, "weights": self.weights.tolist()}
-        if self.kind == "gaussian_mixture":
-            d["means"] = self.means.tolist()
-            d["variances"] = self.variances.tolist()
-        else:
-            if self.kind == "rings":
-                d["radii"] = self.radii.tolist()
-            d["curve_noise"] = self.curve_noise
-            d["ambient_jitter"] = self.ambient_jitter
+        d = {"kind": self.kind, "dim": self.dim, "weights": self.weights.tolist(),
+             "means": self.means.tolist(), "variances": self.variances.tolist()}
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_text(cls, text: str) -> "ManifoldDescriptor":
-        d = json.loads(text)
         try:
-            kw = dict(kind=d["kind"], dim=d["dim"], weights=np.array(d["weights"]))
-            if d["kind"] == "gaussian_mixture":
-                kw["means"] = np.array(d["means"])
-                kw["variances"] = np.array(d["variances"])
-            else:
-                if d["kind"] == "rings":
-                    kw["radii"] = np.array(d["radii"])
-                kw["curve_noise"] = d["curve_noise"]
-                kw["ambient_jitter"] = d["ambient_jitter"]
+            d = json.loads(text)
+        except ValueError as exc:
+            raise DescriptorError(f"descriptor is not JSON ({exc})") from None
+        if not isinstance(d, dict):
+            raise DescriptorError("descriptor is not a JSON object")
+        if d.get("kind") not in KINDS:
+            raise DescriptorError(f"unknown kind {d.get('kind')!r}")
+        try:
+            return cls(**{name: d[name] for name in
+                          ("kind", "dim", "weights", "means", "variances")})
         except KeyError as exc:
             raise DescriptorError(f"descriptor lacks {exc}") from None
-        return cls(**kw)
 
 
 def eight_gaussians(dim: int = 64, radius: float = 10.0, sigma: float = 0.5,
@@ -179,24 +155,8 @@ def generate(descriptor: ManifoldDescriptor, n: int, seed: int) -> LabeledDatase
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     labels = rng.choice(descriptor.n_classes, size=n, p=descriptor.weights)
-    D = descriptor.dim
-    if descriptor.kind == "gaussian_mixture":
-        std = np.sqrt(descriptor.variances[labels])
-        points = descriptor.means[labels] + std * rng.standard_normal((n, D))
-    elif descriptor.kind == "rings":
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        r = descriptor.radii[labels] + descriptor.curve_noise * rng.standard_normal(n)
-        points = descriptor.ambient_jitter * rng.standard_normal((n, D))
-        points[:, 0] = r * np.cos(theta)
-        points[:, 1] = r * np.sin(theta)
-    else:  # moons
-        theta = rng.uniform(0.0, np.pi, size=n)
-        points = descriptor.ambient_jitter * rng.standard_normal((n, D))
-        upper = labels == 0
-        x = np.where(upper, np.cos(theta), 1.0 - np.cos(theta))
-        y = np.where(upper, np.sin(theta), 0.5 - np.sin(theta))
-        points[:, 0] = x + descriptor.curve_noise * rng.standard_normal(n)
-        points[:, 1] = y + descriptor.curve_noise * rng.standard_normal(n)
+    std = np.sqrt(descriptor.variances[labels])
+    points = descriptor.means[labels] + std * rng.standard_normal((n, descriptor.dim))
     return LabeledDataset(points=points, labels=labels, descriptor=descriptor, seed=seed)
 
 

@@ -46,6 +46,12 @@ class GuidanceRule:
         if not 0.0 <= self.cutoff_fraction <= 1.0:
             raise ValueError("cutoff_fraction must lie in [0, 1]")
 
+    def active(self, step_index, total_steps: int):
+        """Whether guidance acts at reverse step(s) ``step_index`` (0 at t = T)
+        of ``total_steps``: any kind but none, before the cut-off."""
+        return (self.kind != "none") & (np.asarray(step_index)
+                                        < self.cutoff_fraction * total_steps)
+
 
 def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
                schedule: NoiseSchedule, step_index: int, total_steps: int):
@@ -56,7 +62,7 @@ def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
     Accepts a single point (D,) or a batch (N, D); y may be scalar or per-row.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
-    if rule.kind == "none" or step_index >= rule.cutoff_fraction * total_steps:
+    if not rule.active(step_index, total_steps):
         return np.zeros_like(x_t)
     t_label = int(schedule.timesteps[position - 1])
     if rule.kind == "adm_g":

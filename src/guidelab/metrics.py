@@ -15,6 +15,7 @@ import numpy as np
 METRICS_CSV_HEADER = ["frechet", "precision", "recall", "class_accuracy",
                       "n_generated", "n_reference", "config"]
 COV_REGULARIZER = 1e-10
+MIN_NOISE = 0.1  # distance_law_fit pools the steps with 1 - abar_t >= MIN_NOISE
 
 
 @dataclass(frozen=True)
@@ -118,19 +119,18 @@ def class_fidelity(generated, targets, oracle_classifier) -> float:
     return float(np.mean(predicted == np.asarray(targets)))
 
 
-def norm_curve_summary(logs):
-    """Mean ||s A_t|| per step across chains and the last/first-decile ratio.
+def norm_curve_summary(norms):
+    """Mean ||s A_t|| per step across chains and the last/first-decile ratio
+    of the (chains, steps) ``norms``.
 
     Returns {"per_step_mean", "ratio", "degenerate"}; a flat-zero curve
     (no guidance) reports ratio 1 with the degenerate flag set.
     """
-    if not logs:
-        raise ValueError("no trajectory logs")
-    steps = len(logs[0].adjustment_norms)
-    if any(len(log.adjustment_norms) != steps for log in logs):
-        raise ValueError("trajectory logs have mixed step counts")
-    per_step = np.mean(np.stack([log.adjustment_norms for log in logs]), axis=0)
-    n10 = max(1, steps // 10)
+    norms = np.asarray(norms, dtype=np.float64)
+    if norms.ndim != 2 or norms.size == 0:
+        raise ValueError("norms must be a non-empty (chains, steps) array")
+    per_step = np.mean(norms, axis=0)
+    n10 = max(1, len(per_step) // 10)
     first = float(np.mean(per_step[:n10]))
     last = float(np.mean(per_step[-n10:]))
     degenerate = first == 0.0
@@ -138,25 +138,21 @@ def norm_curve_summary(logs):
     return {"per_step_mean": per_step, "ratio": ratio, "degenerate": degenerate}
 
 
-def distance_law_fit(traces, min_noise: float = 0.1):
-    """Relative error of measured manifold distances against
-    sqrt((1 - abar_t) D).
+def distance_law_fit(ts, alpha_bars, d_hat, dim: int):
+    """Relative error of measured manifold distances d_hat (draws, steps)
+    against sqrt((1 - abar_t) D), for distinct steps labelled ``ts`` at noise
+    levels ``alpha_bars``.
 
-    ``traces``: one list of {t, alpha_bar, d_hat, d_theory} per chain/draw.
-    Returns per-t medians plus the pooled median over entries with
-    1 - abar_t >= min_noise.
+    Returns per-t medians, in increasing t, plus the pooled median over the
+    entries with 1 - abar_t >= MIN_NOISE.
     """
-    by_t = {}
-    pooled = []
-    for trace in traces:
-        for rec in trace:
-            err = abs(rec["d_hat"] - rec["d_theory"]) / rec["d_theory"]
-            by_t.setdefault(rec["t"], []).append(err)
-            if 1.0 - rec["alpha_bar"] >= min_noise:
-                pooled.append(err)
-    table = [{"t": t, "median_rel_error": float(np.median(errs)),
-              "n": len(errs)} for t, errs in sorted(by_t.items())]
-    aggregate = float(np.median(pooled)) if pooled else float("nan")
+    alpha_bars = np.asarray(alpha_bars, dtype=np.float64)
+    d_theory = np.sqrt((1.0 - alpha_bars) * dim)
+    err = np.abs(np.asarray(d_hat, dtype=np.float64) - d_theory) / d_theory
+    table = [{"t": int(ts[k]), "median_rel_error": float(np.median(err[:, k])),
+              "n": len(err)} for k in np.argsort(ts)]
+    pooled = err[:, 1.0 - alpha_bars >= MIN_NOISE]
+    aggregate = float(np.median(pooled)) if pooled.size else float("nan")
     return {"aggregate_median": aggregate, "per_t": table}
 
 

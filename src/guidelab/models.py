@@ -529,23 +529,36 @@ def load_model(path, schedule: NoiseSchedule):
     except ValueError as exc:
         raise DataFormatError(f"{path}: checkpoint header is not JSON ({exc})") from None
 
-    def required(name):
+    def required(name, kind=int):
+        """The header field ``name``: a ``kind``, and at least 1 if an int."""
         if not isinstance(header, dict) or name not in header:
             raise DataFormatError(f"{path}: checkpoint header lacks {name!r}")
-        return header[name]
+        value = header[name]
+        if not isinstance(value, kind) or isinstance(value, bool) or (kind is int and value < 1):
+            raise DataFormatError(f"{path}: checkpoint header field {name!r} is {value!r}")
+        return value
 
-    if required("fingerprint") != schedule.base_fingerprint:
+    fingerprint = required("fingerprint", str)
+    if fingerprint != schedule.base_fingerprint:
         raise ModelMismatchError(
-            f"{path}: checkpoint schedule fingerprint {header['fingerprint']} "
+            f"{path}: checkpoint schedule fingerprint {fingerprint} "
             f"does not match {schedule.base_fingerprint}")
-    backend = required("backend")
+    backend = required("backend", str)
     if backend in ("analytic_denoiser", "analytic_classifier"):
-        desc = ManifoldDescriptor.from_text(required("descriptor"))
+        desc = ManifoldDescriptor.from_text(required("descriptor", str))
         cls = AnalyticDenoiser if backend == "analytic_denoiser" else AnalyticClassifier
         return cls(desc, schedule)
     if backend not in ("learned_denoiser", "learned_classifier"):
         raise DataFormatError(f"{path}: unknown checkpoint backend {backend!r}")
-    sizes = required("sizes")
+    sizes = required("sizes", list)
+    dim, t_embed_dim = required("dim"), required("t_embed_dim")
+    n_out = dim if backend == "learned_denoiser" else required("n_classes")
+    # the input is x and its time embedding, of 2 * (t_embed_dim // 2) columns
+    if (len(sizes) < 2 or not all(type(n) is int and n >= 1 for n in sizes)
+            or sizes[0] != dim + 2 * (t_embed_dim // 2) or sizes[-1] != n_out):
+        raise DataFormatError(f"{path}: layer sizes {sizes!r} do not lead, in positive "
+                              f"integers, from {dim + 2 * (t_embed_dim // 2)} inputs to "
+                              f"{n_out} outputs")
     payload = raw[10 + head_len:-4]
     n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
     if len(payload) != 8 * n_params:
@@ -561,6 +574,5 @@ def load_model(path, schedule: NoiseSchedule):
         params.append([w, b])
     mlp = MLP(sizes, params=params)
     if backend == "learned_denoiser":
-        return LearnedDenoiser(mlp, schedule, required("dim"), required("t_embed_dim"))
-    return LearnedClassifier(mlp, schedule, required("dim"), required("t_embed_dim"),
-                             required("n_classes"))
+        return LearnedDenoiser(mlp, schedule, dim, t_embed_dim)
+    return LearnedClassifier(mlp, schedule, dim, t_embed_dim, n_out)

@@ -1,20 +1,22 @@
-"""Reverse ancestral sampling with pluggable guidance and trajectory logging.
+"""Reverse ancestral sampling with pluggable guidance and a columnar record.
 
 Chains are embarrassingly parallel: each chain's noise comes from its own
 stream keyed by (seed, chain), and chains are processed in fixed-size blocks
 so results are byte-identical regardless of thread count or execution order.
+A run's record is one ``SampleBatch``: chain j is row j of every per-chain
+array, and each block writes its own rows in place.
 """
 
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass, replace
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
 from .errors import NumericalError
-from .forward import rng_stream
+from .forward import q_sample, rng_stream
 from .guidance import GuidanceRule, adjustment, guided_reverse_step
 from .models import mu_from_eps
 from .schedule import NoiseSchedule
@@ -30,38 +32,45 @@ class SamplerError(RuntimeError):
 
 
 @dataclass
-class TrajectoryLog:
-    """Per-step diagnostics of one chain (x_t thinned to ``stored_steps``)."""
-    ts: np.ndarray                # (steps,) timestep labels, descending
-    alpha_bars: np.ndarray        # (steps,)
-    adjustment_norms: np.ndarray  # (steps,) ||s * A_t||
-    guidance_active: np.ndarray   # (steps,) bool
-    stored_steps: np.ndarray      # indices into the step axis with x stored
-    stored_x: np.ndarray          # (len(stored_steps), D), post-step states
-    stored_ts: np.ndarray         # timestep label of each stored state
-    stored_alpha_bars: np.ndarray # noise level (alpha_bar) of each stored state
-    final_x: np.ndarray
-    chain: int
-    seed: int
-    y: int
-
-
-@dataclass
 class SampleBatch:
-    samples: np.ndarray           # (M, D)
-    targets: np.ndarray           # (M,)
-    logs: list
-    metadata: dict = field(default_factory=dict)
+    """The record of one run.  Chain j is row j of every per-chain array;
+    the per-step arrays are shared by every chain.  x_t is kept at the K
+    ``stored_steps`` only (every step with ``store_full``)."""
+    samples: np.ndarray            # (M, D) final states
+    targets: np.ndarray            # (M,) class labels
+    ts: np.ndarray                 # (S,) timestep labels, descending
+    alpha_bars: np.ndarray         # (S,)
+    guidance_active: np.ndarray    # (S,) bool
+    adjustment_norms: np.ndarray   # (M, S) ||s * A_t||
+    stored_steps: np.ndarray       # (K,) indices into the step axis with x stored
+    stored_ts: np.ndarray          # (K,) timestep label of each stored state
+    stored_alpha_bars: np.ndarray  # (K,) noise level (alpha_bar) of each stored state
+    stored_x: np.ndarray           # (M, K, D) post-step states
+
+    def chain(self, j: int) -> "SampleBatch":
+        """Chain j as a one-chain batch of views into this one."""
+        rows = slice(j, j + 1)
+        return replace(self, samples=self.samples[rows], targets=self.targets[rows],
+                       adjustment_norms=self.adjustment_norms[rows],
+                       stored_x=self.stored_x[rows])
+
+    @property
+    def logs(self):
+        """One one-chain batch per chain.  bench/spans.py counts the rows of
+        ``trajectories.csv`` as the sum of ``len(log.ts)`` over these."""
+        return [self.chain(j) for j in range(len(self.samples))]
 
 
 def sample(denoiser, classifier, rule: GuidanceRule, schedule: NoiseSchedule,
            y, n_chains: int, seed: int, threads: int = 1,
-           store_every: int = None, store_full: bool = False) -> SampleBatch:
+           store_full: bool = False) -> SampleBatch:
     """Run n_chains guided reverse diffusions targeting class y.
 
     y may be a single label or one label per chain.  Each chain starts at
     x_T ~ N(0, I) and iterates mu_from_eps + guided_reverse_step over the
-    (possibly respaced) schedule, noise-free at the final step.
+    (possibly respaced) schedule, noise-free at the final step.  x_t is
+    stored every ceil(S / 50) steps and at the last one, or at every step
+    with ``store_full``.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be at least 1")
@@ -72,85 +81,64 @@ def sample(denoiser, classifier, rule: GuidanceRule, schedule: NoiseSchedule,
             raise SamplerError(f"rule {rule.kind} requires a classifier")
         if classifier.base_fingerprint != schedule.base_fingerprint:
             raise SamplerError("classifier does not match the schedule fingerprint")
-    D = denoiser.dim
     n_steps = schedule.T
-    if store_full:
-        store_every = 1
-    elif store_every is None:
-        store_every = math.ceil(n_steps / 50)
-    ys = np.broadcast_to(np.asarray(y, dtype=np.int64), (n_chains,))
+    store_every = 1 if store_full else math.ceil(n_steps / 50)
+    stored = np.unique(np.append(np.arange(0, n_steps, store_every), n_steps - 1))
+    # step k runs at position n_steps - k; its post-step state sits at the
+    # noise level of the next step, or at t = 0 after the last one
+    ts = schedule.timesteps[::-1].copy()
+    alpha_bars = schedule.alpha_bars[::-1].copy()
+    batch = SampleBatch(
+        samples=np.empty((n_chains, denoiser.dim)),
+        targets=np.broadcast_to(np.asarray(y, dtype=np.int64), (n_chains,)).copy(),
+        ts=ts, alpha_bars=alpha_bars,
+        guidance_active=rule.active(np.arange(n_steps), n_steps),
+        adjustment_norms=np.empty((n_chains, n_steps)),
+        stored_steps=stored,
+        stored_ts=np.append(ts[1:], 0)[stored],
+        stored_alpha_bars=np.append(alpha_bars[1:], 1.0)[stored],
+        stored_x=np.empty((n_chains, len(stored), denoiser.dim)))
 
-    blocks = [(start, min(start + BLOCK, n_chains)) for start in range(0, n_chains, BLOCK)]
+    blocks = [(lo, min(lo + BLOCK, n_chains)) for lo in range(0, n_chains, BLOCK)]
 
     def run_block(bounds):
-        lo, hi = bounds
-        return _run_block(denoiser, classifier, rule, schedule, ys[lo:hi],
-                          np.arange(lo, hi), seed, D, n_steps, store_every)
+        _run_block(denoiser, classifier, rule, schedule, batch, *bounds, seed)
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_block, blocks))
+            list(pool.map(run_block, blocks))
     else:
-        results = [run_block(b) for b in blocks]
-
-    samples = np.concatenate([r[0] for r in results])
-    logs = [log for r in results for log in r[1]]
-    meta = {"seed": seed, "rule": rule, "n_steps": n_steps,
-            "schedule_fingerprint": schedule.fingerprint(),
-            "base_fingerprint": schedule.base_fingerprint}
-    return SampleBatch(samples=samples, targets=ys.copy(), logs=logs, metadata=meta)
+        for bounds in blocks:
+            run_block(bounds)
+    return batch
 
 
-def _run_block(denoiser, classifier, rule, schedule, ys, chains, seed, D,
-               n_steps, store_every):
-    n = len(chains)
-    noise = np.empty((n, n_steps + 1, D))
-    for j, c in enumerate(chains):
-        noise[j] = rng_stream(seed, int(c)).standard_normal((n_steps + 1, D))
+def _run_block(denoiser, classifier, rule, schedule, batch, lo, hi, seed):
+    """Run chains lo..hi-1 and write their rows of ``batch`` in place."""
+    n_steps = schedule.T
+    ys = batch.targets[lo:hi]
+    norms = batch.adjustment_norms[lo:hi]
+    stored_x = batch.stored_x[lo:hi]
+    slot = {k: i for i, k in enumerate(batch.stored_steps.tolist())}
+    noise = np.empty((hi - lo, n_steps + 1, denoiser.dim))
+    for j, c in enumerate(range(lo, hi)):
+        noise[j] = rng_stream(seed, c).standard_normal((n_steps + 1, denoiser.dim))
     x = noise[:, 0, :].copy()
 
-    norms = np.zeros((n, n_steps))
-    active = np.zeros(n_steps, dtype=bool)
-    ts = np.zeros(n_steps, dtype=np.int64)
-    abars = np.zeros(n_steps)
-    stored_steps = []
-    stored_x = []
-    stored_ts = []
-    stored_abars = []
-
     for k, pos in enumerate(range(n_steps, 0, -1)):
-        t_label = int(schedule.timesteps[pos - 1])
-        ts[k] = t_label
-        abars[k] = schedule.alpha_bars[pos - 1]
+        t_label = int(batch.ts[k])
         eps_hat = denoiser.predict_eps(x, t_label)
         mu = mu_from_eps(x, pos, eps_hat, schedule)
         a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
         norms[:, k] = rule.scale * np.linalg.norm(a_t, axis=-1)
-        active[k] = rule.kind != "none" and k < rule.cutoff_fraction * n_steps
         x = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t, rule.scale,
                                 is_final=(pos == 1), eps=noise[:, k + 1, :])
         if not np.all(np.isfinite(x)):
-            bad = int(chains[np.argmax(~np.isfinite(x).all(axis=1))])
+            bad = lo + int(np.argmax(~np.isfinite(x).all(axis=1)))
             raise NumericalError(f"non-finite state at step {k} (t={t_label}) in chain {bad}")
-        if k % store_every == 0 or pos == 1:
-            # the post-step state sits at the noise level of t - 1
-            stored_steps.append(k)
-            stored_x.append(x.copy())
-            stored_ts.append(int(schedule.timesteps[pos - 2]) if pos >= 2 else 0)
-            stored_abars.append(schedule.alpha_bars[pos - 2] if pos >= 2 else 1.0)
-
-    stored_steps = np.array(stored_steps, dtype=np.int64)
-    stored_x = np.stack(stored_x)  # (n_stored, n, D)
-    stored_ts = np.array(stored_ts, dtype=np.int64)
-    stored_abars = np.array(stored_abars)
-    logs = [TrajectoryLog(ts=ts, alpha_bars=abars, adjustment_norms=norms[j],
-                          guidance_active=active.copy(),
-                          stored_steps=stored_steps, stored_x=stored_x[:, j, :],
-                          stored_ts=stored_ts, stored_alpha_bars=stored_abars,
-                          final_x=x[j].copy(), chain=int(chains[j]), seed=seed,
-                          y=int(ys[j]))
-            for j in range(n)]
-    return x, logs
+        if k in slot:
+            stored_x[:, slot[k]] = x
+    batch.samples[lo:hi] = x
 
 
 # Entries of one screen block (4 MiB of float64); 65 rows of the 8000-point
@@ -209,68 +197,54 @@ def _nearest_distance(X, r, P):
     return out
 
 
-def trace_manifold_distance(trajectory: TrajectoryLog, dataset, schedule=None):
-    """Per stored step: d_hat = min_i ||x_t - sqrt(abar_t) x_i|| over the
-    dataset (exact, see ``_nearest_distance``) and
-    d_theory = sqrt((1 - abar_t) D)."""
+def trace_manifold_distance(trajectory: SampleBatch, dataset):
+    """d_hat (chains, K): at each stored step, min_i ||x_t - sqrt(abar_t) x_i||
+    over the dataset (exact, see ``_nearest_distance``)."""
     pts = dataset.points
     if len(pts) == 0:
         raise ValueError("dataset is empty")
-    D = pts.shape[1]
-    abars = trajectory.stored_alpha_bars
-    d_hat = _nearest_distance(trajectory.stored_x, np.sqrt(abars), pts)
-    d_theory = np.sqrt((1.0 - abars) * D)
-    return [{"t": t, "alpha_bar": ab, "d_hat": d, "d_theory": th}
-            for t, ab, d, th in zip(trajectory.stored_ts.tolist(), abars.tolist(),
-                                    d_hat.tolist(), d_theory.tolist())]
+    n, K, D = trajectory.stored_x.shape
+    r = np.tile(np.sqrt(trajectory.stored_alpha_bars), n)
+    return _nearest_distance(trajectory.stored_x.reshape(n * K, D), r, pts).reshape(n, K)
 
 
-def forward_manifold_traces(dataset, schedule: NoiseSchedule, n_draws: int,
-                            seed: int, store_every: int = None):
-    """Distance traces of the forward process: noise training points to each
-    (thinned) step and measure their distance to the rescaled dataset.
+def forward_manifold_traces(dataset, schedule: NoiseSchedule, n_draws: int, seed: int):
+    """Distance traces of the forward process: noise training points to every
+    ceil(T / 50)-th step and measure their distance to the rescaled dataset.
 
-    Returns one trace per draw, each a list of {t, alpha_bar, d_hat, d_theory}.
+    Returns ``(ts, alpha_bars, d_hat)``: the steps' labels and noise levels
+    (steps,) and d_hat (n_draws, steps).
     """
     pts = dataset.points
-    n_steps = schedule.T
-    if store_every is None:
-        store_every = math.ceil(n_steps / 50)
-    D = pts.shape[1]
     rng = rng_stream(seed, 0xF0)
-    idx = rng.integers(0, len(pts), size=n_draws)
-    x0 = pts[idx]
-    positions = list(range(1, n_steps + 1, store_every))
-    traces = [[] for _ in range(n_draws)]
-    for pos in positions:
-        ab = schedule.alpha_bars[pos - 1]
-        t_label = int(schedule.timesteps[pos - 1])
-        eps = rng.standard_normal((n_draws, D))
-        xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        d_hat = _nearest_distance(xt, np.full(n_draws, np.sqrt(ab)), pts)
-        d_theory = float(np.sqrt((1.0 - ab) * D))
-        for j in range(n_draws):
-            traces[j].append({"t": t_label, "alpha_bar": float(ab),
-                              "d_hat": float(d_hat[j]), "d_theory": d_theory})
-    return traces
+    x0 = pts[rng.integers(0, len(pts), size=n_draws)]
+    positions = np.arange(1, schedule.T + 1, math.ceil(schedule.T / 50))
+    alpha_bars = schedule.alpha_bars[positions - 1]
+    d_hat = np.empty((n_draws, len(positions)))
+    for k, pos in enumerate(positions.tolist()):
+        xt = q_sample(x0, pos, schedule, rng).x_t
+        d_hat[:, k] = _nearest_distance(xt, np.full(n_draws, np.sqrt(alpha_bars[k])), pts)
+    return schedule.timesteps[positions - 1], alpha_bars, d_hat
 
 
 def export_trajectories_csv(batch: SampleBatch, path, dataset=None):
     """One row per (chain, step); d_hat/d_theory only at stored steps and
     only when a dataset is supplied."""
+    M, S = batch.adjustment_norms.shape
+    d_hat = np.full((M, S), "", dtype=object)
+    d_theory = np.full((M, S), "", dtype=object)
+    if dataset is not None:
+        # one trace per chain, as the benchmark counts distance evaluations
+        for j in range(M):
+            d_hat[j, batch.stored_steps] = trace_manifold_distance(batch.chain(j), dataset)[0]
+        D = dataset.points.shape[1]
+        d_theory[:, batch.stored_steps] = np.sqrt((1.0 - batch.stored_alpha_bars) * D)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_CSV_HEADER)
-        for log in batch.logs:
-            n_steps = len(log.ts)
-            d_hat = [""] * n_steps
-            d_theory = [""] * n_steps
-            if dataset is not None:
-                for rec, k in zip(trace_manifold_distance(log, dataset),
-                                  log.stored_steps.tolist()):
-                    d_hat[k] = rec["d_hat"]
-                    d_theory[k] = rec["d_theory"]
-            # csv writes a float as its repr
-            writer.writerows(zip(repeat(log.chain, n_steps), range(n_steps),
-                                 log.ts.tolist(), log.alpha_bars.tolist(),
-                                 log.adjustment_norms.tolist(), d_hat, d_theory))
+        # csv writes a float as its repr, so every column holds Python floats
+        writer.writerows(zip(chain.from_iterable(repeat(j, S) for j in range(M)),
+                             cycle(range(S)), cycle(batch.ts.tolist()),
+                             cycle(batch.alpha_bars.tolist()),
+                             batch.adjustment_norms.ravel().tolist(),
+                             d_hat.ravel().tolist(), d_theory.ravel().tolist()))

@@ -19,8 +19,6 @@ from guidelab.forward import rng_stream
 from guidelab.guidance import GuidanceRule
 
 THREADS = 8
-TUNED_GEO = 2.5
-TUNED_ADM = 1.0
 
 
 @pytest.fixture
@@ -66,12 +64,12 @@ def reference(desc):
 
 def test_criterion_1_geoguide_norm_constancy(desc, linb_250, linb_models, report):
     den, clf = linb_models
-    batch = gsam.sample(den, clf, GuidanceRule("geoguide", TUNED_GEO), linb_250,
+    batch = gsam.sample(den, clf, GuidanceRule("geoguide", cli.TUNED_GEO), linb_250,
                         np.arange(16) % 8, 16, seed=0, threads=THREADS)
-    target = TUNED_GEO * np.sqrt(64) / linb_250.T
-    norms = np.stack([log.adjustment_norms for log in batch.logs])
+    target = cli.TUNED_GEO * np.sqrt(64) / linb_250.T
+    norms = batch.adjustment_norms
     max_rel = float(np.max(np.abs(norms - target)) / target)
-    ratio = gmet.norm_curve_summary(batch.logs)["ratio"]
+    ratio = gmet.norm_curve_summary(norms)["ratio"]
     report(1, "geoguide norm constancy",
            max_rel < 1e-12 and abs(ratio - 1.0) < 1e-9,
            f"max |norm - sqrt(D)/T| rel = {max_rel:.2e} (< 1e-12), "
@@ -80,17 +78,17 @@ def test_criterion_1_geoguide_norm_constancy(desc, linb_250, linb_models, report
 
 def test_criterion_2_adm_norm_decay(desc, lina_250, lina_models, report):
     den, clf = lina_models
-    batch = gsam.sample(den, clf, GuidanceRule("adm_g", TUNED_ADM), lina_250,
+    batch = gsam.sample(den, clf, GuidanceRule("adm_g", cli.TUNED_ADM), lina_250,
                         np.arange(64) % 8, 64, seed=0, threads=THREADS)
-    ratio = gmet.norm_curve_summary(batch.logs)["ratio"]
+    ratio = gmet.norm_curve_summary(batch.adjustment_norms)["ratio"]
     report(2, "adm_g norm decay", ratio < 0.2,
            f"last/first decile mean-norm ratio = {ratio:.4f} (< 0.2)")
 
 
 def test_criterion_3_distance_law(desc, linb_250, report):
     ds = gd.generate(desc, 8000, seed=1)
-    traces = gsam.forward_manifold_traces(ds, linb_250, n_draws=200, seed=0)
-    fit = gmet.distance_law_fit(traces)
+    ts, alpha_bars, d_hat = gsam.forward_manifold_traces(ds, linb_250, n_draws=200, seed=0)
+    fit = gmet.distance_law_fit(ts, alpha_bars, d_hat, ds.points.shape[1])
     med = fit["aggregate_median"]
     report(3, "distance law", med <= 0.15,
            f"median |d_hat/d_theory - 1| = {med:.4f} (<= 0.15, over 1-abar >= 0.1)")
@@ -107,16 +105,16 @@ def test_criterion_4_eps_norm(report):
 def test_criterion_5_guidance_efficacy(desc, lina_250, lina_models, report):
     den, clf = lina_models
     fid = {}
-    for kind, s, n in (("none", 0.0, 2048), ("geoguide", TUNED_GEO, 512),
-                       ("adm_g", TUNED_ADM, 512)):
+    for kind, s, n in (("none", 0.0, 2048), ("geoguide", cli.TUNED_GEO, 512),
+                       ("adm_g", cli.TUNED_ADM, 512)):
         batch = gsam.sample(den, clf, GuidanceRule(kind, s), lina_250,
                             np.arange(n) % 8, n, seed=0, threads=THREADS)
         fid[kind] = gmet.class_fidelity(batch.samples, batch.targets, clf)
     ok = (fid["geoguide"] >= 0.90 and fid["adm_g"] >= 0.80
           and abs(fid["none"] - 0.125) <= 0.02)
     report(5, "guidance efficacy", ok,
-           f"geoguide(s={TUNED_GEO}) = {fid['geoguide']:.4f} (>= 0.90), "
-           f"adm_g(s={TUNED_ADM}) = {fid['adm_g']:.4f} (>= 0.80), "
+           f"geoguide(s={cli.TUNED_GEO}) = {fid['geoguide']:.4f} (>= 0.90), "
+           f"adm_g(s={cli.TUNED_ADM}) = {fid['adm_g']:.4f} (>= 0.80), "
            f"unguided = {fid['none']:.4f} (0.125 +/- 0.02)")
 
 
@@ -125,7 +123,7 @@ def test_criterion_6_cutoff_direction(desc, lina_250, lina_models, report):
     n = 512
     ys = np.arange(n) % 8
     fid = {}
-    for kind, s in (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO)):
+    for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO)):
         for cut in (1.0, 0.3):
             batch = gsam.sample(den, clf, GuidanceRule(kind, s, cutoff_fraction=cut),
                                 lina_250, ys, n, seed=0, threads=THREADS)
@@ -164,7 +162,7 @@ def test_criterion_8_scaled_variant_report(desc, linb_250, linb_models,
     ys = np.arange(n) % 8
     frechet = {}
     for kind in ("geoguide", "geoguide_scaled"):
-        batch = gsam.sample(den, clf, GuidanceRule(kind, TUNED_GEO), linb_250,
+        batch = gsam.sample(den, clf, GuidanceRule(kind, cli.TUNED_GEO), linb_250,
                             ys, n, seed=0, threads=THREADS)
         frechet[kind] = gmet.frechet_distance(batch.samples, reference)
     path = tmp_path / "scaled_comparison.txt"
@@ -176,7 +174,7 @@ def test_criterion_8_scaled_variant_report(desc, linb_250, linb_models,
     ok = path.exists() and all(np.isfinite(v) for v in frechet.values())
     report(8, "scaled-variant comparison", ok,
            f"geoguide frechet {frechet['geoguide']:.4f} vs scaled "
-           f"{frechet['geoguide_scaled']:.4f} at s={TUNED_GEO} "
+           f"{frechet['geoguide_scaled']:.4f} at s={cli.TUNED_GEO} "
            f"({direction}; direction recorded, not asserted)")
 
 

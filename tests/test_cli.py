@@ -9,12 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidelab import cli
 from guidelab import data as gd
 from guidelab import models as gm
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run(args):
@@ -57,6 +60,20 @@ class TestConfigParsing:
         cfg = tmp_path / "c.txt"
         cfg.write_text("data.n = lots\n")
         assert run(["--config", cfg, "--out", tmp_path, "gen-data"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [
+        ("sampling.n_chains", "0"), ("sampling.target", "9"), ("sampling.target", "-1"),
+        ("sampling.seed", "-1"), ("guidance.kind", "magic"), ("guidance.s", "-1"),
+        ("guidance.s", "nan"), ("guidance.cutoff", "2"), ("schedule.respace", "5000"),
+        ("schedule.respace", "1"), ("schedule.T", "0"), ("schedule.gamma_mode", "foo"),
+        ("schedule.beta_end", "2"), ("data.n", "0"), ("data.dim", "1"), ("data.sigma", "0"),
+        ("data.radius", "nan"), ("guidance.s", "inf")])
+    def test_out_of_range_value(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\n"
+                       f"sampling.n_chains = 2\n{key} = {value}\n")
+        assert run(["--config", cfg, "--out", tmp_path, "sample"]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 class TestGenData:
@@ -161,6 +178,33 @@ class TestSampleAndEval:
         header = (out / "trajectories.csv").read_text().splitlines()[0]
         assert header == "chain,step,t,alpha_bar,adjustment_norm,d_hat,d_theory"
 
+    def test_benchmark_recorder_counts(self, tmp_path):
+        # bench/spans.py binds guidelab names (batch.logs, log.ts,
+        # trajectory.stored_ts, ...); its full recorder must still count
+        script = (
+            "import json, sys\n"
+            f"sys.path[:0] = [{str(ROOT / 'bench')!r}, {str(SRC)!r}]\n"
+            "import spans\n"
+            "recorder = spans.install('full')\n"
+            "from guidelab import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code,\n"
+            "                  'metrics': spans.summarize(recorder.dump(), 0.0)}))\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 300\nschedule.respace = 10\nsampling.n_chains = 2\n"
+                       "guidance.kind = geoguide\nguidance.s = 1.0\n")
+        done = subprocess.run([sys.executable, "-c", script, "--config", str(cfg),
+                               "--out", str(tmp_path / "out"), "sample"],
+                              check=True, capture_output=True, text=True, timeout=300)
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["code"] == 0
+        metrics = result["metrics"]
+        M, S, K, N = 2, 10, 10, 300   # ceil(10 / 50) = 1: every step stored
+        assert metrics["sampler.trace_distance_s"] > 0
+        assert metrics["sampler.export_csv_s"] > 0
+        assert metrics["sampler.csv_rows"] == M * S
+        assert metrics["sampler.distance_evals"] == M * K * N
+
 
 class TestTraining:
     def test_train_and_reuse_checkpoint(self, tmp_path):
@@ -210,34 +254,54 @@ class TestInputFiles:
         assert key in err and str(missing) in err
 
     @staticmethod
-    def _drop_header_field(path, name):
-        """Rewrite a checkpoint without one header field, CRC kept valid."""
+    def _edit_header(path, edit):
+        """Rewrite a checkpoint with ``edit`` applied to its header, CRC kept
+        valid."""
         raw = path.read_bytes()
         head_len = int.from_bytes(raw[6:10], "little")
         header = json.loads(raw[10:10 + head_len])
-        del header[name]
+        edit(header)
         head = json.dumps(header).encode()
         body = raw[:6] + len(head).to_bytes(4, "little") + head + raw[10 + head_len:-4]
         path.write_bytes(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
 
-    @pytest.mark.parametrize("backend, name", [
-        ("analytic", "fingerprint"), ("analytic", "backend"), ("analytic", "descriptor"),
-        ("learned", "fingerprint"), ("learned", "sizes"), ("learned", "dim"),
-        ("learned", "t_embed_dim"), ("learned", "n_classes")])
-    def test_header_without_field(self, tmp_path, capsys, backend, name):
+    @staticmethod
+    def _sample_with(tmp_path, backend, edit):
+        """Exit code of ``sample`` with a classifier checkpoint whose header
+        ``edit`` changed."""
         base = cli.RunConfig({"schedule.T": "20"}).base_schedule()
         if backend == "analytic":
             model = gm.AnalyticClassifier(gd.eight_gaussians(dim=4), base)
         else:
             model = gm.LearnedClassifier(gm.MLP((12, 16, 8), rng=np.random.default_rng(0)),
                                          base, 4, 8, 8)
-        path = tmp_path / "bad.gmod"
+        path = tmp_path / "edited.gmod"
         gm.save_model(model, path)
-        self._drop_header_field(path, name)
+        TestInputFiles._edit_header(path, edit)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\n"
                        f"sampling.n_chains = 2\nmodels.classifier = {path}\n")
-        assert run(["--config", cfg, "--out", tmp_path / "out", "sample"]) == 1
+        return run(["--config", cfg, "--out", tmp_path / "out", "sample"])
+
+    @staticmethod
+    def _set(field, value):
+        """An edit that sets a header field, or a field of the analytic
+        descriptor (``descriptor.<name>``), to ``value``."""
+        def edit(header):
+            if field.startswith("descriptor."):
+                desc = json.loads(header["descriptor"])
+                desc[field.split(".", 1)[1]] = value
+                header["descriptor"] = json.dumps(desc)
+            else:
+                header[field] = value
+        return edit
+
+    @pytest.mark.parametrize("backend, name", [
+        ("analytic", "fingerprint"), ("analytic", "backend"), ("analytic", "descriptor"),
+        ("learned", "fingerprint"), ("learned", "sizes"), ("learned", "dim"),
+        ("learned", "t_embed_dim"), ("learned", "n_classes")])
+    def test_header_without_field(self, tmp_path, capsys, backend, name):
+        assert self._sample_with(tmp_path, backend, lambda header: header.pop(name)) == 1
         err = capsys.readouterr().err
         assert "lacks" in err and repr(name) in err
 
@@ -257,6 +321,57 @@ class TestInputFiles:
                        f"sampling.n_chains = 2\nmodels.denoiser = {path}\n")
         assert run(["--config", cfg, "--out", tmp_path / "out", "sample"]) == 1
         assert "payload bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend, field, value", [
+        ("analytic", "descriptor", 5), ("analytic", "descriptor.dim", "64"),
+        ("learned", "sizes", "abc"), ("learned", "sizes", [12, -8, 8]),
+        ("learned", "dim", "x"), ("learned", "t_embed_dim", "q"),
+        ("learned", "n_classes", True), ("learned", "n_classes", 9)])
+    def test_header_field_with_bad_value(self, tmp_path, capsys, backend, field, value):
+        assert self._sample_with(tmp_path, backend, self._set(field, value)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "need -" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_header_field_of_another_json_type(self, tmp_path_factory, data):
+        backend, field, original = data.draw(st.sampled_from(HEADER_FIELDS))
+        value = data.draw(JSON_VALUES.filter(
+            lambda v: _json_type(v) != _json_type(original)))
+        code = self._sample_with(tmp_path_factory.mktemp("gmod"), backend,
+                                 self._set(field, value))
+        # an analytic checkpoint's "dim" is not read; every other field is
+        assert code == (0 if (backend, field) == ("analytic", "dim") else 1)
+
+
+# Every header field of a classifier checkpoint of each backend (D = 4, 8
+# classes, T = 20), and each field of the analytic descriptor, with a value
+# of its type.
+HEADER_FIELDS = [
+    ("analytic", "fingerprint", "f"), ("analytic", "backend", "b"),
+    ("analytic", "dim", 4), ("analytic", "descriptor", "{}"),
+    ("analytic", "descriptor.kind", "gaussian_mixture"), ("analytic", "descriptor.dim", 4),
+    ("analytic", "descriptor.weights", []), ("analytic", "descriptor.means", []),
+    ("analytic", "descriptor.variances", []),
+    ("learned", "fingerprint", "f"), ("learned", "backend", "b"), ("learned", "dim", 4),
+    ("learned", "sizes", []), ("learned", "t_embed_dim", 8), ("learned", "n_classes", 8)]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**40, 2**40)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _json_type(value):
+    """The JSON type of a decoded JSON value."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    return {int: "number", float: "number", str: "string", list: "array",
+            dict: "object"}[type(value)]
 
 
 def nan_like(model, x, *args):

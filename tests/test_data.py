@@ -15,6 +15,11 @@ class TestDescriptor:
                                   weights=np.array([0.5, 0.6]),
                                   means=np.zeros((2, 4)),
                                   variances=np.array([1.0, 1.0]))
+        with pytest.raises(gd.DescriptorError):   # NaN passes the sum check
+            gd.ManifoldDescriptor(kind="gaussian_mixture", dim=4,
+                                  weights=np.array([np.nan, np.nan]),
+                                  means=np.zeros((2, 4)),
+                                  variances=np.array([1.0, 1.0]))
 
     def test_variances_positive(self):
         with pytest.raises(gd.DescriptorError):
@@ -33,6 +38,11 @@ class TestDescriptor:
         text = bench_descriptor.to_text().replace('"means"', '"meanz"')
         with pytest.raises(gd.DescriptorError, match="means"):
             gd.ManifoldDescriptor.from_text(text)
+        # the curve kinds are gone: their fields do not make a descriptor
+        rings = ('{"ambient_jitter":0.01,"curve_noise":0.1,"dim":4,"kind":"rings",'
+                 '"radii":[1.0,2.0],"weights":[0.5,0.5]}')
+        with pytest.raises(gd.DescriptorError, match="unknown kind 'rings'"):
+            gd.ManifoldDescriptor.from_text(rings)
 
     def test_eight_gaussians_layout(self, bench_descriptor):
         d = bench_descriptor

@@ -103,59 +103,46 @@ class TestClassFidelity:
         assert gmet.class_fidelity(pts, wrong, oracle) == 0.0
 
 
-class _FakeLog:
-    def __init__(self, norms):
-        self.adjustment_norms = np.asarray(norms, dtype=float)
-
-
 class TestNormCurveSummary:
     def test_constant_curve(self):
-        logs = [_FakeLog(np.full(100, 0.032)) for _ in range(4)]
-        out = gmet.norm_curve_summary(logs)
+        out = gmet.norm_curve_summary(np.full((4, 100), 0.032))
         assert out["ratio"] == pytest.approx(1.0, abs=1e-9)
         assert not out["degenerate"]
 
     def test_decaying_curve(self):
-        logs = [_FakeLog(np.linspace(1.0, 0.0, 100))]
-        out = gmet.norm_curve_summary(logs)
+        out = gmet.norm_curve_summary(np.linspace(1.0, 0.0, 100)[None, :])
         assert out["ratio"] < 0.2
 
     def test_flat_zero_flagged(self):
-        logs = [_FakeLog(np.zeros(60))]
-        out = gmet.norm_curve_summary(logs)
+        out = gmet.norm_curve_summary(np.zeros((1, 60)))
         assert out["ratio"] == 1.0
         assert out["degenerate"]
 
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            gmet.norm_curve_summary([_FakeLog(np.zeros(10)), _FakeLog(np.zeros(9))])
-
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            gmet.norm_curve_summary([])
+        for norms in ([], np.zeros((0, 10)), np.zeros(10)):
+            with pytest.raises(ValueError):
+                gmet.norm_curve_summary(norms)
 
 
 class TestDistanceLawFit:
     def test_perfect_traces(self):
-        trace = [{"t": t, "alpha_bar": 0.5, "d_hat": 2.0, "d_theory": 2.0}
-                 for t in (10, 20)]
-        out = gmet.distance_law_fit([trace])
+        # sqrt((1 - 0.5) * 8) = 2
+        out = gmet.distance_law_fit([10, 20], [0.5, 0.5], np.full((1, 2), 2.0), 8)
         assert out["aggregate_median"] == 0.0
 
     def test_low_noise_excluded(self):
-        good = {"t": 10, "alpha_bar": 0.5, "d_hat": 2.0, "d_theory": 2.0}
-        bad = {"t": 1, "alpha_bar": 0.99, "d_hat": 5.0, "d_theory": 1.0}
-        out = gmet.distance_law_fit([[good, bad]])
-        # the noisy low-t record appears in the table but not the aggregate
+        # t = 10: exact; t = 1: 1 - abar = 0.01, far off the law
+        out = gmet.distance_law_fit([10, 1], [0.5, 0.99], np.array([[2.0, 5.0]]), 8)
+        # the noisy low-t entry appears in the table but not the aggregate
         assert out["aggregate_median"] == 0.0
-        assert len(out["per_t"]) == 2
+        assert [row["t"] for row in out["per_t"]] == [1, 10]
+        assert out["per_t"][0]["median_rel_error"] > 1.0
 
     def test_chi_concentration_at_full_noise(self, bench_descriptor, lina_1000):
         from guidelab import sampler as gsam
         ds = gd.generate(bench_descriptor, 500, seed=2)
-        traces = gsam.forward_manifold_traces(ds, lina_1000, n_draws=100, seed=4)
-        last = [trace[-1] for trace in traces]
-        ratios = [rec["d_hat"] / np.sqrt(64) for rec in last]
+        _, _, d_hat = gsam.forward_manifold_traces(ds, lina_1000, n_draws=100, seed=4)
+        ratios = d_hat[:, -1] / np.sqrt(64)
         assert np.median(ratios) == pytest.approx(1.0, abs=0.1)
 
 

@@ -1,4 +1,4 @@
-"""Reverse sampling loop: determinism, respacing, logs, distance traces."""
+"""Reverse sampling loop: determinism, respacing, the record, distance traces."""
 
 import csv
 import tracemalloc
@@ -78,9 +78,8 @@ class TestDeterminism:
         b = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, ys, 130,
                         seed=11, threads=8)
         np.testing.assert_array_equal(a.samples, b.samples)
-        for la, lb in zip(a.logs, b.logs):
-            np.testing.assert_array_equal(la.adjustment_norms, lb.adjustment_norms)
-            np.testing.assert_array_equal(la.stored_x, lb.stored_x)
+        np.testing.assert_array_equal(a.adjustment_norms, b.adjustment_norms)
+        np.testing.assert_array_equal(a.stored_x, b.stored_x)
 
     def test_seed_changes_output(self, bench):
         _, sch, den, clf = bench
@@ -96,38 +95,65 @@ class TestTrajectoryLogs:
         batch = gsam.sample(den, clf, GuidanceRule("geoguide", s), sch, 2, 4,
                             seed=7)
         D = 64
-        for log in batch.logs:
-            assert len(log.ts) == sch.T
-            assert np.all(log.adjustment_norms >= 0)
-            target = s * np.sqrt(D) / sch.T
-            np.testing.assert_allclose(log.adjustment_norms, target, rtol=1e-12)
-            assert log.guidance_active.all()
+        assert batch.ts.shape == batch.alpha_bars.shape == (sch.T,)
+        assert batch.adjustment_norms.shape == (4, sch.T)
+        np.testing.assert_allclose(batch.adjustment_norms, s * np.sqrt(D) / sch.T,
+                                   rtol=1e-12)
+        assert batch.guidance_active.all()
 
     def test_respaced_alpha_bars_match_parent(self, bench, linb_1000):
         _, sch, den, clf = bench
         batch = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 1, seed=0)
-        log = batch.logs[0]
-        parent = linb_1000.alpha_bars[log.ts - 1]
-        np.testing.assert_allclose(log.alpha_bars, parent, rtol=1e-12)
+        parent = linb_1000.alpha_bars[batch.ts - 1]
+        np.testing.assert_allclose(batch.alpha_bars, parent, rtol=1e-12)
 
-    def test_thinning_default(self, bench):
+    def test_thinning_default(self, bench, linb_1000):
         _, sch, den, clf = bench
         batch = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 1, seed=0)
-        log = batch.logs[0]
         # ceil(50 / 50) = 1: every step stored
-        assert len(log.stored_steps) == sch.T
-        batch2 = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 1, seed=0,
-                             store_every=10)
-        assert len(batch2.logs[0].stored_steps) == 6  # steps 0,10,20,30,40 + final
+        np.testing.assert_array_equal(batch.stored_steps, np.arange(sch.T))
+        sch250 = gs.respace(linb_1000, 250)
+        den250 = gm.AnalyticDenoiser(gd.eight_gaussians(), sch250)
+        thinned = gsam.sample(den250, None, GuidanceRule("none"), sch250, 0, 2, seed=0)
+        # ceil(250 / 50) = 5: steps 0, 5, ..., 245 and the final step 249
+        np.testing.assert_array_equal(thinned.stored_steps,
+                                      np.append(np.arange(0, 250, 5), 249))
+        assert thinned.stored_x.shape == (2, 51, 64)
+        full = gsam.sample(den250, None, GuidanceRule("none"), sch250, 0, 2, seed=0,
+                           store_full=True)
+        np.testing.assert_array_equal(full.stored_x[:, thinned.stored_steps],
+                                      thinned.stored_x)
 
     def test_final_state_recorded(self, bench):
         _, sch, den, clf = bench
         batch = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 2, seed=0)
-        for i, log in enumerate(batch.logs):
-            np.testing.assert_array_equal(log.final_x, batch.samples[i])
-            np.testing.assert_array_equal(log.stored_x[-1], log.final_x)
-            assert log.stored_ts[-1] == 0
-            assert log.stored_alpha_bars[-1] == 1.0
+        np.testing.assert_array_equal(batch.stored_x[:, -1], batch.samples)
+        assert batch.stored_ts[-1] == 0
+        assert batch.stored_alpha_bars[-1] == 1.0
+        # a stored state sits at the noise level of the step after it
+        np.testing.assert_array_equal(batch.stored_ts[:-1], batch.ts[1:])
+        np.testing.assert_array_equal(batch.stored_alpha_bars[:-1], batch.alpha_bars[1:])
+
+    def test_cutoff_marks_active_steps(self, bench):
+        _, sch, den, clf = bench
+        batch = gsam.sample(den, clf, GuidanceRule("adm_g", 1.0, cutoff_fraction=0.3),
+                            sch, 2, 3, seed=0)
+        # 0.3 of 50 steps: steps 0..14 guided
+        np.testing.assert_array_equal(batch.guidance_active, np.arange(sch.T) < 15)
+        assert np.all(batch.adjustment_norms[:, ~batch.guidance_active] == 0.0)
+        assert np.all(batch.adjustment_norms[:, batch.guidance_active] > 0.0)
+
+    def test_chain_views(self, bench):
+        _, sch, den, clf = bench
+        batch = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, [1, 5, 7],
+                            3, seed=0)
+        for j, view in enumerate(batch.logs):
+            one = batch.chain(j)
+            for name in ("samples", "targets", "adjustment_norms", "stored_x"):
+                rows = getattr(batch, name)[j:j + 1]
+                np.testing.assert_array_equal(getattr(view, name), rows)
+                np.testing.assert_array_equal(getattr(one, name), rows)
+            assert view.ts is batch.ts
 
 
 class TestManifoldDistance:
@@ -135,28 +161,38 @@ class TestManifoldDistance:
         _, sch, den, clf = bench
         ds = gd.LabeledDataset(points=np.zeros((1, 64)), labels=np.array([0]))
         batch = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 1, seed=2)
-        recs = gsam.trace_manifold_distance(batch.logs[0], ds)
-        for rec, x in zip(recs, batch.logs[0].stored_x):
-            assert rec["d_hat"] == pytest.approx(np.linalg.norm(x), rel=1e-12)
+        d_hat = gsam.trace_manifold_distance(batch, ds)
+        assert d_hat.shape == (1, len(batch.stored_steps))
+        np.testing.assert_allclose(d_hat[0], np.linalg.norm(batch.stored_x[0], axis=1),
+                                   rtol=1e-12)
 
     def test_converged_chain_near_manifold(self, bench, bench_dataset):
         _, sch, den, clf = bench
         batch = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 4, seed=9)
-        for log in batch.logs:
-            rec = gsam.trace_manifold_distance(log, bench_dataset)[-1]
-            assert rec["alpha_bar"] == 1.0
-            # final state lands on the data manifold (sigma = 0.5 mixture)
-            assert rec["d_hat"] < 3 * 0.5 * np.sqrt(64)
+        d_hat = gsam.trace_manifold_distance(batch, bench_dataset)
+        assert batch.stored_alpha_bars[-1] == 1.0
+        # final state lands on the data manifold (sigma = 0.5 mixture)
+        assert np.all(d_hat[:, -1] < 3 * 0.5 * np.sqrt(64))
+
+    def test_chains_traced_at_once_match_one_by_one(self, bench, bench_dataset):
+        _, sch, den, clf = bench
+        batch = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, 3, 5, seed=4)
+        d_hat = gsam.trace_manifold_distance(batch, bench_dataset)
+        assert d_hat.shape == (5, len(batch.stored_steps))
+        for j in range(5):
+            np.testing.assert_array_equal(
+                gsam.trace_manifold_distance(batch.chain(j), bench_dataset)[0], d_hat[j])
 
     def test_forward_traces_law(self, bench_dataset, linb_1000):
         sch = gs.respace(linb_1000, 50)
-        traces = gsam.forward_manifold_traces(bench_dataset, sch, n_draws=50,
-                                              seed=3)
-        assert len(traces) == 50
-        for trace in traces:
-            for rec in trace:
-                if 1.0 - rec["alpha_bar"] >= 0.1:
-                    assert 0.5 < rec["d_hat"] / rec["d_theory"] < 1.5
+        ts, alpha_bars, d_hat = gsam.forward_manifold_traces(bench_dataset, sch,
+                                                             n_draws=50, seed=3)
+        assert ts.shape == alpha_bars.shape == (50,)
+        assert d_hat.shape == (50, 50)
+        d_theory = np.sqrt((1.0 - alpha_bars) * 64)
+        noisy = 1.0 - alpha_bars >= 0.1
+        ratio = d_hat[:, noisy] / d_theory[noisy]
+        assert np.all((0.5 < ratio) & (ratio < 1.5))
 
     def test_empty_dataset_rejected(self, bench):
         _, sch, den, clf = bench
@@ -164,7 +200,7 @@ class TestManifoldDistance:
         bad = gd.LabeledDataset(points=np.zeros((1, 64)), labels=np.array([0]))
         object.__setattr__(bad, "points", np.zeros((0, 64)))
         with pytest.raises(ValueError):
-            gsam.trace_manifold_distance(batch.logs[0], bad)
+            gsam.trace_manifold_distance(batch, bad)
 
 
 def exhaustive_distance(X, r, P):
@@ -248,7 +284,7 @@ class TestNearestDistanceKernel:
         ds = gd.generate(gd.eight_gaussians(), 2000, seed=1)
         sch = gs.respace(linb_1000, 50)
         n_draws, seed = 6, 3
-        traces = gsam.forward_manifold_traces(ds, sch, n_draws=n_draws, seed=seed)
+        _, _, d_hat = gsam.forward_manifold_traces(ds, sch, n_draws=n_draws, seed=seed)
         # the same draws, in the same order, as forward_manifold_traces
         pts = ds.points
         rng = rng_stream(seed, 0xF0)
@@ -258,19 +294,18 @@ class TestNearestDistanceKernel:
             eps = rng.standard_normal((n_draws, pts.shape[1]))
             xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
             ref = exhaustive_distance(xt, np.full(n_draws, np.sqrt(ab)), pts)
-            got = [trace[k]["d_hat"] for trace in traces]
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(d_hat[:, k], ref, rtol=1e-12, atol=0)
 
     def test_trace_memory_bounded(self, bench_dataset, linb_1000):
         desc = gd.eight_gaussians()
         sch = gs.respace(linb_1000, 51)
         den = gm.AnalyticDenoiser(desc, sch)
-        log = gsam.sample(den, None, GuidanceRule("none"), sch, 0, 1, seed=0,
-                          store_full=True).logs[0]
-        assert len(log.stored_x) == 51
+        batch = gsam.sample(den, None, GuidanceRule("none"), sch, 0, 1, seed=0,
+                            store_full=True)
+        assert batch.stored_x.shape == (1, 51, 64)
         tracemalloc.start()
         try:
-            gsam.trace_manifold_distance(log, bench_dataset)
+            gsam.trace_manifold_distance(batch, bench_dataset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -290,3 +325,29 @@ class TestCsvExport:
         assert len(rows) == 1 + 2 * sch.T
         chains = {int(r[0]) for r in rows[1:]}
         assert chains == {0, 1}
+
+    def test_csv_rows_are_the_record(self, bench, bench_dataset, tmp_path, linb_1000):
+        # 250 steps store every fifth state, so d_hat is blank between them
+        desc, _, _, _ = bench
+        sch = gs.respace(linb_1000, 250)
+        den, clf = gm.AnalyticDenoiser(desc, sch), gm.AnalyticClassifier(desc, sch)
+        batch = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, [2, 6], 2,
+                            seed=1)
+        path = tmp_path / "traj.csv"
+        gsam.export_trajectories_csv(batch, path, dataset=bench_dataset)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        stored = dict(zip(batch.stored_steps.tolist(), range(len(batch.stored_steps))))
+        for j in range(2):
+            d_hat = gsam.trace_manifold_distance(batch.chain(j), bench_dataset)[0]
+            for k in range(sch.T):
+                row = rows[j * sch.T + k]
+                assert row[:5] == [str(j), str(k), str(batch.ts[k]),
+                                   repr(float(batch.alpha_bars[k])),
+                                   repr(float(batch.adjustment_norms[j, k]))]
+                if k in stored:
+                    i = stored[k]
+                    theory = np.sqrt((1.0 - batch.stored_alpha_bars[i]) * 64)
+                    assert row[5:] == [repr(float(d_hat[i])), repr(float(theory))]
+                else:
+                    assert row[5:] == ["", ""]
