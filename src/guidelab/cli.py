@@ -362,8 +362,9 @@ def cmd_eval(args):
     return 0
 
 
-def _evaluate(samples, targets, reference, oracle, k=3, config=""):
-    precision, recall = metrics_mod.knn_precision_recall(samples, reference, k)
+def _evaluate(samples, targets, reference, oracle, k=3, config="", reference_radius=None):
+    precision, recall = metrics_mod.knn_precision_recall(
+        samples, reference, k, reference_radius=reference_radius)
     return metrics_mod.MetricsReport(
         frechet=metrics_mod.frechet_distance(samples, reference),
         precision=precision, recall=recall,
@@ -491,7 +492,7 @@ def preset_cutoff(cfg, out, threads):
     return ok, summary, ["cutoff.csv", "cutoff.svg"]
 
 
-def _sweep_arm(kind, cfg, ds, sch, den, clf, oracle, reference, threads):
+def _sweep_arm(kind, cfg, ds, sch, den, clf, oracle, reference_radius, threads):
     seed = cfg.get_int("sampling.seed")
     n = cfg.get_int("sampling.n_chains")
     ys = cfg.targets(n, ds.n_classes)
@@ -500,8 +501,9 @@ def _sweep_arm(kind, cfg, ds, sch, den, clf, oracle, reference, threads):
     for s in SWEEP_GRID:
         batch = sampler_mod.sample(den, clf, GuidanceRule(kind, s), sch, ys, n,
                                    seed=seed, threads=threads)
-        rows.append((s, _evaluate(batch.samples, batch.targets, reference,
-                                  oracle, k, config=f"{kind} s={s}")))
+        rows.append((s, _evaluate(batch.samples, batch.targets, ds.points, oracle, k,
+                                  config=f"{kind} s={s}",
+                                  reference_radius=reference_radius)))
     return rows
 
 
@@ -509,10 +511,11 @@ def preset_scale_sweep(cfg, out, threads):
     ds, base, sch, den, clf = _preset_env(cfg)
     oracle = (clf if isinstance(clf, models_mod.AnalyticClassifier)
               else models_mod.AnalyticClassifier(ds.descriptor, base))
+    radius = metrics_mod.kth_nn_radius(ds.points, cfg.get_int("eval.k"))
     files = []
     arms = {}
     for kind in ("adm_g", "geoguide", "geoguide_scaled"):
-        rows = _sweep_arm(kind, cfg, ds, sch, den, clf, oracle, ds.points, threads)
+        rows = _sweep_arm(kind, cfg, ds, sch, den, clf, oracle, radius, threads)
         arms[kind] = rows
         path = out / f"sweep_{kind}.csv"
         with open(path, "w") as fh:
@@ -572,14 +575,16 @@ def preset_respace_study(cfg, out, threads):
     n = cfg.get_int("sampling.n_chains")
     ys = cfg.targets(n, ds.n_classes)
     s = cfg.get_float("guidance.s") or RESPACE_SCALE
+    k = cfg.get_int("eval.k")
+    radius = metrics_mod.kth_nn_radius(ds.points, k)
     rows = []
     for kind in ("geoguide", "geoguide_scaled"):
         for steps in RESPACE_STEPS:
             sch = schedule_mod.respace(base, steps)
             batch = sampler_mod.sample(den, clf, GuidanceRule(kind, s), sch, ys, n,
                                        seed=seed, threads=threads)
-            rep = _evaluate(batch.samples, batch.targets, ds.points, oracle,
-                            cfg.get_int("eval.k"), config=f"{kind} steps={steps}")
+            rep = _evaluate(batch.samples, batch.targets, ds.points, oracle, k,
+                            config=f"{kind} steps={steps}", reference_radius=radius)
             rows.append((kind, steps, rep))
     with open(out / "respace.csv", "w") as fh:
         fh.write("rule,steps," + ",".join(metrics_mod.METRICS_CSV_HEADER) + "\n")

@@ -2,15 +2,19 @@
 
 Fréchet distance is computed on raw coordinates (the desk-scale analog of
 FID; not comparable to feature-space FID numbers).  Precision/recall use the
-standard k-NN manifold estimate.  class_fidelity stands in for a fidelity
-score: the fraction of samples a zero-noise oracle classifier assigns to
-their target class.
+standard k-NN manifold estimate, computed over row blocks of GEMM distances
+(``_blas.rows_per_block``), so memory stays bounded at any set size, with
+BLAS held to one thread inside (``_blas.threads``).  class_fidelity stands
+in for a fidelity score: the fraction of samples a zero-noise oracle
+classifier assigns to their target class.
 """
 
 import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _blas
 
 METRICS_CSV_HEADER = ["frechet", "precision", "recall", "class_accuracy",
                       "n_generated", "n_reference", "config"]
@@ -81,36 +85,71 @@ def frechet_distance(generated, reference, regularize: bool = True) -> float:
     return max(val, 0.0)
 
 
-def _kth_nn_radius(points, k):
-    d2 = _pairwise_sq(points, points)
-    np.fill_diagonal(d2, np.inf)
-    return np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+def _sq_distances(a, aa, b, bb):
+    """Squared distances between the rows of ``a`` and ``b`` in the GEMM form
+    ||a||^2 - 2 a.b + ||b||^2, given the squared row norms ``aa`` and ``bb``."""
+    d2 = 2.0 * a @ b.T
+    np.subtract(aa[:, None], d2, out=d2)
+    d2 += bb
+    return d2
 
 
-def _pairwise_sq(a, b):
-    return (np.sum(a * a, axis=1)[:, None] - 2.0 * a @ b.T
-            + np.sum(b * b, axis=1)[None, :])
+def _check_k(n, k):
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if n <= k:
+        raise ValueError("each set needs more than k points")
 
 
-def knn_precision_recall(generated, reference, k: int = 3):
-    """Manifold-estimate precision/recall.
+def kth_nn_radius(points, k: int):
+    """Distance from each point to its k-th nearest other point of ``points``
+    (a point's own zero distance does not count; duplicates do)."""
+    p = np.asarray(points, dtype=np.float64)
+    _check_k(len(p), k)
+    pp = np.sum(p * p, axis=1)
+    out = np.empty(len(p))
+    step = _blas.rows_per_block(len(p))
+    with _blas.threads(1):
+        for lo in range(0, len(p), step):
+            d2 = _sq_distances(p[lo:lo + step], pp[lo:lo + step], p, pp)
+            rows = np.arange(len(d2))
+            d2[rows, lo + rows] = np.inf
+            d2.partition(k - 1, axis=1)
+            out[lo:lo + len(d2)] = np.sqrt(d2[:, k - 1])
+    return out
+
+
+def knn_precision_recall(generated, reference, k: int = 3, reference_radius=None):
+    """Manifold-estimate precision/recall (Kynkäänniemi et al. 2019).
 
     precision: fraction of generated points inside the union of reference
-    k-NN balls; recall: the same with the roles swapped.
+    k-NN balls; recall: the same with the roles swapped.  ``reference_radius``
+    may carry ``kth_nn_radius(reference, k)`` when it is already known, as in
+    a sweep against one reference; by default it is computed here.
     """
     g = np.asarray(generated, dtype=np.float64)
     r = np.asarray(reference, dtype=np.float64)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if len(g) <= k or len(r) <= k:
-        raise ValueError("both sets need more than k points")
-    radius_r = _kth_nn_radius(r, k)
-    radius_g = _kth_nn_radius(g, k)
-    d2 = _pairwise_sq(g, r)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    precision = float(np.mean(np.any(d <= radius_r[None, :], axis=1)))
-    recall = float(np.mean(np.any(d <= radius_g[:, None], axis=0)))
-    return precision, recall
+    _check_k(min(len(g), len(r)), k)
+    if reference_radius is None:
+        radius_r = kth_nn_radius(r, k)
+    else:
+        radius_r = np.asarray(reference_radius, dtype=np.float64)
+        if radius_r.shape != (len(r),):
+            raise ValueError(f"reference_radius has shape {radius_r.shape}, "
+                             f"expected ({len(r)},)")
+    radius_g = kth_nn_radius(g, k)
+    gg, rr = np.sum(g * g, axis=1), np.sum(r * r, axis=1)
+    hit_g = np.empty(len(g), dtype=bool)
+    hit_r = np.zeros(len(r), dtype=bool)
+    step = _blas.rows_per_block(len(r))
+    with _blas.threads(1):
+        for lo in range(0, len(g), step):
+            d = _sq_distances(g[lo:lo + step], gg[lo:lo + step], r, rr)
+            np.maximum(d, 0.0, out=d)
+            np.sqrt(d, out=d)
+            hit_g[lo:lo + len(d)] = np.any(d <= radius_r, axis=1)
+            hit_r |= np.any(d <= radius_g[lo:lo + len(d), None], axis=0)
+    return float(np.mean(hit_g)), float(np.mean(hit_r))
 
 
 def class_fidelity(generated, targets, oracle_classifier) -> float:

@@ -15,6 +15,7 @@ from itertools import chain, cycle, repeat
 
 import numpy as np
 
+from . import _blas
 from .errors import NumericalError
 from .forward import q_sample, rng_stream
 from .guidance import GuidanceRule, adjustment, guided_reverse_step
@@ -141,9 +142,6 @@ def _run_block(denoiser, classifier, rule, schedule, batch, lo, hi, seed):
     batch.samples[lo:hi] = x
 
 
-# Entries of one screen block (4 MiB of float64); 65 rows of the 8000-point
-# dataset, so a 51-state trajectory is screened in a single block.
-_SCREEN_ENTRIES = 1 << 19
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 
@@ -175,7 +173,8 @@ def _nearest_distance(X, r, P):
     pp = np.einsum("ij,ij->i", P, P)
     pp_max = pp.max()
     out = np.empty(n)
-    rows_per_block = max(1, _SCREEN_ENTRIES // len(P))
+    # 65 rows against the 8000-point dataset: a 51-state trajectory is one block
+    rows_per_block = _blas.rows_per_block(len(P))
     for lo in range(0, n, rows_per_block):
         x, rb = X[lo:lo + rows_per_block], r[lo:lo + rows_per_block]
         # overflow or non-finite input leaves a non-finite cut, handled below

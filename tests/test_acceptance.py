@@ -139,11 +139,13 @@ def test_criterion_7_tradeoff_monotonicity(desc, linb_250, linb_models, referenc
     den, clf = linb_models
     n = 1024
     ys = np.arange(n) % 8
+    radius = gmet.kth_nn_radius(reference, 3)
     recall, fidelity = [], []
     for s in cli.SWEEP_GRID:
         batch = gsam.sample(den, clf, GuidanceRule("geoguide", s), linb_250,
                             ys, n, seed=0, threads=THREADS)
-        _, r = gmet.knn_precision_recall(batch.samples, reference, k=3)
+        _, r = gmet.knn_precision_recall(batch.samples, reference, k=3,
+                                         reference_radius=radius)
         recall.append(r)
         fidelity.append(gmet.class_fidelity(batch.samples, batch.targets, clf))
     rho = float(spearmanr(cli.SWEEP_GRID, recall).statistic)

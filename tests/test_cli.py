@@ -153,24 +153,32 @@ class TestSampleAndEval:
         assert "eval.generated" in err and "eval.reference" in err
 
     def test_blas_and_sampler_threads_byte_identical(self, tmp_path):
-        # BLAS does the distance screen; neither its thread count nor the
-        # sampler's may change a byte of the outputs
+        # BLAS does the distance screen and the k-NN distances; neither its
+        # thread count nor the sampler's may change a byte of the outputs
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("data.n = 2000\nschedule.T = 50\nsampling.n_chains = 8\n"
                        "guidance.kind = geoguide\nguidance.s = 1.0\n")
+        ev_cfg = tmp_path / "ev.txt"
+        ev_cfg.write_text(f"eval.generated = {tmp_path / 'blas1_t1' / 'samples.glab'}\n"
+                          "data.n = 2000\n")
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        manifests = set()
-        for blas in ("1", None):
-            for threads in ("1", "2"):
-                out = tmp_path / f"blas{blas}_t{threads}"
-                run_env = dict(env, **({"OPENBLAS_NUM_THREADS": blas} if blas else {}))
-                subprocess.run([sys.executable, "-m", "guidelab.cli", "--config", str(cfg),
-                                "--out", str(out), "--threads", threads, "sample"],
-                               env=run_env, check=True, capture_output=True, timeout=300)
-                manifests.add((out / "manifest.txt").read_text())
-        assert len(manifests) == 1
+
+        def manifest(blas, name, config, threads, command):
+            out = tmp_path / name
+            run_env = dict(env, **({"OPENBLAS_NUM_THREADS": blas} if blas else {}))
+            subprocess.run([sys.executable, "-m", "guidelab.cli", "--config", str(config),
+                            "--out", str(out), "--threads", threads, command],
+                           env=run_env, check=True, capture_output=True, timeout=300)
+            return (out / "manifest.txt").read_text()
+
+        samples = {manifest(blas, f"blas{blas}_t{threads}", cfg, threads, "sample")
+                   for blas in ("1", None) for threads in ("1", "2")}
+        assert len(samples) == 1
+        evals = {manifest(blas, f"eval_blas{blas}", ev_cfg, "1", "eval")
+                 for blas in ("1", None)}
+        assert len(evals) == 1
 
     def test_sample_writes_trajectory_csv(self, tmp_path, small_cfg):
         out = tmp_path / "s"
@@ -178,9 +186,10 @@ class TestSampleAndEval:
         header = (out / "trajectories.csv").read_text().splitlines()[0]
         assert header == "chain,step,t,alpha_bar,adjustment_norm,d_hat,d_theory"
 
-    def test_benchmark_recorder_counts(self, tmp_path):
-        # bench/spans.py binds guidelab names (batch.logs, log.ts,
-        # trajectory.stored_ts, ...); its full recorder must still count
+    @staticmethod
+    def _recorded(tmp_path, cfg_text, command):
+        """The per-layer metrics of bench/spans.py's full recorder around one
+        CLI command in a fresh interpreter."""
         script = (
             "import json, sys\n"
             f"sys.path[:0] = [{str(ROOT / 'bench')!r}, {str(SRC)!r}]\n"
@@ -190,20 +199,38 @@ class TestSampleAndEval:
             "code = cli.main(sys.argv[1:])\n"
             "print(json.dumps({'code': code,\n"
             "                  'metrics': spans.summarize(recorder.dump(), 0.0)}))\n")
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("data.n = 300\nschedule.respace = 10\nsampling.n_chains = 2\n"
-                       "guidance.kind = geoguide\nguidance.s = 1.0\n")
+        cfg = tmp_path / f"{command}.txt"
+        cfg.write_text(cfg_text)
         done = subprocess.run([sys.executable, "-c", script, "--config", str(cfg),
-                               "--out", str(tmp_path / "out"), "sample"],
+                               "--out", str(tmp_path / command), command],
                               check=True, capture_output=True, text=True, timeout=300)
         result = json.loads(done.stdout.splitlines()[-1])
         assert result["code"] == 0
-        metrics = result["metrics"]
+        return result["metrics"]
+
+    def test_benchmark_recorder_counts(self, tmp_path):
+        # bench/spans.py binds guidelab names (batch.logs, log.ts,
+        # trajectory.stored_ts, ...); its full recorder must still count
+        metrics = self._recorded(
+            tmp_path, "data.n = 300\nschedule.respace = 10\nsampling.n_chains = 2\n"
+            "guidance.kind = geoguide\nguidance.s = 1.0\n", "sample")
         M, S, K, N = 2, 10, 10, 300   # ceil(10 / 50) = 1: every step stored
         assert metrics["sampler.trace_distance_s"] > 0
         assert metrics["sampler.export_csv_s"] > 0
         assert metrics["sampler.csv_rows"] == M * S
         assert metrics["sampler.distance_evals"] == M * K * N
+
+    def test_benchmark_recorder_counts_eval(self, tmp_path):
+        # bench/spans.py binds knn_precision_recall's generated/reference
+        G, R = 300, 500
+        gen_cfg = tmp_path / "gen.txt"
+        gen_cfg.write_text(f"data.n = {G}\ndata.seed = 7\n")
+        assert run(["--config", gen_cfg, "--out", tmp_path / "gen", "gen-data"]) == 0
+        metrics = self._recorded(
+            tmp_path, f"eval.generated = {tmp_path / 'gen' / 'dataset.glab'}\n"
+            f"data.n = {R}\n", "eval")
+        assert metrics["metrics.knn_s"] > 0
+        assert metrics["metrics.knn_pairs"] == G * R + G * G + R * R
 
 
 class TestTraining:

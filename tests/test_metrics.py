@@ -1,5 +1,7 @@
 """Metrics: Fréchet distance, k-NN precision/recall, fidelity, summaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from guidelab import data as gd
 from guidelab import metrics as gmet
 from guidelab import models as gm
 from guidelab import schedule as gs
+from guidelab._blas import rows_per_block
 from guidelab.forward import rng_stream
 
 
@@ -80,6 +83,101 @@ class TestKnnPrecisionRecall:
         x = rng_stream(1, 4).standard_normal((5, 2))
         with pytest.raises(ValueError):
             gmet.knn_precision_recall(x, x, k=5)
+
+
+# The unblocked k-NN kernel that the row-blocked one replaced, kept as the
+# reference: full distance matrices, (n, n) for the radii and (g, r) for the
+# cross term.
+def _dense_pairwise_sq(a, b):
+    return (np.sum(a * a, axis=1)[:, None] - 2.0 * a @ b.T
+            + np.sum(b * b, axis=1)[None, :])
+
+
+def _dense_radius(points, k):
+    d2 = _dense_pairwise_sq(points, points)
+    np.fill_diagonal(d2, np.inf)
+    return np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+
+
+def _dense_precision_recall(g, r, k):
+    d = np.sqrt(np.maximum(_dense_pairwise_sq(g, r), 0.0))
+    precision = float(np.mean(np.any(d <= _dense_radius(r, k)[None, :], axis=1)))
+    recall = float(np.mean(np.any(d <= _dense_radius(g, k)[:, None], axis=0)))
+    return precision, recall
+
+
+def _grid(n, seed, dim=3):
+    """Integer points on a small grid: many duplicates and tied distances, and
+    every distance is exact, whatever rows a BLAS call sees."""
+    return rng_stream(seed, 9).integers(-3, 4, size=(n, dim)).astype(np.float64)
+
+
+class TestBlockedKnn:
+    """The row-blocked k-NN equals the dense kernel exactly."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("n_gen, n_ref", [
+        (1500, 1000),   # several blocks each way, none a multiple of the block
+        (100, 1000),    # the generated set is smaller than one block
+        (525, 1000),    # a one-row last block of the cross term
+        (1000, 100),
+    ])
+    def test_grid_points_match_dense(self, n_gen, n_ref, k):
+        assert n_gen % rows_per_block(n_ref) and n_ref % rows_per_block(n_ref)
+        g, r = _grid(n_gen, 1), _grid(n_ref, 2)
+        np.testing.assert_array_equal(gmet.kth_nn_radius(r, k), _dense_radius(r, k))
+        np.testing.assert_array_equal(gmet.kth_nn_radius(g, k), _dense_radius(g, k))
+        assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_duplicated_points(self, k):
+        # exact copies: zero distances tie with each other and with the
+        # masked-out self distance of each copy
+        base = _grid(400, 3, dim=8)
+        g = np.concatenate([base, base[:150], base[:150]])
+        r = np.concatenate([base[200:], base[200:260]])
+        radius = gmet.kth_nn_radius(g, k)
+        np.testing.assert_array_equal(radius, _dense_radius(g, k))
+        if k == 1:  # each of the 450 copies has an exact twin
+            assert np.count_nonzero(radius == 0.0) >= 450
+        assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_generated_is_reference(self, k):
+        x = _grid(700, 4)
+        assert gmet.knn_precision_recall(x, x, k) == _dense_precision_recall(x, x, k)
+
+    def test_gaussian_points_match_dense(self):
+        # real-valued data: a BLAS call may round a row's dot products
+        # differently with other rows around it (micro-kernel edges), so the
+        # radii agree to a few units in the last place; no such difference
+        # moves a point across a ball boundary here
+        rng = rng_stream(5, 0)
+        g, r = rng.standard_normal((1500, 64)), rng.standard_normal((1000, 64)) + 0.3
+        np.testing.assert_allclose(gmet.kth_nn_radius(r, 3), _dense_radius(r, 3),
+                                   rtol=1e-13, atol=0)
+        assert gmet.knn_precision_recall(g, r, 3) == _dense_precision_recall(g, r, 3)
+
+    def test_reference_radius_reused(self):
+        g, r = _grid(600, 5), _grid(900, 6)
+        radius = gmet.kth_nn_radius(r, 3)
+        assert (gmet.knn_precision_recall(g, r, 3, reference_radius=radius)
+                == gmet.knn_precision_recall(g, r, 3))
+        with pytest.raises(ValueError, match="reference_radius"):
+            gmet.knn_precision_recall(g, r, 3, reference_radius=radius[:-1])
+
+    def test_peak_memory_bounded(self):
+        # the dense kernel peaked at about 977 MB here (8000 x 8000 and
+        # 4096 x 8000 matrices); the blocks hold 4 MiB each
+        rng = rng_stream(6, 0)
+        g, r = rng.standard_normal((4096, 64)), rng.standard_normal((8000, 64))
+        tracemalloc.start()
+        try:
+            gmet.knn_precision_recall(g, r, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestClassFidelity:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guidelab import _blas
 from guidelab import data as gd
 from guidelab import models as gm
 from guidelab import sampler as gsam
@@ -255,7 +256,7 @@ class TestNearestDistanceKernel:
         X = r[:, None] * P[rng.integers(0, len(P), size=30)] \
             + 1e-10 * rng.standard_normal((30, 16))
         # a block of 4 rows, so several blocks run
-        monkeypatch.setattr(gsam, "_SCREEN_ENTRIES", 4 * len(P))
+        monkeypatch.setattr(_blas, "BLOCK_ENTRIES", 4 * len(P))
         np.testing.assert_array_equal(gsam._nearest_distance(X, r, P),
                                       exhaustive_distance(X, r, P))
 
