@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -35,10 +36,7 @@ EXIT_CONFIG = 2
 EXIT_MISMATCH = 3
 EXIT_NUMERICAL = 4
 
-PRESETS = ("norm_curves", "distance_law", "cutoff", "scale_sweep", "respace_study")
-
 DEFAULTS = {
-    "data.preset": "eight_gaussians",
     "data.dim": "64",
     "data.radius": "10.0",
     "data.sigma": "0.5",
@@ -69,7 +67,6 @@ DEFAULTS = {
     "eval.k": "3",
     "eval.generated": "",
     "eval.reference": "",
-    "output.dir": "",
 }
 
 
@@ -148,9 +145,6 @@ class RunConfig:
     # -- construction of the run's objects ---------------------------------
 
     def descriptor(self):
-        preset = self.get("data.preset")
-        if preset != "eight_gaussians":
-            raise ConfigError(f"data.preset {preset!r} not recognized")
         try:
             return data_mod.eight_gaussians(
                 dim=self.get_int("data.dim"), radius=self.get_float("data.radius"),
@@ -250,6 +244,15 @@ def write_manifest(out: Path, cfg: RunConfig, files):
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+def _write_table(path, header, rows):
+    """A comma-separated table with "\\n" line ends: a float cell (numpy's
+    too) as the repr of the Python float, any other cell as its str."""
+    def cell(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def load_cfg(args, extra=None):
     overrides = dict(extra or {})
     if args.config:
@@ -259,6 +262,34 @@ def load_cfg(args, extra=None):
         overrides.setdefault("train.seed", str(args.seed))
     cfg = RunConfig(overrides)
     return cfg
+
+
+class RunEnv(NamedTuple):
+    """What a sampling run is built from: the dataset, the base and sampling
+    schedules, the two models, and the seed, chain count and targets."""
+    ds: data_mod.LabeledDataset
+    base: schedule_mod.NoiseSchedule
+    sch: schedule_mod.NoiseSchedule
+    den: object
+    clf: object
+    seed: int
+    n: int
+    ys: np.ndarray
+
+    def sample(self, rule, threads, sch=None, **kwargs):
+        """``sampler.sample`` of this run under ``rule``, on ``sch`` if given."""
+        return sampler_mod.sample(self.den, self.clf, rule, self.sch if sch is None else sch,
+                                  self.ys, self.n, seed=self.seed, threads=threads, **kwargs)
+
+
+def _run_env(cfg):
+    ds = cfg.dataset()
+    base = cfg.base_schedule()
+    sch = cfg.sampling_schedule(base)
+    den, clf = cfg.models(base, ds.descriptor)
+    n = cfg.get_int("sampling.n_chains")
+    return RunEnv(ds, base, sch, den, clf, cfg.get_int("sampling.seed"), n,
+                  cfg.targets(n, ds.n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +321,7 @@ def _train(args, which):
     path = out / f"{which}.gmod"
     models_mod.save_model(model, path)
     loss_csv = out / f"{which}_loss.csv"
-    with open(loss_csv, "w") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(report.epoch_losses):
-            fh.write(f"{i},{loss!r}\n")
+    _write_table(loss_csv, ["epoch", "loss"], enumerate(report.epoch_losses))
     write_manifest(out, cfg, [path, loss_csv])
     print(f"wrote {path} (final loss {report.final_loss:.6g}, "
           f"{report.wall_time:.1f}s)")
@@ -311,26 +339,18 @@ def cmd_train_classifier(args):
 def cmd_sample(args):
     cfg = load_cfg(args)
     out = out_dir(args)
-    ds = cfg.dataset()
-    base = cfg.base_schedule()
-    sch = cfg.sampling_schedule(base)
-    den, clf = cfg.models(base, ds.descriptor)
+    env = _run_env(cfg)
     rule = cfg.rule()
-    n = cfg.get_int("sampling.n_chains")
-    ys = cfg.targets(n, ds.n_classes)
-    batch = sampler_mod.sample(den, clf, rule, sch, ys, n,
-                               seed=cfg.get_int("sampling.seed"),
-                               threads=args.threads,
-                               store_full=bool(cfg.get_int("sampling.store_full")))
+    batch = env.sample(rule, args.threads,
+                       store_full=bool(cfg.get_int("sampling.store_full")))
     samples_path = out / "samples.glab"
     data_mod.save(data_mod.LabeledDataset(points=batch.samples, labels=batch.targets,
-                                          descriptor=ds.descriptor,
-                                          seed=cfg.get_int("sampling.seed")),
+                                          descriptor=env.ds.descriptor, seed=env.seed),
                   samples_path)
     traj_path = out / "trajectories.csv"
-    sampler_mod.export_trajectories_csv(batch, traj_path, dataset=ds)
+    sampler_mod.export_trajectories_csv(batch, traj_path, dataset=env.ds)
     write_manifest(out, cfg, [samples_path, traj_path])
-    print(f"wrote {samples_path} ({n} samples, rule={rule.kind}, s={rule.scale})")
+    print(f"wrote {samples_path} ({env.n} samples, rule={rule.kind}, s={rule.scale})")
     return 0
 
 
@@ -381,18 +401,12 @@ def _evaluate(samples, targets, reference, oracle, k=3, config="", reference_rad
 TUNED_GEO = 2.5
 TUNED_ADM = 1.0
 SWEEP_GRID = (0.0, 0.1, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+RESPACE_SCALE = 2.0
+RESPACE_STEPS = (50, 250, 1000)
 
 # Guidance-geometry presets use the 1 - t/T schedule; quality presets keep
 # the linear-beta default.
 GEOMETRY_SCHEDULE = {"schedule.type": "linear_alphabar", "schedule.respace": "250"}
-
-
-def _preset_env(cfg):
-    ds = cfg.dataset()
-    base = cfg.base_schedule()
-    sch = cfg.sampling_schedule(base)
-    den, clf = cfg.models(base, ds.descriptor)
-    return ds, base, sch, den, clf
 
 
 def _check(lines, name, ok, detail):
@@ -402,29 +416,23 @@ def _check(lines, name, ok, detail):
 
 
 def preset_norm_curves(cfg, out, threads):
-    ds, base, sch, den, clf = _preset_env(cfg)
-    seed = cfg.get_int("sampling.seed")
-    n = cfg.get_int("sampling.n_chains")
+    env = _run_env(cfg)
     summary = []
     plot = LinePlot(title="guidance adjustment norm per reverse step",
                     xlabel="reverse step", ylabel="mean ||s A_t||")
     results = {}
     for kind, s in (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO)):
-        batch = sampler_mod.sample(den, clf, GuidanceRule(kind, s), sch,
-                                   cfg.targets(n, ds.n_classes), n, seed=seed,
-                                   threads=threads)
+        batch = env.sample(GuidanceRule(kind, s), threads)
         curve = metrics_mod.norm_curve_summary(batch.adjustment_norms)
         results[kind] = (batch, curve)
-        with open(out / f"norms_{kind}.csv", "w") as fh:
-            fh.write("step,mean_norm\n")
-            for i, v in enumerate(curve["per_step_mean"]):
-                fh.write(f"{i},{v!r}\n")
+        _write_table(out / f"norms_{kind}.csv", ["step", "mean_norm"],
+                     enumerate(curve["per_step_mean"]))
         plot.add(range(len(curve["per_step_mean"])), curve["per_step_mean"],
                  label=f"{kind} (s={s})")
     plot.write(out / "norm_curves.svg")
 
     geo_batch, geo_curve = results["geoguide"]
-    target = TUNED_GEO * np.sqrt(ds.points.shape[1]) / sch.T
+    target = TUNED_GEO * np.sqrt(env.ds.points.shape[1]) / env.sch.T
     norms = geo_batch.adjustment_norms
     max_rel = float(np.max(np.abs(norms - target)) / target)
     ok = _check(summary, "geoguide norm constancy", max_rel < 1e-12,
@@ -445,10 +453,8 @@ def preset_distance_law(cfg, out, threads):
     ts, alpha_bars, d_hat = sampler_mod.forward_manifold_traces(
         ds, sch, n_draws=200, seed=cfg.get_int("sampling.seed"))
     fit = metrics_mod.distance_law_fit(ts, alpha_bars, d_hat, D)
-    with open(out / "distance_law.csv", "w") as fh:
-        fh.write("t,median_rel_error,n\n")
-        for row in fit["per_t"]:
-            fh.write(f"{row['t']},{row['median_rel_error']!r},{row['n']}\n")
+    _write_table(out / "distance_law.csv", ["t", "median_rel_error", "n"],
+                 ((row["t"], row["median_rel_error"], row["n"]) for row in fit["per_t"]))
     plot = LinePlot(title="manifold distance vs theory",
                     xlabel="timestep t", ylabel="distance")
     plot.add(ts, d_hat[0], label="measured")
@@ -462,23 +468,17 @@ def preset_distance_law(cfg, out, threads):
 
 
 def preset_cutoff(cfg, out, threads):
-    ds, base, sch, den, clf = _preset_env(cfg)
-    seed = cfg.get_int("sampling.seed")
-    n = cfg.get_int("sampling.n_chains")
-    ys = cfg.targets(n, ds.n_classes)
+    env = _run_env(cfg)
     rows = []
     fid = {}
     for kind, s in (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO)):
         for cut in (1.0, 0.3):
-            batch = sampler_mod.sample(den, clf, GuidanceRule(kind, s, cutoff_fraction=cut),
-                                       sch, ys, n, seed=seed, threads=threads)
-            f = metrics_mod.class_fidelity(batch.samples, batch.targets, clf)
+            batch = env.sample(GuidanceRule(kind, s, cutoff_fraction=cut), threads)
+            f = metrics_mod.class_fidelity(batch.samples, batch.targets, env.clf)
             fid[(kind, cut)] = f
             rows.append((kind, s, cut, f))
-    with open(out / "cutoff.csv", "w") as fh:
-        fh.write("rule,s,cutoff_fraction,class_fidelity\n")
-        for kind, s, cut, f in rows:
-            fh.write(f"{kind},{s},{cut},{f!r}\n")
+    _write_table(out / "cutoff.csv", ["rule", "s", "cutoff_fraction", "class_fidelity"],
+                 rows)
     plot = LinePlot(title="class fidelity: full guidance vs 30% cut-off",
                     xlabel="cutoff fraction", ylabel="class fidelity")
     for kind in ("adm_g", "geoguide"):
@@ -492,37 +492,23 @@ def preset_cutoff(cfg, out, threads):
     return ok, summary, ["cutoff.csv", "cutoff.svg"]
 
 
-def _sweep_arm(kind, cfg, ds, sch, den, clf, oracle, reference_radius, threads):
-    seed = cfg.get_int("sampling.seed")
-    n = cfg.get_int("sampling.n_chains")
-    ys = cfg.targets(n, ds.n_classes)
-    k = cfg.get_int("eval.k")
-    rows = []
-    for s in SWEEP_GRID:
-        batch = sampler_mod.sample(den, clf, GuidanceRule(kind, s), sch, ys, n,
-                                   seed=seed, threads=threads)
-        rows.append((s, _evaluate(batch.samples, batch.targets, ds.points, oracle, k,
-                                  config=f"{kind} s={s}",
-                                  reference_radius=reference_radius)))
-    return rows
-
-
 def preset_scale_sweep(cfg, out, threads):
-    ds, base, sch, den, clf = _preset_env(cfg)
-    oracle = (clf if isinstance(clf, models_mod.AnalyticClassifier)
-              else models_mod.AnalyticClassifier(ds.descriptor, base))
-    radius = metrics_mod.kth_nn_radius(ds.points, cfg.get_int("eval.k"))
+    env = _run_env(cfg)
+    oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
+    k = cfg.get_int("eval.k")
+    radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     files = []
     arms = {}
     for kind in ("adm_g", "geoguide", "geoguide_scaled"):
-        rows = _sweep_arm(kind, cfg, ds, sch, den, clf, oracle, radius, threads)
+        rows = []
+        for s in SWEEP_GRID:
+            batch = env.sample(GuidanceRule(kind, s), threads)
+            rows.append((s, _evaluate(batch.samples, batch.targets, env.ds.points, oracle,
+                                      k, config=f"{kind} s={s}", reference_radius=radius)))
         arms[kind] = rows
-        path = out / f"sweep_{kind}.csv"
-        with open(path, "w") as fh:
-            fh.write("s," + ",".join(metrics_mod.METRICS_CSV_HEADER) + "\n")
-            for s, rep in rows:
-                fh.write(f"{s}," + ",".join(str(c) for c in rep.csv_row()) + "\n")
-        files.append(path.name)
+        _write_table(out / f"sweep_{kind}.csv", ["s", *metrics_mod.METRICS_CSV_HEADER],
+                     ((s, *rep.csv_row()) for s, rep in rows))
+        files.append(f"sweep_{kind}.csv")
     for field, fname in (("class_accuracy", "sweep_fidelity.svg"),
                          ("recall", "sweep_recall.svg"),
                          ("frechet", "sweep_frechet.svg")):
@@ -566,30 +552,21 @@ def preset_scale_sweep(cfg, out, threads):
 
 
 def preset_respace_study(cfg, out, threads):
-    ds = cfg.dataset()
-    base = cfg.base_schedule()
-    den, clf = cfg.models(base, ds.descriptor)
-    oracle = (clf if isinstance(clf, models_mod.AnalyticClassifier)
-              else models_mod.AnalyticClassifier(ds.descriptor, base))
-    seed = cfg.get_int("sampling.seed")
-    n = cfg.get_int("sampling.n_chains")
-    ys = cfg.targets(n, ds.n_classes)
+    env = _run_env(cfg)
+    oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
     s = cfg.get_float("guidance.s") or RESPACE_SCALE
     k = cfg.get_int("eval.k")
-    radius = metrics_mod.kth_nn_radius(ds.points, k)
+    radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     rows = []
     for kind in ("geoguide", "geoguide_scaled"):
         for steps in RESPACE_STEPS:
-            sch = schedule_mod.respace(base, steps)
-            batch = sampler_mod.sample(den, clf, GuidanceRule(kind, s), sch, ys, n,
-                                       seed=seed, threads=threads)
-            rep = _evaluate(batch.samples, batch.targets, ds.points, oracle, k,
+            batch = env.sample(GuidanceRule(kind, s), threads,
+                               sch=schedule_mod.respace(env.base, steps))
+            rep = _evaluate(batch.samples, batch.targets, env.ds.points, oracle, k,
                             config=f"{kind} steps={steps}", reference_radius=radius)
             rows.append((kind, steps, rep))
-    with open(out / "respace.csv", "w") as fh:
-        fh.write("rule,steps," + ",".join(metrics_mod.METRICS_CSV_HEADER) + "\n")
-        for kind, steps, rep in rows:
-            fh.write(f"{kind},{steps}," + ",".join(str(c) for c in rep.csv_row()) + "\n")
+    _write_table(out / "respace.csv", ["rule", "steps", *metrics_mod.METRICS_CSV_HEADER],
+                 ((kind, steps, *rep.csv_row()) for kind, steps, rep in rows))
     plot = LinePlot(title="sample quality vs sampling steps",
                     xlabel="sampling steps", ylabel="frechet")
     for kind in ("geoguide", "geoguide_scaled"):
@@ -608,9 +585,6 @@ def preset_respace_study(cfg, out, threads):
                  f"|f(1000) - f(250)| / f(250) = {rel:.3f} (target <= 0.25)")
     return ok, summary, ["respace.csv", "respace.svg"]
 
-
-RESPACE_SCALE = 2.0
-RESPACE_STEPS = (50, 250, 1000)
 
 PRESET_RUNNERS = {
     "norm_curves": (preset_norm_curves, dict(GEOMETRY_SCHEDULE, **{"sampling.n_chains": "64"})),
@@ -647,7 +621,7 @@ def main(argv=None):
     sub.add_parser("sample").set_defaults(func=cmd_sample)
     sub.add_parser("eval").set_defaults(func=cmd_eval)
     exp = sub.add_parser("experiment")
-    exp.add_argument("preset", choices=PRESETS)
+    exp.add_argument("preset", choices=PRESET_RUNNERS)
     exp.set_defaults(func=cmd_experiment)
     args = parser.parse_args(argv)
     try:

@@ -23,7 +23,7 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 class NoisedSample:
     """One-shot noised point with the epsilon actually drawn."""
     x_t: np.ndarray
-    t: int
+    t: int  # or the per-row steps
     eps: np.ndarray
 
 
@@ -43,22 +43,31 @@ def q_step(x_prev: np.ndarray, t: int, schedule: NoiseSchedule,
     return np.sqrt(schedule.alphas[i]) * x_prev + np.sqrt(schedule.betas[i]) * eps
 
 
-def q_sample(x_0: np.ndarray, t: int, schedule: NoiseSchedule,
+def q_sample(x_0: np.ndarray, t, schedule: NoiseSchedule,
              rng: np.random.Generator, eps: np.ndarray = None) -> NoisedSample:
     """Closed-form jump to step t: sqrt(abar_t) x_0 + sqrt(1 - abar_t) eps.
 
-    t = 0 is accepted as the identity (alpha_bar = 1, eps unused but drawn
-    for stream stability if not injected).
+    ``t`` is one step for all of ``x_0``, or an integer array of one step in
+    1..T per row of an (N, D) ``x_0``.  A scalar t = 0 is accepted as the
+    identity (alpha_bar = 1, eps unused but drawn for stream stability if not
+    injected).
     """
     x_0 = np.asarray(x_0, dtype=np.float64)
-    if t == 0:
+    if np.ndim(t):
+        t = np.asarray(t)
+        if (x_0.ndim != 2 or t.shape != x_0.shape[:1]
+                or not np.all((1 <= t) & (t <= schedule.T))):
+            raise ScheduleError(f"per-row timesteps of shape {t.shape} for x_0 of shape "
+                                f"{x_0.shape}: need one step in 1..{schedule.T} per row")
+        ab = schedule.alpha_bars[t - 1][:, None]
+    elif t == 0:
         if eps is None:
             eps = np.zeros_like(x_0)
         return NoisedSample(x_t=x_0.copy(), t=0, eps=eps)
-    i = _check_t(t, schedule)
+    else:
+        ab = schedule.alpha_bars[_check_t(t, schedule)]
     if eps is None:
         eps = rng.standard_normal(x_0.shape)
-    ab = schedule.alpha_bars[i]
     return NoisedSample(x_t=np.sqrt(ab) * x_0 + np.sqrt(1.0 - ab) * eps, t=t, eps=eps)
 
 

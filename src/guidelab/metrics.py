@@ -115,7 +115,8 @@ def kth_nn_radius(points, k: int):
             rows = np.arange(len(d2))
             d2[rows, lo + rows] = np.inf
             d2.partition(k - 1, axis=1)
-            out[lo:lo + len(d2)] = np.sqrt(d2[:, k - 1])
+            # an exact duplicate's zero distance can round below 0
+            out[lo:lo + len(d2)] = np.sqrt(np.maximum(d2[:, k - 1], 0.0))
     return out
 
 

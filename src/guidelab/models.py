@@ -27,6 +27,7 @@ import numpy as np
 from .data import (ChecksumError, DataFormatError, ManifoldDescriptor, TruncatedFileError,
                    VersionError)
 from .errors import NumericalError
+from .forward import q_sample
 from .schedule import NoiseSchedule, ScheduleError
 
 MODEL_MAGIC = b"GMOD"
@@ -425,17 +426,14 @@ def train_denoiser(dataset, schedule: NoiseSchedule, hyper: Hyperparams = None,
     E_{t, x_0, eps} || eps - eps_theta(x_t, t) ||^2 with Adam."""
     hyper = hyper or Hyperparams()
     D = dataset.points.shape[1]
-    abars = schedule.alpha_bars
 
     def batch_fn(mlp, idx, rng):
         x0 = dataset.points[idx]
         t = rng.integers(1, schedule.T + 1, size=len(idx))
-        eps = rng.standard_normal(x0.shape)
-        ab = abars[t - 1][:, None]
-        xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        inp = np.concatenate([xt, time_embedding(t, hyper.t_embed_dim)], axis=1)
+        noised = q_sample(x0, t, schedule, rng)
+        inp = np.concatenate([noised.x_t, time_embedding(t, hyper.t_embed_dim)], axis=1)
         out, cache = mlp.forward(inp)
-        resid = out - eps
+        resid = out - noised.eps
         loss = float(np.mean(resid * resid))
         grads, _ = mlp.backward(cache, 2.0 * resid / resid.size)
         return loss, grads
@@ -452,15 +450,12 @@ def train_classifier(dataset, schedule: NoiseSchedule, hyper: Hyperparams = None
     if C < 2:
         raise ModelError("classifier training needs at least two classes")
     D = dataset.points.shape[1]
-    abars = schedule.alpha_bars
 
     def batch_fn(mlp, idx, rng):
         x0 = dataset.points[idx]
         y = dataset.labels[idx]
         t = rng.integers(1, schedule.T + 1, size=len(idx))
-        eps = rng.standard_normal(x0.shape)
-        ab = abars[t - 1][:, None]
-        xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+        xt = q_sample(x0, t, schedule, rng).x_t
         inp = np.concatenate([xt, time_embedding(t, hyper.t_embed_dim)], axis=1)
         logits, cache = mlp.forward(inp)
         lz = _logsumexp(logits, axis=1)

@@ -1,5 +1,7 @@
 """CLI: config parsing, subcommand wiring, manifests, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -39,11 +41,15 @@ def small_cfg(tmp_path):
 
 class TestConfigParsing:
     def test_unknown_key_reports_line(self, tmp_path, capsys):
+        # output.dir and data.preset were keys once; nothing read the one,
+        # and the other had a single legal value
         bad = tmp_path / "bad.txt"
-        bad.write_text("data.n = 10\nmystery.key = 1\n")
-        assert run(["--config", bad, "--out", tmp_path, "gen-data"]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "bad.txt:2" in err and "mystery.key" in err
+        for key, value in (("mystery.key", "1"), ("output.dir", tmp_path / "elsewhere"),
+                           ("data.preset", "eight_gaussians")):
+            bad.write_text(f"data.n = 10\n{key} = {value}\n")
+            assert run(["--config", bad, "--out", tmp_path, "gen-data"]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "bad.txt:2" in err and key in err
 
     def test_malformed_line_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -233,6 +239,32 @@ class TestSampleAndEval:
         assert metrics["metrics.knn_pairs"] == G * R + G * G + R * R
 
 
+def _table_cells(path):
+    """The cells of a comma-separated table after its header row."""
+    return [cell for line in path.read_text().splitlines()[1:] for cell in line.split(",")]
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def test_tables_hold_plain_numbers(tmp_path):
+    # the loss and norm-curve tables once held numpy reprs: np.float64(...)
+    train, curves = tmp_path / "train.txt", tmp_path / "curves.txt"
+    train.write_text("data.n = 200\nschedule.T = 20\ntrain.epochs = 2\n")
+    curves.write_text("data.n = 200\nsampling.n_chains = 8\nschedule.respace = 25\n")
+    assert run(["--config", train, "--out", tmp_path / "train", "train-denoiser"]) == 0
+    assert run(["--config", curves, "--out", tmp_path / "nc", "experiment", "norm_curves"]) == 0
+    for path in (tmp_path / "train" / "denoiser_loss.csv",
+                 tmp_path / "nc" / "norms_adm_g.csv", tmp_path / "nc" / "norms_geoguide.csv"):
+        cells = _table_cells(path)
+        assert cells and all(_is_number(c) for c in cells), path.name
+
+
 class TestTraining:
     def test_train_and_reuse_checkpoint(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -369,6 +401,41 @@ class TestInputFiles:
                                  self._set(field, value))
         # an analytic checkpoint's "dim" is not read; every other field is
         assert code == (0 if (backend, field) == ("analytic", "dim") else 1)
+
+
+class TestCorruptContainers:
+    """A truncated or byte-flipped dataset or checkpoint exits 1 with an
+    "error:" line, never a traceback."""
+
+    @staticmethod
+    def _containers(tmp_path):
+        base = cli.RunConfig({"schedule.T": "20"}).base_schedule()
+        glab, gmod = tmp_path / "data.glab", tmp_path / "denoiser.gmod"
+        gd.save(gd.generate(gd.eight_gaussians(dim=4), 20, seed=0), glab)
+        gm.save_model(gm.LearnedDenoiser(gm.MLP((12, 16, 4), rng=np.random.default_rng(0)),
+                                         base, 4, 8), gmod)
+        return {"data.path": glab, "models.denoiser": gmod}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped(self, tmp_path_factory, data):
+        tmp_path = tmp_path_factory.mktemp("corrupt")
+        key = data.draw(st.sampled_from(["data.path", "models.denoiser"]), label="key")
+        path = self._containers(tmp_path)[key]
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            del raw[data.draw(st.integers(0, len(raw) - 1), label="length"):]
+        else:
+            raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+                st.integers(1, 255), label="xor")
+        path.write_bytes(raw)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\n"
+                       f"sampling.n_chains = 2\n{key} = {path}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["--config", cfg, "--out", tmp_path / "out", "sample"])
+        assert code == 1 and err.getvalue().startswith("error: "), err.getvalue()
 
 
 # Every header field of a classifier checkpoint of each backend (D = 4, 8

@@ -67,6 +67,22 @@ class TestQSample:
         np.testing.assert_allclose(
             ns.x_t, np.sqrt(ab) * x0 + np.sqrt(1 - ab) * ns.eps, rtol=1e-12)
 
+    def test_per_row_steps(self, linb_50):
+        # one step per row: each row is the scalar-t jump with its own eps,
+        # and the eps is one draw of x_0's shape, as the training loops draw it
+        x0 = rng_stream(3, 6).standard_normal((5, 4))
+        t = np.array([1, 7, 7, 30, 50])
+        ns = q_sample(x0, t, linb_50, rng_stream(3, 7))
+        np.testing.assert_array_equal(ns.eps, rng_stream(3, 7).standard_normal((5, 4)))
+        for i in range(5):
+            np.testing.assert_array_equal(
+                ns.x_t[i], q_sample(x0[i], int(t[i]), linb_50, None, eps=ns.eps[i]).x_t)
+
+    @pytest.mark.parametrize("t", [[0, 1], [1, 51], [1, 2, 3]])
+    def test_per_row_steps_out_of_range(self, linb_50, t):
+        with pytest.raises(gs.ScheduleError):
+            q_sample(np.zeros((2, 3)), np.array(t), linb_50, rng_stream(0, 0))
+
     def test_matches_iterated_q_step(self, linb_50):
         """Closed-form jump and t-fold iteration agree in distribution
         (two-sample energy-distance permutation test)."""

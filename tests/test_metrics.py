@@ -87,7 +87,7 @@ class TestKnnPrecisionRecall:
 
 # The unblocked k-NN kernel that the row-blocked one replaced, kept as the
 # reference: full distance matrices, (n, n) for the radii and (g, r) for the
-# cross term.
+# cross term.  Its radii are clamped at 0 as the blocked ones are.
 def _dense_pairwise_sq(a, b):
     return (np.sum(a * a, axis=1)[:, None] - 2.0 * a @ b.T
             + np.sum(b * b, axis=1)[None, :])
@@ -96,7 +96,7 @@ def _dense_pairwise_sq(a, b):
 def _dense_radius(points, k):
     d2 = _dense_pairwise_sq(points, points)
     np.fill_diagonal(d2, np.inf)
-    return np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+    return np.sqrt(np.maximum(np.partition(d2, k - 1, axis=1)[:, k - 1], 0.0))
 
 
 def _dense_precision_recall(g, r, k):
@@ -141,6 +141,18 @@ class TestBlockedKnn:
         if k == 1:  # each of the 450 copies has an exact twin
             assert np.count_nonzero(radius == 0.0) >= 450
         assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
+
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_exact_copies_of_real_points(self, dim):
+        # GEMM rounding can leave the zero distance between a point and its
+        # exact copy slightly negative; unclamped, its square root was NaN
+        # (796 of these 3000 radii at D = 64, 236 at D = 3), and a NaN ball
+        # held not even the twin (self precision 0.805 and 0.946)
+        x = rng_stream(7, dim).standard_normal((2000, dim))
+        p = np.concatenate([x, x[:1000]])
+        assert not np.isnan(gmet.kth_nn_radius(p, 1)).any()
+        precision, recall = gmet.knn_precision_recall(p, p, 1)
+        assert precision >= 0.99 and recall >= 0.99
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_generated_is_reference(self, k):
