@@ -1,8 +1,13 @@
 """Reverse ancestral sampling with pluggable guidance and a columnar record.
 
 Chains are embarrassingly parallel: each chain's noise comes from its own
-stream keyed by (seed, chain), and chains are processed in fixed-size blocks
-so results are byte-identical regardless of thread count or execution order.
+stream keyed by (seed, chain), and chains are processed in fixed blocks of
+``BLOCK`` = 256, so results are byte-identical regardless of thread count or
+execution order.  A block draws its streams in windows of a few steps (4 MiB
+across the block, ``_blas.rows_per_block``) rather than all at once; chunked
+draws continue a stream bit for bit, so the window size does not change any
+value.
+
 A run's record is one ``SampleBatch``: chain j is row j of every per-chain
 array, and each block writes its own rows in place.
 """
@@ -22,7 +27,7 @@ from .guidance import GuidanceRule, adjustment, guided_reverse_step
 from .models import mu_from_eps
 from .schedule import NoiseSchedule
 
-BLOCK = 64  # chains per vectorized block; fixed so threading cannot change shapes
+BLOCK = 256  # chains per vectorized block; fixed so threading cannot change shapes
 
 TRAJECTORY_CSV_HEADER = ["chain", "step", "t", "alpha_bar", "adjustment_norm",
                          "d_hat", "d_theory"]
@@ -121,19 +126,33 @@ def _run_block(denoiser, classifier, rule, schedule, batch, lo, hi, seed):
     norms = batch.adjustment_norms[lo:hi]
     stored_x = batch.stored_x[lo:hi]
     slot = {k: i for i, k in enumerate(batch.stored_steps.tolist())}
-    noise = np.empty((hi - lo, n_steps + 1, denoiser.dim))
-    for j, c in enumerate(range(lo, hi)):
-        noise[j] = rng_stream(seed, c).standard_normal((n_steps + 1, denoiser.dim))
-    x = noise[:, 0, :].copy()
+    # each chain's stream holds n_steps + 1 rows: x_T, then the noise of
+    # step k at row k + 1; a window holds the next `width` rows of every stream
+    streams = [rng_stream(seed, c) for c in range(lo, hi)]
+    n_rows = n_steps + 1
+    window = np.empty((hi - lo, min(_blas.rows_per_block((hi - lo) * denoiser.dim), n_rows),
+                       denoiser.dim))
+    width = window.shape[1]
+
+    def draw(first):
+        rows = min(width, n_rows - first)
+        for rng, out in zip(streams, window):
+            rng.standard_normal(out=out[:rows])
+
+    draw(0)
+    x = window[:, 0].copy()
 
     for k, pos in enumerate(range(n_steps, 0, -1)):
+        row = (k + 1) % width
+        if row == 0:
+            draw(k + 1)
         t_label = int(batch.ts[k])
         eps_hat = denoiser.predict_eps(x, t_label)
         mu = mu_from_eps(x, pos, eps_hat, schedule)
         a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
         norms[:, k] = rule.scale * np.linalg.norm(a_t, axis=-1)
         x = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t, rule.scale,
-                                is_final=(pos == 1), eps=noise[:, k + 1, :])
+                                is_final=(pos == 1), eps=window[:, row])
         if not np.all(np.isfinite(x)):
             bad = lo + int(np.argmax(~np.isfinite(x).all(axis=1)))
             raise NumericalError(f"non-finite state at step {k} (t={t_label}) in chain {bad}")

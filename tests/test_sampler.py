@@ -73,10 +73,11 @@ class TestSampleBasics:
 class TestDeterminism:
     def test_thread_count_invariant(self, bench):
         _, sch, den, clf = bench
-        ys = np.arange(130) % 8   # three partial blocks
-        a = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, ys, 130,
+        n = 2 * gsam.BLOCK + 2   # two full blocks and a partial third
+        ys = np.arange(n) % 8
+        a = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, ys, n,
                         seed=11, threads=1)
-        b = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, ys, 130,
+        b = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, ys, n,
                         seed=11, threads=8)
         np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.adjustment_norms, b.adjustment_norms)
@@ -87,6 +88,81 @@ class TestDeterminism:
         a = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 4, seed=1)
         b = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 4, seed=2)
         assert not np.array_equal(a.samples, b.samples)
+
+
+class _RecordingStream:
+    """A chain's generator that keeps a copy of every draw."""
+
+    def __init__(self, generator, draws):
+        self._generator = generator
+        self._draws = draws
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._generator.standard_normal(*args, **kwargs)
+        self._draws.append(out.copy())
+        return out
+
+
+class TestNoiseWindows:
+    def test_windows_replay_each_chain_stream(self, bench, monkeypatch):
+        _, sch, den, clf = bench
+        n, seed, S, D = 5, 13, sch.T, den.dim
+        records = []
+        # window widths of 1 step, 7 steps (S + 1 = 51 is not a multiple) and
+        # at least S + 1 steps (one window)
+        for width in (1, 7, S + 1):
+            monkeypatch.setattr(_blas, "BLOCK_ENTRIES", width * n * D)
+            draws = {}
+            monkeypatch.setattr(gsam, "rng_stream", lambda s, c: _RecordingStream(
+                rng_stream(s, c), draws.setdefault(c, [])))
+            records.append(gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), sch,
+                                       np.arange(n) % 8, n, seed=seed))
+            assert sorted(draws) == list(range(n))
+            for c, parts in draws.items():
+                assert len(parts) == -(-(S + 1) // width)
+                got = np.concatenate(parts)
+                assert got.size == (S + 1) * D
+                np.testing.assert_array_equal(
+                    got, rng_stream(seed, c).standard_normal((S + 1, D)))
+        for other in records[1:]:
+            for name in ("samples", "adjustment_norms", "stored_x"):
+                assert getattr(other, name).tobytes() == getattr(records[0], name).tobytes()
+
+    @pytest.mark.parametrize("n_chains", [64, 512])
+    def test_block_memory_bounded(self, linb_1000, n_chains):
+        # 1000 steps at D = 64: the parent's pre-drawn noise alone was 32 MiB
+        # per 64-chain block
+        desc = gd.eight_gaussians()
+        den = gm.AnalyticDenoiser(desc, linb_1000)
+        clf = gm.AnalyticClassifier(desc, linb_1000)
+        tracemalloc.start()
+        try:
+            batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), linb_1000,
+                                np.arange(n_chains) % 8, n_chains, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = sum(v.nbytes for v in vars(batch).values())
+        assert peak - record < 8 * 2**20
+
+    @pytest.mark.parametrize("steps", [50, 250, 1000])
+    def test_block_size_changes_only_rounding(self, linb_1000, monkeypatch, steps):
+        # the block size changes GEMM shapes, so values may differ in rounding
+        desc = gd.eight_gaussians()
+        sch = linb_1000 if steps == 1000 else gs.respace(linb_1000, steps)
+        den, clf = gm.AnalyticDenoiser(desc, sch), gm.AnalyticClassifier(desc, sch)
+        ys = np.arange(600) % 8
+
+        def run():
+            return gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), sch, ys, 600,
+                               seed=3)
+
+        a = run()
+        monkeypatch.setattr(gsam, "BLOCK", 64)
+        b = run()
+        for name in ("samples", "adjustment_norms", "stored_x"):
+            x, ref = getattr(a, name), getattr(b, name)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
 class TestTrajectoryLogs:
