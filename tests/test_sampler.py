@@ -130,8 +130,8 @@ class TestNoiseWindows:
 
     @pytest.mark.parametrize("n_chains", [64, 512])
     def test_block_memory_bounded(self, linb_1000, n_chains):
-        # 1000 steps at D = 64: the parent's pre-drawn noise alone was 32 MiB
-        # per 64-chain block
+        # 1000 steps at D = 64: pre-drawing a whole 64-chain block's noise
+        # would take 32 MiB
         desc = gd.eight_gaussians()
         den = gm.AnalyticDenoiser(desc, linb_1000)
         clf = gm.AnalyticClassifier(desc, linb_1000)
