@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import data as data_mod
 from . import metrics as metrics_mod
@@ -525,7 +524,7 @@ def preset_scale_sweep(cfg, out, threads):
     svals = [s for s, _ in geo]
     recall = [r.recall for _, r in geo]
     fidelity = [r.class_accuracy for _, r in geo]
-    rho = float(spearmanr(svals, recall).statistic)
+    rho = metrics_mod.spearman(svals, recall)
     ok = _check(summary, "recall decreases with scale", rho <= -0.8,
                 f"Spearman(recall, s) = {rho:.3f} (target <= -0.8)")
     plateau = next((i for i, f in enumerate(fidelity) if f >= 0.95 * max(fidelity)),

@@ -1,4 +1,5 @@
-"""Forward (noising) diffusion process and the exact Gaussian posterior.
+"""Forward (noising) diffusion process: keyed noise streams and the
+closed-form jump from x_0 to step t.
 
 All operations are pure functions of immutable inputs plus an explicitly
 passed RNG stream.  ``rng_stream`` builds named, reproducible streams from a
@@ -33,16 +34,6 @@ def _check_t(t: int, schedule: NoiseSchedule) -> int:
     return t - 1
 
 
-def q_step(x_prev: np.ndarray, t: int, schedule: NoiseSchedule,
-           rng: np.random.Generator, eps: np.ndarray = None) -> np.ndarray:
-    """One forward step: sqrt(1 - beta_t) x_{t-1} + sqrt(beta_t) eps."""
-    i = _check_t(t, schedule)
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    if eps is None:
-        eps = rng.standard_normal(x_prev.shape)
-    return np.sqrt(schedule.alphas[i]) * x_prev + np.sqrt(schedule.betas[i]) * eps
-
-
 def q_sample(x_0: np.ndarray, t, schedule: NoiseSchedule,
              rng: np.random.Generator, eps: np.ndarray = None) -> NoisedSample:
     """Closed-form jump to step t: sqrt(abar_t) x_0 + sqrt(1 - abar_t) eps.
@@ -69,20 +60,3 @@ def q_sample(x_0: np.ndarray, t, schedule: NoiseSchedule,
     if eps is None:
         eps = rng.standard_normal(x_0.shape)
     return NoisedSample(x_t=np.sqrt(ab) * x_0 + np.sqrt(1.0 - ab) * eps, t=t, eps=eps)
-
-
-def posterior_mean_var(x_t: np.ndarray, x_0: np.ndarray, t: int,
-                       schedule: NoiseSchedule):
-    """Exact posterior q(x_{t-1} | x_t, x_0): affine mean and beta_tilde_t.
-
-    mean = sqrt(abar_{t-1}) beta_t / (1 - abar_t) * x_0
-         + sqrt(alpha_t) (1 - abar_{t-1}) / (1 - abar_t) * x_t
-    """
-    i = _check_t(t, schedule)
-    ab = schedule.alpha_bars[i]
-    ab_prev = schedule.alpha_bar_prev(t)
-    beta = schedule.betas[i]
-    coef0 = np.sqrt(ab_prev) * beta / (1.0 - ab)
-    coeft = np.sqrt(schedule.alphas[i]) * (1.0 - ab_prev) / (1.0 - ab)
-    mean = coef0 * np.asarray(x_0, dtype=np.float64) + coeft * np.asarray(x_t, dtype=np.float64)
-    return mean, float(schedule.posterior_vars[i])

@@ -196,6 +196,37 @@ def distance_law_fit(ts, alpha_bars, d_hat, dim: int):
     return {"aggregate_median": aggregate, "per_t": table}
 
 
+def _average_ranks(v):
+    """1-based ranks of ``v``, ties sharing the mean of their positions."""
+    order = np.argsort(v)
+    s = v[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], len(s))
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def spearman(a, b) -> float:
+    """Spearman rank correlation of two equal-length vectors: the Pearson
+    correlation of their average ranks; nan when either is constant, holds a
+    nan or is shorter than 2.
+
+    The ranks go through ``corrcoef`` as the columns of one matrix and the
+    [1, 0] entry is taken (the matrix is not bit-symmetric), as in
+    ``scipy.stats.spearmanr``, so the two agree bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("spearman needs two vectors of one length")
+    if (len(a) < 2 or np.all(a == a[0]) or np.all(b == b[0])
+            or np.isnan(a).any() or np.isnan(b).any()):
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(a), _average_ranks(b)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 def write_metrics_csv(reports, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

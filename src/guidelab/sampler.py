@@ -12,11 +12,9 @@ A run's record is one ``SampleBatch``: chain j is row j of every per-chain
 array, and each block writes its own rows in place.
 """
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -247,22 +245,26 @@ def forward_manifold_traces(dataset, schedule: NoiseSchedule, n_draws: int, seed
 
 def export_trajectories_csv(batch: SampleBatch, path, dataset=None):
     """One row per (chain, step); d_hat/d_theory only at stored steps and
-    only when a dataset is supplied."""
+    only when a dataset is supplied.
+
+    The bytes are those of ``csv.writer``: each float is its repr and rows
+    end in ``\r\n``.  The per-step cells are formatted once for all chains.
+    """
     M, S = batch.adjustment_norms.shape
-    d_hat = np.full((M, S), "", dtype=object)
-    d_theory = np.full((M, S), "", dtype=object)
+    lead = [f"{k},{t},{ab!r}," for k, (t, ab)
+            in enumerate(zip(batch.ts.tolist(), batch.alpha_bars.tolist()))]
+    blank = [",,\r\n"] * S
+    tails = [blank] * M
     if dataset is not None:
+        D = dataset.points.shape[1]
+        d_theory = np.sqrt((1.0 - batch.stored_alpha_bars) * D).tolist()
         # one trace per chain, as the benchmark counts distance evaluations
         for j in range(M):
-            d_hat[j, batch.stored_steps] = trace_manifold_distance(batch.chain(j), dataset)[0]
-        D = dataset.points.shape[1]
-        d_theory[:, batch.stored_steps] = np.sqrt((1.0 - batch.stored_alpha_bars) * D)
+            d_hat = trace_manifold_distance(batch.chain(j), dataset)[0].tolist()
+            tails[j] = tail = blank.copy()
+            for k, d, theory in zip(batch.stored_steps.tolist(), d_hat, d_theory):
+                tail[k] = f",{d!r},{theory!r}\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_CSV_HEADER)
-        # csv writes a float as its repr, so every column holds Python floats
-        writer.writerows(zip(chain.from_iterable(repeat(j, S) for j in range(M)),
-                             cycle(range(S)), cycle(batch.ts.tolist()),
-                             cycle(batch.alpha_bars.tolist()),
-                             batch.adjustment_norms.ravel().tolist(),
-                             d_hat.ravel().tolist(), d_theory.ravel().tolist()))
+        fh.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
+        for j, (norms, tail) in enumerate(zip(batch.adjustment_norms.tolist(), tails)):
+            fh.write("".join([f"{j},{a}{n!r}{b}" for a, n, b in zip(lead, norms, tail)]))

@@ -49,12 +49,6 @@ class NoiseSchedule:
     def T(self) -> int:
         return len(self.betas)
 
-    def alpha_bar_prev(self, position: int) -> float:
-        """alpha_bar at the position before `position` (1-based); 1.0 at the start."""
-        if position < 1 or position > self.T:
-            raise ScheduleError(f"position {position} outside 1..{self.T}")
-        return 1.0 if position == 1 else float(self.alpha_bars[position - 2])
-
     def fingerprint(self) -> str:
         return _fingerprint(self.betas, self.gamma_mode, self.base_T)
 

@@ -1,11 +1,15 @@
-"""Metrics: Fréchet distance, k-NN precision/recall, fidelity, summaries."""
+"""Metrics: Fréchet distance, k-NN precision/recall, fidelity, summaries,
+rank correlation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import spearmanr
 
+from guidelab import cli
 from guidelab import data as gd
 from guidelab import metrics as gmet
 from guidelab import models as gm
@@ -254,6 +258,55 @@ class TestDistanceLawFit:
         _, _, d_hat = gsam.forward_manifold_traces(ds, lina_1000, n_draws=100, seed=4)
         ratios = d_hat[:, -1] / np.sqrt(64)
         assert np.median(ratios) == pytest.approx(1.0, abs=0.1)
+
+
+_TIED = st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0])
+_UNTIED = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _vector_pairs(draw):
+    n = draw(st.integers(2, 11))
+    values = draw(st.sampled_from([_TIED, _UNTIED]))
+    return (draw(st.lists(values, min_size=n, max_size=n)),
+            draw(st.lists(values, min_size=n, max_size=n)))
+
+
+class TestSpearman:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_vector_pairs())
+    def test_equals_scipy(self, pair):
+        a, b = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on a constant input
+            ref = spearmanr(a, b).statistic
+        rho = gmet.spearman(a, b)
+        if np.isnan(ref):
+            assert np.isnan(rho)
+        else:
+            assert rho == ref
+
+    def test_constant_input_is_nan(self):
+        assert np.isnan(gmet.spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        assert np.isnan(gmet.spearman([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]))
+
+    def test_length_one_is_nan(self):
+        assert np.isnan(gmet.spearman([1.0], [2.0]))
+
+    def test_reversed_sweep_grid(self):
+        assert gmet.spearman(cli.SWEEP_GRID, cli.SWEEP_GRID[::-1]) == -1.0
+
+    def test_threshold_case_matches_scipy(self):
+        # sum d^2 = 216 on 9 points: rho is -0.8 in exact arithmetic, and the
+        # scale_sweep check `rho <= -0.8` sees scipy's rounding of it
+        ranks = [5, 8, 9, 6, 7, 4, 3, 2, 1]
+        rho = gmet.spearman(range(1, 10), ranks)
+        assert rho == spearmanr(range(1, 10), ranks).statistic
+        assert rho == -0.7999999999999999
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            gmet.spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestReportSerialization:

@@ -115,7 +115,8 @@ class TestMuFromEps:
 
     def test_recovers_posterior_mean(self, linb_50):
         # exact eps: mu_from_eps equals the posterior mean mu_tilde(x_t, x_0)
-        from guidelab.forward import posterior_mean_var, q_sample
+        from guidelab.forward import q_sample
+        from oracles import posterior_mean_var
         x0 = rng_stream(3, 1).standard_normal(8)
         for t in (2, 10, 40):
             ns = q_sample(x0, t, linb_50, rng_stream(3, t))

