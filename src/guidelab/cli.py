@@ -276,7 +276,8 @@ class RunEnv(NamedTuple):
     ys: np.ndarray
 
     def sample(self, rule, threads, sch=None, **kwargs):
-        """``sampler.sample`` of this run under ``rule``, on ``sch`` if given."""
+        """``sampler.sample`` of this run under ``rule`` (one rule or a tuple),
+        on ``sch`` if given."""
         return sampler_mod.sample(self.den, self.clf, rule, self.sch if sch is None else sch,
                                   self.ys, self.n, seed=self.seed, threads=threads, **kwargs)
 
@@ -341,7 +342,7 @@ def cmd_sample(args):
     env = _run_env(cfg)
     rule = cfg.rule()
     batch = env.sample(rule, args.threads,
-                       store_full=bool(cfg.get_int("sampling.store_full")))
+                       store="full" if cfg.get_int("sampling.store_full") else "thinned")
     samples_path = out / "samples.glab"
     data_mod.save(data_mod.LabeledDataset(points=batch.samples, labels=batch.targets,
                                           descriptor=env.ds.descriptor, seed=env.seed),
@@ -420,8 +421,10 @@ def preset_norm_curves(cfg, out, threads):
     plot = LinePlot(title="guidance adjustment norm per reverse step",
                     xlabel="reverse step", ylabel="mean ||s A_t||")
     results = {}
-    for kind, s in (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO)):
-        batch = env.sample(GuidanceRule(kind, s), threads)
+    arms = (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO))
+    batches = env.sample(tuple(GuidanceRule(kind, s) for kind, s in arms), threads,
+                         store="none")
+    for (kind, s), batch in zip(arms, batches):
         curve = metrics_mod.norm_curve_summary(batch.adjustment_norms)
         results[kind] = (batch, curve)
         _write_table(out / f"norms_{kind}.csv", ["step", "mean_norm"],
@@ -470,12 +473,14 @@ def preset_cutoff(cfg, out, threads):
     env = _run_env(cfg)
     rows = []
     fid = {}
-    for kind, s in (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO)):
-        for cut in (1.0, 0.3):
-            batch = env.sample(GuidanceRule(kind, s, cutoff_fraction=cut), threads)
-            f = metrics_mod.class_fidelity(batch.samples, batch.targets, env.clf)
-            fid[(kind, cut)] = f
-            rows.append((kind, s, cut, f))
+    arms = [(kind, s, cut) for kind, s in (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO))
+            for cut in (1.0, 0.3)]
+    batches = env.sample(tuple(GuidanceRule(kind, s, cutoff_fraction=cut)
+                               for kind, s, cut in arms), threads, store="none")
+    for (kind, s, cut), batch in zip(arms, batches):
+        f = metrics_mod.class_fidelity(batch.samples, batch.targets, env.clf)
+        fid[(kind, cut)] = f
+        rows.append((kind, s, cut, f))
     _write_table(out / "cutoff.csv", ["rule", "s", "cutoff_fraction", "class_fidelity"],
                  rows)
     plot = LinePlot(title="class fidelity: full guidance vs 30% cut-off",
@@ -499,11 +504,11 @@ def preset_scale_sweep(cfg, out, threads):
     files = []
     arms = {}
     for kind in ("adm_g", "geoguide", "geoguide_scaled"):
-        rows = []
-        for s in SWEEP_GRID:
-            batch = env.sample(GuidanceRule(kind, s), threads)
-            rows.append((s, _evaluate(batch.samples, batch.targets, env.ds.points, oracle,
-                                      k, config=f"{kind} s={s}", reference_radius=radius)))
+        batches = env.sample(tuple(GuidanceRule(kind, s) for s in SWEEP_GRID), threads,
+                             store="none")
+        rows = [(s, _evaluate(batch.samples, batch.targets, env.ds.points, oracle, k,
+                              config=f"{kind} s={s}", reference_radius=radius))
+                for s, batch in zip(SWEEP_GRID, batches)]
         arms[kind] = rows
         _write_table(out / f"sweep_{kind}.csv", ["s", *metrics_mod.METRICS_CSV_HEADER],
                      ((s, *rep.csv_row()) for s, rep in rows))
@@ -556,19 +561,22 @@ def preset_respace_study(cfg, out, threads):
     s = cfg.get_float("guidance.s") or RESPACE_SCALE
     k = cfg.get_int("eval.k")
     radius = metrics_mod.kth_nn_radius(env.ds.points, k)
-    rows = []
-    for kind in ("geoguide", "geoguide_scaled"):
-        for steps in RESPACE_STEPS:
-            batch = env.sample(GuidanceRule(kind, s), threads,
-                               sch=schedule_mod.respace(env.base, steps))
-            rep = _evaluate(batch.samples, batch.targets, env.ds.points, oracle, k,
-                            config=f"{kind} steps={steps}", reference_radius=radius)
-            rows.append((kind, steps, rep))
+    kinds = ("geoguide", "geoguide_scaled")
+    reports = {}
+    for steps in RESPACE_STEPS:
+        batches = env.sample(tuple(GuidanceRule(kind, s) for kind in kinds), threads,
+                             sch=schedule_mod.respace(env.base, steps), store="none")
+        for kind, batch in zip(kinds, batches):
+            reports[(kind, steps)] = _evaluate(
+                batch.samples, batch.targets, env.ds.points, oracle, k,
+                config=f"{kind} steps={steps}", reference_radius=radius)
+    rows = [(kind, steps, reports[(kind, steps)]) for kind in kinds
+            for steps in RESPACE_STEPS]
     _write_table(out / "respace.csv", ["rule", "steps", *metrics_mod.METRICS_CSV_HEADER],
                  ((kind, steps, *rep.csv_row()) for kind, steps, rep in rows))
     plot = LinePlot(title="sample quality vs sampling steps",
                     xlabel="sampling steps", ylabel="frechet")
-    for kind in ("geoguide", "geoguide_scaled"):
+    for kind in kinds:
         pts = [(steps, rep.frechet) for k2, steps, rep in rows if k2 == kind]
         plot.add([p[0] for p in pts], [p[1] for p in pts], label=kind)
     plot.write(out / "respace.svg")

@@ -6,9 +6,10 @@ stream keyed by (seed, chain), and chains are processed in fixed blocks of
 execution order.  A block draws its streams in windows of a few steps (4 MiB
 across the block, ``_blas.rows_per_block``) rather than all at once; chunked
 draws continue a stream bit for bit, so the window size does not change any
-value.
+value.  Several guidance rules may share one run: a block then steps one
+state per rule over each window, so every noise value is drawn once.
 
-A run's record is one ``SampleBatch``: chain j is row j of every per-chain
+A rule's record is one ``SampleBatch``: chain j is row j of every per-chain
 array, and each block writes its own rows in place.
 """
 
@@ -37,9 +38,9 @@ class SamplerError(RuntimeError):
 
 @dataclass
 class SampleBatch:
-    """The record of one run.  Chain j is row j of every per-chain array;
+    """The record of one rule's run.  Chain j is row j of every per-chain array;
     the per-step arrays are shared by every chain.  x_t is kept at the K
-    ``stored_steps`` only (every step with ``store_full``)."""
+    ``stored_steps`` only: thinned, every step, or none (see ``STORE``)."""
     samples: np.ndarray            # (M, D) final states
     targets: np.ndarray            # (M,) class labels
     ts: np.ndarray                 # (S,) timestep labels, descending
@@ -65,48 +66,69 @@ class SampleBatch:
         return [self.chain(j) for j in range(len(self.samples))]
 
 
-def sample(denoiser, classifier, rule: GuidanceRule, schedule: NoiseSchedule,
-           y, n_chains: int, seed: int, threads: int = 1,
-           store_full: bool = False) -> SampleBatch:
+STORE = ("none", "thinned", "full")
+
+
+def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int,
+           seed: int, threads: int = 1, store: str = "thinned"):
     """Run n_chains guided reverse diffusions targeting class y.
+
+    ``rule`` is one ``GuidanceRule``, which returns one ``SampleBatch``, or a
+    tuple of rules, which returns a tuple of batches in the same order.  The
+    rules of one call run in lockstep on the same chains: chain j starts at
+    the same x_T and draws the same noise under every rule, each value drawn
+    once, so each batch equals that of a one-rule call.
 
     y may be a single label or one label per chain.  Each chain starts at
     x_T ~ N(0, I) and iterates mu_from_eps + guided_reverse_step over the
-    (possibly respaced) schedule, noise-free at the final step.  x_t is
-    stored every ceil(S / 50) steps and at the last one, or at every step
-    with ``store_full``.
+    (possibly respaced) schedule, noise-free at the final step.  ``store``
+    keeps x_t every ceil(S / 50) steps and at the last one ("thinned"), at
+    every step ("full") or at none ("none").
     """
+    rules = rule if isinstance(rule, tuple) else (rule,)
+    if not rules:
+        raise ValueError(f"rule: expected a GuidanceRule or a non-empty tuple of "
+                         f"them, got {rule!r}")
+    for r in rules:
+        if not isinstance(r, GuidanceRule):
+            raise ValueError(f"rule: expected a GuidanceRule, got {r!r}")
+    if store not in STORE:
+        raise ValueError(f"store must be one of {STORE}, got {store!r}")
     if n_chains < 1:
         raise ValueError("n_chains must be at least 1")
     if denoiser.base_fingerprint != schedule.base_fingerprint:
         raise SamplerError("denoiser does not match the schedule fingerprint")
-    if rule.kind != "none":
+    guided = [r.kind for r in rules if r.kind != "none"]
+    if guided:
         if classifier is None:
-            raise SamplerError(f"rule {rule.kind} requires a classifier")
+            raise SamplerError(f"rule {guided[0]} requires a classifier")
         if classifier.base_fingerprint != schedule.base_fingerprint:
             raise SamplerError("classifier does not match the schedule fingerprint")
     n_steps = schedule.T
-    store_every = 1 if store_full else math.ceil(n_steps / 50)
-    stored = np.unique(np.append(np.arange(0, n_steps, store_every), n_steps - 1))
+    if store == "none":
+        stored = np.arange(0)
+    else:
+        store_every = 1 if store == "full" else math.ceil(n_steps / 50)
+        stored = np.unique(np.append(np.arange(0, n_steps, store_every), n_steps - 1))
     # step k runs at position n_steps - k; its post-step state sits at the
     # noise level of the next step, or at t = 0 after the last one
     ts = schedule.timesteps[::-1].copy()
     alpha_bars = schedule.alpha_bars[::-1].copy()
-    batch = SampleBatch(
-        samples=np.empty((n_chains, denoiser.dim)),
-        targets=np.broadcast_to(np.asarray(y, dtype=np.int64), (n_chains,)).copy(),
+    targets = np.broadcast_to(np.asarray(y, dtype=np.int64), (n_chains,)).copy()
+    batches = tuple(SampleBatch(
+        samples=np.empty((n_chains, denoiser.dim)), targets=targets,
         ts=ts, alpha_bars=alpha_bars,
-        guidance_active=rule.active(np.arange(n_steps), n_steps),
+        guidance_active=r.active(np.arange(n_steps), n_steps),
         adjustment_norms=np.empty((n_chains, n_steps)),
         stored_steps=stored,
         stored_ts=np.append(ts[1:], 0)[stored],
         stored_alpha_bars=np.append(alpha_bars[1:], 1.0)[stored],
-        stored_x=np.empty((n_chains, len(stored), denoiser.dim)))
+        stored_x=np.empty((n_chains, len(stored), denoiser.dim))) for r in rules)
 
     blocks = [(lo, min(lo + BLOCK, n_chains)) for lo in range(0, n_chains, BLOCK)]
 
     def run_block(bounds):
-        _run_block(denoiser, classifier, rule, schedule, batch, *bounds, seed)
+        _run_block(denoiser, classifier, rules, schedule, batches, *bounds, seed)
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -114,16 +136,15 @@ def sample(denoiser, classifier, rule: GuidanceRule, schedule: NoiseSchedule,
     else:
         for bounds in blocks:
             run_block(bounds)
-    return batch
+    return batches if isinstance(rule, tuple) else batches[0]
 
 
-def _run_block(denoiser, classifier, rule, schedule, batch, lo, hi, seed):
-    """Run chains lo..hi-1 and write their rows of ``batch`` in place."""
+def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
+    """Run chains lo..hi-1 under every rule, each rule's state over the same
+    noise, and write their rows of ``batches`` in place."""
     n_steps = schedule.T
-    ys = batch.targets[lo:hi]
-    norms = batch.adjustment_norms[lo:hi]
-    stored_x = batch.stored_x[lo:hi]
-    slot = {k: i for i, k in enumerate(batch.stored_steps.tolist())}
+    ys = batches[0].targets[lo:hi]
+    slot = {k: i for i, k in enumerate(batches[0].stored_steps.tolist())}
     # each chain's stream holds n_steps + 1 rows: x_T, then the noise of
     # step k at row k + 1; a window holds the next `width` rows of every stream
     streams = [rng_stream(seed, c) for c in range(lo, hi)]
@@ -138,25 +159,32 @@ def _run_block(denoiser, classifier, rule, schedule, batch, lo, hi, seed):
             rng.standard_normal(out=out[:rows])
 
     draw(0)
-    x = window[:, 0].copy()
+    # every update makes a new array, so the rules may share x_T
+    xs = [window[:, 0].copy()] * len(rules)
 
     for k, pos in enumerate(range(n_steps, 0, -1)):
         row = (k + 1) % width
         if row == 0:
             draw(k + 1)
-        t_label = int(batch.ts[k])
-        eps_hat = denoiser.predict_eps(x, t_label)
-        mu = mu_from_eps(x, pos, eps_hat, schedule)
-        a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
-        norms[:, k] = rule.scale * np.linalg.norm(a_t, axis=-1)
-        x = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t, rule.scale,
-                                is_final=(pos == 1), eps=window[:, row])
-        if not np.all(np.isfinite(x)):
-            bad = lo + int(np.argmax(~np.isfinite(x).all(axis=1)))
-            raise NumericalError(f"non-finite state at step {k} (t={t_label}) in chain {bad}")
-        if k in slot:
-            stored_x[:, slot[k]] = x
-    batch.samples[lo:hi] = x
+        t_label = int(batches[0].ts[k])
+        for i, (rule, batch) in enumerate(zip(rules, batches)):
+            x = xs[i]
+            eps_hat = denoiser.predict_eps(x, t_label)
+            mu = mu_from_eps(x, pos, eps_hat, schedule)
+            a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
+            batch.adjustment_norms[lo:hi, k] = rule.scale * np.linalg.norm(a_t, axis=-1)
+            x = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t, rule.scale,
+                                    is_final=(pos == 1), eps=window[:, row])
+            if not np.all(np.isfinite(x)):
+                bad = lo + int(np.argmax(~np.isfinite(x).all(axis=1)))
+                raise NumericalError(
+                    f"non-finite state at step {k} (t={t_label}) in chain {bad} under "
+                    f"rule {rule.kind} (s={rule.scale}, cutoff={rule.cutoff_fraction})")
+            if k in slot:
+                batch.stored_x[lo:hi, slot[k]] = x
+            xs[i] = x
+    for batch, x in zip(batches, xs):
+        batch.samples[lo:hi] = x
 
 
 _EPS = np.finfo(np.float64).eps

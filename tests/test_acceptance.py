@@ -122,12 +122,14 @@ def test_criterion_6_cutoff_direction(desc, lina_250, lina_models, report):
     den, clf = lina_models
     n = 512
     ys = np.arange(n) % 8
-    fid = {}
-    for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO)):
-        for cut in (1.0, 0.3):
-            batch = gsam.sample(den, clf, GuidanceRule(kind, s, cutoff_fraction=cut),
-                                lina_250, ys, n, seed=0, threads=THREADS)
-            fid[(kind, cut)] = gmet.class_fidelity(batch.samples, batch.targets, clf)
+    rules = tuple(GuidanceRule(kind, s, cutoff_fraction=cut)
+                  for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO))
+                  for cut in (1.0, 0.3))
+    batches = gsam.sample(den, clf, rules, lina_250, ys, n, seed=0, threads=THREADS,
+                          store="none")
+    fid = {(rule.kind, rule.cutoff_fraction):
+           gmet.class_fidelity(batch.samples, batch.targets, clf)
+           for rule, batch in zip(rules, batches)}
     drop_geo = fid[("geoguide", 1.0)] - fid[("geoguide", 0.3)]
     drop_adm = fid[("adm_g", 1.0)] - fid[("adm_g", 0.3)]
     report(6, "cut-off direction", drop_geo > drop_adm,
@@ -141,9 +143,10 @@ def test_criterion_7_tradeoff_monotonicity(desc, linb_250, linb_models, referenc
     ys = np.arange(n) % 8
     radius = gmet.kth_nn_radius(reference, 3)
     recall, fidelity = [], []
-    for s in cli.SWEEP_GRID:
-        batch = gsam.sample(den, clf, GuidanceRule("geoguide", s), linb_250,
-                            ys, n, seed=0, threads=THREADS)
+    rules = tuple(GuidanceRule("geoguide", s) for s in cli.SWEEP_GRID)
+    batches = gsam.sample(den, clf, rules, linb_250, ys, n, seed=0, threads=THREADS,
+                          store="none")
+    for batch in batches:
         _, r = gmet.knn_precision_recall(batch.samples, reference, k=3,
                                          reference_radius=radius)
         recall.append(r)

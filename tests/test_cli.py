@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 from guidelab import cli
 from guidelab import data as gd
+from guidelab import metrics as gmet
 from guidelab import models as gm
+from guidelab import sampler as gsam
+from guidelab.guidance import GuidanceRule
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -482,6 +485,26 @@ class TestNumericalErrors:
         assert run(["--config", small_cfg, "--out", tmp_path, "sample"]) == cli.EXIT_NUMERICAL
         assert "non-finite state" in capsys.readouterr().err
 
+    def test_non_finite_state_names_the_rule(self, tmp_path, monkeypatch, capsys):
+        # the cutoff preset runs its four rules in one call; chain 3 turns
+        # non-finite under the geoguide rules only
+        step = gsam.guided_reverse_step
+
+        def nan_under_geoguide(mu, gamma_t, a_t, s, **kwargs):
+            x = step(mu, gamma_t, a_t, s, **kwargs)
+            if s == cli.TUNED_GEO:
+                x[3] = np.nan
+            return x
+
+        monkeypatch.setattr(gsam, "guided_reverse_step", nan_under_geoguide)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 400\nschedule.respace = 10\nsampling.n_chains = 8\n")
+        assert run(["--config", cfg, "--out", tmp_path, "experiment",
+                    "cutoff"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert ("non-finite state at step 0 (t=1000) in chain 3 under rule geoguide "
+                "(s=2.5, cutoff=1.0)") in err
+
     def test_non_finite_guidance_gradient(self, tmp_path, small_cfg, monkeypatch, capsys):
         monkeypatch.setattr(gm.AnalyticClassifier, "class_grad_direction", nan_like)
         assert run(["--config", small_cfg, "--out", tmp_path, "sample"]) == cli.EXIT_NUMERICAL
@@ -502,6 +525,28 @@ class TestNumericalErrors:
 
 
 class TestExperimentPresets:
+    def test_cutoff_preset_equals_single_rule_runs(self, tmp_path):
+        # 300 chains cross a block boundary; the preset's one four-rule call
+        # gives the table of four one-rule calls, at any thread count
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("sampling.n_chains = 300\n")
+        manifests = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert run(["--config", cfg, "--out", out, "--threads", threads,
+                        "experiment", "cutoff"]) == 0
+            manifests.append((out / "manifest.txt").read_bytes())
+        assert manifests[0] == manifests[1]
+        _, defaults = cli.PRESET_RUNNERS["cutoff"]
+        env = cli._run_env(cli.RunConfig(dict(defaults, **{"sampling.n_chains": "300"})))
+        lines = ["rule,s,cutoff_fraction,class_fidelity"]
+        for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO)):
+            for cut in (1.0, 0.3):
+                batch = env.sample(GuidanceRule(kind, s, cutoff_fraction=cut), 1)
+                f = gmet.class_fidelity(batch.samples, batch.targets, env.clf)
+                lines.append(f"{kind},{s!r},{cut!r},{float(f)!r}")
+        assert (tmp_path / "t1" / "cutoff.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_distance_law_preset(self, tmp_path):
         out = tmp_path / "dl"
         assert run(["--out", out, "experiment", "distance_law"]) == 0

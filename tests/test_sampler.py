@@ -167,6 +167,80 @@ class TestNoiseWindows:
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
+CUTOFF_RULES = tuple(GuidanceRule(kind, s, cutoff_fraction=cut)
+                     for kind, s in (("adm_g", 1.0), ("geoguide", 2.5)) for cut in (1.0, 0.3))
+
+
+class TestArms:
+    """Several rules in one call step in lockstep over one draw of the noise."""
+    RULES = CUTOFF_RULES + (GuidanceRule("none"),)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equal_to_single_rule_calls(self, bench, monkeypatch, threads):
+        _, sch, den, clf = bench
+        n, seed, S, D = 2 * gsam.BLOCK + 2, 11, sch.T, den.dim
+        ys = np.arange(n) % 8
+        draws = {}
+        monkeypatch.setattr(gsam, "rng_stream", lambda s, c: _RecordingStream(
+            rng_stream(s, c), draws.setdefault(c, [])))
+
+        def run(rule):
+            draws.clear()
+            out = gsam.sample(den, clf, rule, sch, ys, n, seed=seed, threads=threads)
+            # each chain's stream yields its S + 1 rows once, however many rules
+            assert sorted(draws) == list(range(n))
+            assert all(sum(part.size for part in parts) == (S + 1) * D
+                       for parts in draws.values())
+            return out
+
+        arms = run(self.RULES)
+        assert isinstance(arms, tuple) and len(arms) == len(self.RULES)
+        for rule, arm in zip(self.RULES, arms):
+            one = run(rule)
+            for name in ("samples", "adjustment_norms", "stored_x", "guidance_active"):
+                np.testing.assert_array_equal(getattr(arm, name), getattr(one, name))
+
+    def test_store_none(self, bench):
+        _, sch, den, clf = bench
+        n, ys = 6, np.arange(6) % 8
+        thinned = gsam.sample(den, clf, self.RULES, sch, ys, n, seed=2)
+        bare = gsam.sample(den, clf, self.RULES, sch, ys, n, seed=2, store="none")
+        for a, b in zip(thinned, bare):
+            assert b.stored_x.shape == (n, 0, den.dim)
+            assert b.stored_steps.shape == b.stored_ts.shape == (0,)
+            np.testing.assert_array_equal(b.samples, a.samples)
+            np.testing.assert_array_equal(b.adjustment_norms, a.adjustment_norms)
+
+    def test_arms_without_states_need_less_memory(self, lina_1000):
+        # four 512-chain x 250-step records without states peak below one
+        # record that keeps its thinned states (13.4 MB)
+        desc = gd.eight_gaussians()
+        sch = gs.respace(lina_1000, 250)
+        den, clf = gm.AnalyticDenoiser(desc, sch), gm.AnalyticClassifier(desc, sch)
+        ys = np.arange(512) % 8
+
+        def peak(rule, store):
+            tracemalloc.start()
+            try:
+                gsam.sample(den, clf, rule, sch, ys, 512, seed=0, store=store)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(CUTOFF_RULES, "none") < peak(CUTOFF_RULES[2], "thinned")
+
+    @pytest.mark.parametrize("rule, store, offending", [
+        ((), "thinned", "()"),
+        ((GuidanceRule("none"), "geoguide"), "thinned", "'geoguide'"),
+        (GuidanceRule("none"), "thin", "'thin'"),
+    ])
+    def test_bad_arguments_named(self, bench, rule, store, offending):
+        _, sch, den, clf = bench
+        with pytest.raises(ValueError) as err:
+            gsam.sample(den, clf, rule, sch, 0, 2, seed=0, store=store)
+        assert offending in str(err.value)
+
+
 class TestTrajectoryLogs:
     def test_log_shape_and_norms(self, bench):
         _, sch, den, clf = bench
@@ -199,7 +273,7 @@ class TestTrajectoryLogs:
                                       np.append(np.arange(0, 250, 5), 249))
         assert thinned.stored_x.shape == (2, 51, 64)
         full = gsam.sample(den250, None, GuidanceRule("none"), sch250, 0, 2, seed=0,
-                           store_full=True)
+                           store="full")
         np.testing.assert_array_equal(full.stored_x[:, thinned.stored_steps],
                                       thinned.stored_x)
 
@@ -380,7 +454,7 @@ class TestNearestDistanceKernel:
         sch = gs.respace(linb_1000, 51)
         den = gm.AnalyticDenoiser(desc, sch)
         batch = gsam.sample(den, None, GuidanceRule("none"), sch, 0, 1, seed=0,
-                            store_full=True)
+                            store="full")
         assert batch.stored_x.shape == (1, 51, 64)
         tracemalloc.start()
         try:
@@ -433,9 +507,9 @@ class TestCsvExport:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bytes_equal_csv_writer(self, bench, bench_dataset, tmp_path, seed):
         _, sch, den, clf = bench
-        for store_full in (False, True):
+        for store in gsam.STORE:
             batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), sch,
-                                [0, 3, 5], 3, seed=seed, store_full=store_full)
+                                [0, 3, 5], 3, seed=seed, store=store)
             for dataset in (None, bench_dataset):
                 path, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
                 gsam.export_trajectories_csv(batch, path, dataset=dataset)
