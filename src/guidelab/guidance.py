@@ -40,11 +40,18 @@ class GuidanceRule:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"guidance kind must be one of {KINDS}")
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
+            raise ValueError(f"guidance kind must be one of {KINDS}, got {self.kind!r}")
+        # s = inf would turn an inactive step's s * 0 into NaN
+        if not (np.isfinite(self.scale) and self.scale >= 0):
+            raise ValueError(f"scale must be finite and nonnegative, got {self.scale!r}")
         if not 0.0 <= self.cutoff_fraction <= 1.0:
-            raise ValueError("cutoff_fraction must lie in [0, 1]")
+            raise ValueError(f"cutoff_fraction must lie in [0, 1], got "
+                             f"{self.cutoff_fraction!r}")
+        # None means the executed step count; 0 is not a silent alias for it
+        t = self.t_override
+        if t is not None and not (isinstance(t, (int, np.integer))
+                                  and not isinstance(t, bool) and t >= 1):
+            raise ValueError(f"t_override must be None or a positive integer, got {t!r}")
 
     def active(self, step_index, total_steps: int):
         """Whether guidance acts at reverse step(s) ``step_index`` (0 at t = T)

@@ -150,6 +150,7 @@ class _AnalyticBase:
         self._abar = {int(lbl): float(ab)
                       for lbl, ab in zip(schedule.timesteps, schedule.alpha_bars)}
         self._log_w = np.log(descriptor.weights)
+        self._memo = None  # (t, table) of the last step; swapped whole, so thread-safe
 
     def _alpha_bar(self, t: int) -> float:
         if t == 0:
@@ -162,7 +163,13 @@ class _AnalyticBase:
     def _table(self, t: int):
         """(1/v, m/v, const) of the components noised to step t, with
         m = sqrt(abar) mu, v = abar V + (1 - abar) and
-        const = log w - 1/2 sum_d (m^2/v + log v + log 2 pi)."""
+        const = log w - 1/2 sum_d (m^2/v + log v + log 2 pi).
+
+        The last step's table is kept: the sampler asks for one step's table
+        several times in a row, once per model call of that step."""
+        memo = self._memo
+        if memo is not None and memo[0] == t:
+            return memo[1]
         ab = self._alpha_bar(t)
         m = np.sqrt(ab) * self.descriptor.means           # (C, D)
         var = self.descriptor.variances
@@ -170,7 +177,9 @@ class _AnalyticBase:
         inv_v = 1.0 / v
         m_v = m * inv_v
         const = self._log_w - 0.5 * np.sum(m * m_v + np.log(v) + LOG_2PI, axis=1)
-        return inv_v, m_v, const
+        table = inv_v, m_v, const
+        self._memo = (t, table)
+        return table
 
 
 class AnalyticDenoiser(_AnalyticBase):

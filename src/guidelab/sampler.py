@@ -7,7 +7,8 @@ execution order.  A block draws its streams in windows of a few steps (4 MiB
 across the block, ``_blas.rows_per_block``) rather than all at once; chunked
 draws continue a stream bit for bit, so the window size does not change any
 value.  Several guidance rules may share one run: a block then steps one
-state per rule over each window, so every noise value is drawn once.
+state per rule over each window, so every noise value is drawn once, and
+rules share every step until their guidance differs.
 
 A rule's record is one ``SampleBatch``: chain j is row j of every per-chain
 array, and each block writes its own rows in place.
@@ -77,7 +78,9 @@ def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int
     tuple of rules, which returns a tuple of batches in the same order.  The
     rules of one call run in lockstep on the same chains: chain j starts at
     the same x_T and draws the same noise under every rule, each value drawn
-    once, so each batch equals that of a one-rule call.
+    once, so each batch equals that of a one-rule call.  They share every
+    step until their guidance differs, so work common to several rules (the
+    prefix before a cut-off, a duplicate rule) is done once.
 
     y may be a single label or one label per chain.  Each chain starts at
     x_T ~ N(0, I) and iterates mu_from_eps + guided_reverse_step over the
@@ -141,7 +144,14 @@ def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int
 
 def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
     """Run chains lo..hi-1 under every rule, each rule's state over the same
-    noise, and write their rows of ``batches`` in place."""
+    noise, and write their rows of ``batches`` in place.
+
+    Each step is computed once per distinct piece of work.  Rules whose
+    states are one object share ``predict_eps`` and ``mu_from_eps``; those
+    that also take the same step (active with equal kind, scale and
+    ``t_override``, or all inactive) share its adjustment, reverse update and
+    resulting state.  A shared step that turns non-finite names the first
+    rule in tuple order that takes it."""
     n_steps = schedule.T
     ys = batches[0].targets[lo:hi]
     slot = {k: i for i, k in enumerate(batches[0].stored_steps.tolist())}
@@ -167,22 +177,42 @@ def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
         if row == 0:
             draw(k + 1)
         t_label = int(batches[0].ts[k])
-        for i, (rule, batch) in enumerate(zip(rules, batches)):
-            x = xs[i]
+        # the rules at each distinct state, in the order of their first rule;
+        # only xs holds the states, so each is freed once its rules have stepped
+        groups = []
+        for i, x in enumerate(xs):
+            same = next((g for g in groups if xs[g[0]] is x), None)
+            if same is None:
+                groups.append([i])
+            else:
+                same.append(i)
+        for members in groups:
+            x = xs[members[0]]
             eps_hat = denoiser.predict_eps(x, t_label)
             mu = mu_from_eps(x, pos, eps_hat, schedule)
-            a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
-            batch.adjustment_norms[lo:hi, k] = rule.scale * np.linalg.norm(a_t, axis=-1)
-            x = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t, rule.scale,
-                                    is_final=(pos == 1), eps=window[:, row])
-            if not np.all(np.isfinite(x)):
-                bad = lo + int(np.argmax(~np.isfinite(x).all(axis=1)))
-                raise NumericalError(
-                    f"non-finite state at step {k} (t={t_label}) in chain {bad} under "
-                    f"rule {rule.kind} (s={rule.scale}, cutoff={rule.cutoff_fraction})")
-            if k in slot:
-                batch.stored_x[lo:hi, slot[k]] = x
-            xs[i] = x
+            taken = {}  # step -> (next state, norms)
+            for i in members:
+                rule, batch = rules[i], batches[i]
+                # an inactive step adds s * 0 = 0 for any finite s, so all
+                # inactive rules take the same step
+                step = ((rule.kind, rule.scale, rule.t_override)
+                        if rule.active(k, n_steps) else None)
+                if step not in taken:
+                    a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
+                    x_next = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t,
+                                                 rule.scale, is_final=(pos == 1),
+                                                 eps=window[:, row])
+                    if not np.all(np.isfinite(x_next)):
+                        bad = lo + int(np.argmax(~np.isfinite(x_next).all(axis=1)))
+                        raise NumericalError(
+                            f"non-finite state at step {k} (t={t_label}) in chain {bad} "
+                            f"under rule {rule.kind} (s={rule.scale}, "
+                            f"cutoff={rule.cutoff_fraction})")
+                    taken[step] = (x_next, rule.scale * np.linalg.norm(a_t, axis=-1))
+                xs[i], norms = taken[step]
+                batch.adjustment_norms[lo:hi, k] = norms
+                if k in slot:
+                    batch.stored_x[lo:hi, slot[k]] = xs[i]
     for batch, x in zip(batches, xs):
         batch.samples[lo:hi] = x
 

@@ -1,8 +1,9 @@
-"""Reference formulas of the forward process that no command uses.
+"""Reference formulas that no command uses.
 
 The single forward step and the exact posterior q(x_{t-1} | x_t, x_0) check
 the closed-form jump (``forward.q_sample``) and the reverse mean
-(``models.mu_from_eps``) from first principles.
+(``models.mu_from_eps``) from first principles.  ``lockstep_counts`` gives
+the work of a lockstep sampler call from the rules' active masks alone.
 """
 
 import numpy as np
@@ -41,3 +42,31 @@ def posterior_mean_var(x_t, x_0, t: int, schedule: NoiseSchedule):
     coeft = np.sqrt(schedule.alphas[i]) * (1.0 - ab_prev) / (1.0 - ab)
     mean = coef0 * np.asarray(x_0, dtype=np.float64) + coeft * np.asarray(x_t, dtype=np.float64)
     return mean, float(schedule.posterior_vars[i])
+
+
+def lockstep_counts(rules, total_steps: int):
+    """(denoiser calls, classifier calls, reverse updates) of one block of a
+    ``sampler.sample`` call under ``rules``, from ``GuidanceRule.active``.
+
+    All rules start at one state.  At each step every distinct state takes
+    one denoiser call; its rules then split by the step they take, which is
+    (kind, scale, t_override) while guided and one shared unguided step
+    otherwise.  Each distinct step is one reverse update (and one classifier
+    call if guided), and its rules share the next state.
+    """
+    groups = [list(rules)]
+    eps = guided = updates = 0
+    for k in range(total_steps):
+        eps += len(groups)
+        split = []
+        for group in groups:
+            steps = {}
+            for rule in group:
+                key = ((rule.kind, rule.scale, rule.t_override)
+                       if rule.active(k, total_steps) else None)
+                steps.setdefault(key, []).append(rule)
+            guided += sum(key is not None for key in steps)
+            split += steps.values()
+        updates += len(split)
+        groups = split
+    return eps, guided, updates

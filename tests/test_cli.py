@@ -20,6 +20,7 @@ from guidelab import metrics as gmet
 from guidelab import models as gm
 from guidelab import sampler as gsam
 from guidelab.guidance import GuidanceRule
+from oracles import lockstep_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -196,9 +197,10 @@ class TestSampleAndEval:
         assert header == "chain,step,t,alpha_bar,adjustment_norm,d_hat,d_theory"
 
     @staticmethod
-    def _recorded(tmp_path, cfg_text, command):
+    def _recorded(tmp_path, cfg_text, argv):
         """The per-layer metrics of bench/spans.py's full recorder around one
-        CLI command in a fresh interpreter."""
+        CLI command (its argv tokens after the options) in a fresh
+        interpreter, with bench/run.py's ``LAYER_METRICS`` under ``"listed"``."""
         script = (
             "import json, sys\n"
             f"sys.path[:0] = [{str(ROOT / 'bench')!r}, {str(SRC)!r}]\n"
@@ -206,12 +208,15 @@ class TestSampleAndEval:
             "recorder = spans.install('full')\n"
             "from guidelab import cli\n"
             "code = cli.main(sys.argv[1:])\n"
+            "import run\n"
             "print(json.dumps({'code': code,\n"
-            "                  'metrics': spans.summarize(recorder.dump(), 0.0)}))\n")
-        cfg = tmp_path / f"{command}.txt"
+            "                  'metrics': dict(spans.summarize(recorder.dump(), 0.0),\n"
+            "                                  listed=run.LAYER_METRICS)}))\n")
+        name = "_".join(argv)
+        cfg = tmp_path / f"{name}.txt"
         cfg.write_text(cfg_text)
         done = subprocess.run([sys.executable, "-c", script, "--config", str(cfg),
-                               "--out", str(tmp_path / command), command],
+                               "--out", str(tmp_path / name), *argv],
                               check=True, capture_output=True, text=True, timeout=300)
         result = json.loads(done.stdout.splitlines()[-1])
         assert result["code"] == 0
@@ -222,7 +227,7 @@ class TestSampleAndEval:
         # trajectory.stored_ts, ...); its full recorder must still count
         metrics = self._recorded(
             tmp_path, "data.n = 300\nschedule.respace = 10\nsampling.n_chains = 2\n"
-            "guidance.kind = geoguide\nguidance.s = 1.0\n", "sample")
+            "guidance.kind = geoguide\nguidance.s = 1.0\n", ["sample"])
         M, S, K, N = 2, 10, 10, 300   # ceil(10 / 50) = 1: every step stored
         assert metrics["sampler.trace_distance_s"] > 0
         assert metrics["sampler.export_csv_s"] > 0
@@ -237,9 +242,31 @@ class TestSampleAndEval:
         assert run(["--config", gen_cfg, "--out", tmp_path / "gen", "gen-data"]) == 0
         metrics = self._recorded(
             tmp_path, f"eval.generated = {tmp_path / 'gen' / 'dataset.glab'}\n"
-            f"data.n = {R}\n", "eval")
+            f"data.n = {R}\n", ["eval"])
         assert metrics["metrics.knn_s"] > 0
         assert metrics["metrics.knn_pairs"] == G * R + G * G + R * R
+
+    def test_benchmark_recorder_counts_cutoff(self, tmp_path):
+        # every model and guidance layer that bench/run.py lists for
+        # guide_cutoff must read, and its arms must share their steps
+        M, S = 64, 50   # enough for the preset's [PASS], so the command exits 0
+        metrics = self._recorded(
+            tmp_path, f"data.n = 300\nschedule.respace = {S}\nsampling.n_chains = {M}\n",
+            ["experiment", "cutoff"])
+        listed = [n for n in metrics["listed"]["guide_cutoff"]
+                  if n.split(".")[0] in ("models", "guidance")]
+        assert "guidance.calls" in listed and "models.rows" in listed
+        for name in listed:
+            # peak allocations come from the benchmark's allocation-traced command
+            if not name.endswith("peak_alloc_mb"):
+                assert metrics[name] > 0, name
+        rules = tuple(GuidanceRule(kind, s, cutoff_fraction=cut) for kind, s in
+                      (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO))
+                      for cut in (1.0, 0.3))
+        eps, guided, updates = lockstep_counts(rules, S)
+        assert metrics["guidance.calls"] == updates
+        # class_fidelity reads each arm's M samples once
+        assert metrics["models.rows"] == M * (eps + guided + len(rules))
 
 
 def _table_cells(path):
@@ -504,6 +531,29 @@ class TestNumericalErrors:
         err = capsys.readouterr().err
         assert ("non-finite state at step 0 (t=1000) in chain 3 under rule geoguide "
                 "(s=2.5, cutoff=1.0)") in err
+
+    def test_non_finite_state_after_the_split_names_the_cut_rule(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # chain 3 turns non-finite only in an unguided step: after the split,
+        # the cut rules each take theirs alone, adm_g's first in tuple order
+        step = gsam.guided_reverse_step
+
+        def nan_when_unguided(mu, gamma_t, a_t, s, **kwargs):
+            x = step(mu, gamma_t, a_t, s, **kwargs)
+            if not np.any(a_t):
+                x[3] = np.nan
+            return x
+
+        monkeypatch.setattr(gsam, "guided_reverse_step", nan_when_unguided)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 400\nschedule.respace = 10\nsampling.n_chains = 8\n")
+        assert run(["--config", cfg, "--out", tmp_path, "experiment",
+                    "cutoff"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        split = int(GuidanceRule("adm_g", 1.0, cutoff_fraction=0.3).active(
+            np.arange(10), 10).sum())
+        assert f"non-finite state at step {split} (t=" in err
+        assert "in chain 3 under rule adm_g (s=1.0, cutoff=0.3)" in err
 
     def test_non_finite_guidance_gradient(self, tmp_path, small_cfg, monkeypatch, capsys):
         monkeypatch.setattr(gm.AnalyticClassifier, "class_grad_direction", nan_like)

@@ -31,6 +31,27 @@ class TestRuleValidation:
         with pytest.raises(ValueError):
             GuidanceRule(kind="geoguide", scale=1.0, cutoff_fraction=1.5)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        # a negative T_eff would reverse the guidance direction
+        (dict(t_override=-5), "-5"),
+        # 0 would silently stand for the executed step count
+        (dict(t_override=0), "0"),
+        (dict(t_override=2.5), "2.5"),
+        (dict(t_override=True), "True"),
+        # s = inf makes an inactive step's s * 0 NaN
+        (dict(scale=np.inf), "inf"),
+        (dict(scale=np.nan), "nan"),
+        (dict(scale=-1.0), "-1.0"),
+        (dict(cutoff_fraction=np.nan), "nan"),
+    ])
+    def test_bad_values_named(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            GuidanceRule(**{"kind": "geoguide", "scale": 1.0, **kwargs})
+
+    def test_accepts_integer_overrides(self):
+        assert GuidanceRule("geoguide", 1.0, t_override=1).t_override == 1
+        assert GuidanceRule("geoguide", 1.0, t_override=np.int64(250)).t_override == 250
+
 
 class TestAdjustment:
     def test_none_is_zero(self, setup):

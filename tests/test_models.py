@@ -295,6 +295,23 @@ class TestKernelEquivalence:
             assert saturated.sum() >= n // 8
             assert not vanished[saturated].any()
 
+    def test_kept_table_follows_the_step(self, linb_1000):
+        # a model keeps its last step's table; asked at steps in any order,
+        # it answers as a fresh model does at each step
+        desc = gd.eight_gaussians(dim=8)
+        den, clf = gm.AnalyticDenoiser(desc, linb_1000), gm.AnalyticClassifier(desc, linb_1000)
+        x = rng_stream(12, 0).standard_normal((16, 8))
+        for t in (10, 10, 500, 0, 500, 10, 1000, 0):
+            new_den = gm.AnalyticDenoiser(desc, linb_1000)
+            new_clf = gm.AnalyticClassifier(desc, linb_1000)
+            for got, want in ((den.predict_eps(x, t), new_den.predict_eps(x, t)),
+                              (den.log_density(x, t), new_den.log_density(x, t)),
+                              (clf.class_logprobs(x, t), new_clf.class_logprobs(x, t)),
+                              (clf.class_grad(x, t, 3)[1], new_clf.class_grad(x, t, 3)[1]),
+                              (clf.class_grad_direction(x, t, 3),
+                               new_clf.class_grad_direction(x, t, 3))):
+                np.testing.assert_array_equal(got, want)
+
 
 @pytest.fixture(scope="module")
 def trained_pair():

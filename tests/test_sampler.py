@@ -17,6 +17,7 @@ from guidelab import sampler as gsam
 from guidelab import schedule as gs
 from guidelab.forward import rng_stream
 from guidelab.guidance import GuidanceRule
+from oracles import lockstep_counts
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +174,10 @@ CUTOFF_RULES = tuple(GuidanceRule(kind, s, cutoff_fraction=cut)
 
 class TestArms:
     """Several rules in one call step in lockstep over one draw of the noise."""
-    RULES = CUTOFF_RULES + (GuidanceRule("none"),)
+    # a duplicate rule shares every step; geoguide at s = 0 adds 0 * A_t, as
+    # none does, but is guided, so it shares none of none's steps
+    RULES = CUTOFF_RULES + (GuidanceRule("none"), CUTOFF_RULES[3],
+                            GuidanceRule("geoguide", 0.0))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_equal_to_single_rule_calls(self, bench, monkeypatch, threads):
@@ -239,6 +243,78 @@ class TestArms:
         with pytest.raises(ValueError) as err:
             gsam.sample(den, clf, rule, sch, 0, 2, seed=0, store=store)
         assert offending in str(err.value)
+
+
+class TestSharedSteps:
+    """Rules share every step until their guidance differs: the calls a
+    lockstep run makes are those of ``oracles.lockstep_counts``."""
+    COUNTED = ("predict_eps", "class_grad", "class_grad_direction", "guided_reverse_step")
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = dict.fromkeys(self.COUNTED, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((gm.AnalyticDenoiser, "predict_eps"),
+                            (gm.AnalyticClassifier, "class_grad"),
+                            (gm.AnalyticClassifier, "class_grad_direction"),
+                            (gsam, "guided_reverse_step")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        return calls
+
+    @pytest.fixture(scope="class")
+    def ten_steps(self):
+        desc = gd.eight_gaussians()
+        sch = gs.respace(gs.build_linear_beta(1000, 1e-4, 0.02), 10)
+        return sch, gm.AnalyticDenoiser(desc, sch), gm.AnalyticClassifier(desc, sch)
+
+    def test_model_of_the_cutoff_preset(self):
+        # per 256-chain block of the cutoff preset (250 steps), against 1000
+        # denoiser calls, 650 classifier calls and 1000 updates unshared
+        assert lockstep_counts(CUTOFF_RULES, 250) == (847, 500, 850)
+
+    @pytest.mark.parametrize("rules", [CUTOFF_RULES, TestArms.RULES,
+                                       TestArms.RULES[::-1], CUTOFF_RULES[1::2]],
+                             ids=["cutoff", "arms", "arms_reversed", "cut_only"])
+    def test_calls_follow_the_active_masks(self, ten_steps, calls, rules):
+        sch, den, clf = ten_steps
+        S, n = sch.T, gsam.BLOCK + 3  # two blocks
+        # the cut rules split from their full twins partway through
+        active = [int(r.active(np.arange(S), S).sum()) for r in CUTOFF_RULES]
+        assert active[0] == active[2] == S and 0 < active[1] == active[3] < S
+        gsam.sample(den, clf, rules, sch, np.arange(n) % 8, n, seed=5)
+        eps, guided, updates = lockstep_counts(rules, S)
+        assert calls["predict_eps"] == 2 * eps
+        assert calls["class_grad"] + calls["class_grad_direction"] == 2 * guided
+        assert calls["guided_reverse_step"] == 2 * updates
+
+    @pytest.mark.parametrize("rules", [CUTOFF_RULES[0], CUTOFF_RULES[2],
+                                       (CUTOFF_RULES[2],) * 3],
+                             ids=["adm_g", "geoguide", "geoguide_thrice"])
+    def test_one_rule_makes_one_call_a_step(self, ten_steps, calls, rules):
+        # a one-rule call, and copies of one rule, share nothing and repeat nothing
+        sch, den, clf = ten_steps
+        gsam.sample(den, clf, rules, sch, np.arange(6) % 8, 6, seed=5)
+        kind = (rules[0] if isinstance(rules, tuple) else rules).kind
+        grad, other = (("class_grad", "class_grad_direction") if kind == "adm_g"
+                       else ("class_grad_direction", "class_grad"))
+        for name in ("predict_eps", grad, "guided_reverse_step"):
+            assert calls[name] == sch.T, name
+        assert calls[other] == 0
+
+    def test_duplicate_rules_do_not_alias(self, bench):
+        _, sch, den, clf = bench
+        rule = CUTOFF_RULES[3]
+        a, b = gsam.sample(den, clf, (rule, rule), sch, np.arange(6) % 8, 6, seed=8)
+        for name in ("samples", "adjustment_norms", "stored_x"):
+            kept = getattr(b, name).copy()
+            getattr(a, name)[...] = np.nan
+            np.testing.assert_array_equal(getattr(b, name), kept)
 
 
 class TestTrajectoryLogs:
