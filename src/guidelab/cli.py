@@ -401,7 +401,6 @@ def _evaluate(samples, targets, reference, oracle, k=3, config="", reference_rad
 TUNED_GEO = 2.5
 TUNED_ADM = 1.0
 SWEEP_GRID = (0.0, 0.1, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
-RESPACE_SCALE = 2.0
 RESPACE_STEPS = (50, 250, 1000)
 
 # Guidance-geometry presets use the 1 - t/T schedule; quality presets keep
@@ -558,7 +557,7 @@ def preset_scale_sweep(cfg, out, threads):
 def preset_respace_study(cfg, out, threads):
     env = _run_env(cfg)
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
-    s = cfg.get_float("guidance.s") or RESPACE_SCALE
+    s = cfg.get_float("guidance.s")
     k = cfg.get_int("eval.k")
     radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     kinds = ("geoguide", "geoguide_scaled")
@@ -599,7 +598,8 @@ PRESET_RUNNERS = {
     "cutoff": (preset_cutoff, dict(GEOMETRY_SCHEDULE, **{"sampling.n_chains": "512"})),
     "scale_sweep": (preset_scale_sweep, {"schedule.respace": "250",
                                          "sampling.n_chains": "1024"}),
-    "respace_study": (preset_respace_study, {"sampling.n_chains": "4096"}),
+    "respace_study": (preset_respace_study, {"guidance.s": "2.0",
+                                             "sampling.n_chains": "4096"}),
 }
 
 
@@ -631,6 +631,10 @@ def main(argv=None):
     exp.add_argument("preset", choices=PRESET_RUNNERS)
     exp.set_defaults(func=cmd_experiment)
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(f"config error: --threads must be at least 1, got {args.threads}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

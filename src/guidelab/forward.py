@@ -24,7 +24,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 class NoisedSample:
     """One-shot noised point with the epsilon actually drawn."""
     x_t: np.ndarray
-    t: int  # or the per-row steps
     eps: np.ndarray
 
 
@@ -35,13 +34,11 @@ def _check_t(t: int, schedule: NoiseSchedule) -> int:
 
 
 def q_sample(x_0: np.ndarray, t, schedule: NoiseSchedule,
-             rng: np.random.Generator, eps: np.ndarray = None) -> NoisedSample:
+             rng: np.random.Generator) -> NoisedSample:
     """Closed-form jump to step t: sqrt(abar_t) x_0 + sqrt(1 - abar_t) eps.
 
-    ``t`` is one step for all of ``x_0``, or an integer array of one step in
-    1..T per row of an (N, D) ``x_0``.  A scalar t = 0 is accepted as the
-    identity (alpha_bar = 1, eps unused but drawn for stream stability if not
-    injected).
+    ``t`` is one step in 1..T for all of ``x_0``, or an integer array of one
+    step per row of an (N, D) ``x_0``.  eps is one draw of ``x_0``'s shape.
     """
     x_0 = np.asarray(x_0, dtype=np.float64)
     if np.ndim(t):
@@ -51,12 +48,7 @@ def q_sample(x_0: np.ndarray, t, schedule: NoiseSchedule,
             raise ScheduleError(f"per-row timesteps of shape {t.shape} for x_0 of shape "
                                 f"{x_0.shape}: need one step in 1..{schedule.T} per row")
         ab = schedule.alpha_bars[t - 1][:, None]
-    elif t == 0:
-        if eps is None:
-            eps = np.zeros_like(x_0)
-        return NoisedSample(x_t=x_0.copy(), t=0, eps=eps)
     else:
         ab = schedule.alpha_bars[_check_t(t, schedule)]
-    if eps is None:
-        eps = rng.standard_normal(x_0.shape)
-    return NoisedSample(x_t=np.sqrt(ab) * x_0 + np.sqrt(1.0 - ab) * eps, t=t, eps=eps)
+    eps = rng.standard_normal(x_0.shape)
+    return NoisedSample(x_t=np.sqrt(ab) * x_0 + np.sqrt(1.0 - ab) * eps, eps=eps)

@@ -81,7 +81,12 @@ def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
         if rule.kind == "geoguide_scaled":
             factor = factor * np.sqrt(1.0 - schedule.alpha_bars[position - 1])
     if not np.all(np.isfinite(vec)):
-        raise GuidanceError(f"non-finite classifier gradient at t={t_label}, y={y}")
+        # name the first bad row only: a block holds up to 256 labels
+        rows = np.isfinite(np.atleast_2d(vec)).all(axis=1)
+        row = int(np.argmin(rows))
+        label = int(np.broadcast_to(y, rows.shape)[row])
+        raise GuidanceError(f"non-finite classifier gradient at t={t_label} in row {row} "
+                            f"(class {label})")
     return factor * vec
 
 

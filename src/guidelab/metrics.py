@@ -62,17 +62,16 @@ def _sqrtm_psd(c):
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def frechet_distance(generated, reference, regularize: bool = True) -> float:
+def frechet_distance(generated, reference) -> float:
     """||mu_g - mu_r||^2 + Tr(C_g + C_r - 2 (C_g C_r)^{1/2}).
 
-    The cross term uses the symmetrized form
-    Tr sqrt(C_g^{1/2} C_r C_g^{1/2}) via eigendecompositions.
+    Each covariance gets COV_REGULARIZER on its diagonal, so clouds of at
+    most D points still give a finite distance.  The cross term uses the
+    symmetrized form Tr sqrt(C_g^{1/2} C_r C_g^{1/2}) via eigendecompositions.
     """
     g = np.asarray(generated, dtype=np.float64)
     r = np.asarray(reference, dtype=np.float64)
     d = g.shape[1]
-    if not regularize and (len(g) < d + 1 or len(r) < d + 1):
-        raise ValueError("need at least D + 1 points per cloud (or regularize)")
     mu_g, mu_r = g.mean(axis=0), r.mean(axis=0)
     eye = COV_REGULARIZER * np.eye(d)
     c_g = np.cov(g, rowvar=False).reshape(d, d) + eye
@@ -163,8 +162,8 @@ def norm_curve_summary(norms):
     """Mean ||s A_t|| per step across chains and the last/first-decile ratio
     of the (chains, steps) ``norms``.
 
-    Returns {"per_step_mean", "ratio", "degenerate"}; a flat-zero curve
-    (no guidance) reports ratio 1 with the degenerate flag set.
+    Returns {"per_step_mean", "ratio"}; a flat-zero curve (no guidance)
+    reports ratio 1.
     """
     norms = np.asarray(norms, dtype=np.float64)
     if norms.ndim != 2 or norms.size == 0:
@@ -173,9 +172,8 @@ def norm_curve_summary(norms):
     n10 = max(1, len(per_step) // 10)
     first = float(np.mean(per_step[:n10]))
     last = float(np.mean(per_step[-n10:]))
-    degenerate = first == 0.0
-    ratio = 1.0 if degenerate else last / first
-    return {"per_step_mean": per_step, "ratio": ratio, "degenerate": degenerate}
+    ratio = 1.0 if first == 0.0 else last / first
+    return {"per_step_mean": per_step, "ratio": ratio}
 
 
 def distance_law_fit(ts, alpha_bars, d_hat, dim: int):

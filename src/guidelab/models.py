@@ -48,12 +48,15 @@ class TrainingError(NumericalError):
     pass
 
 
-def mu_from_eps(x_t, t, eps_hat, schedule: NoiseSchedule):
+def mu_from_eps(x_t, position, eps_hat, schedule: NoiseSchedule):
     """Reverse-step mean from an epsilon estimate:
-    (x_t - (1 - alpha_t) / sqrt(1 - abar_t) * eps_hat) / sqrt(alpha_t)."""
-    if t < 1 or t > schedule.T:
-        raise ScheduleError(f"timestep {t} outside 1..{schedule.T}")
-    i = t - 1
+    (x_t - (1 - alpha_t) / sqrt(1 - abar_t) * eps_hat) / sqrt(alpha_t).
+
+    ``position`` is the 1-based index into the sampling schedule, not a
+    timestep label (the two differ after respacing)."""
+    if position < 1 or position > schedule.T:
+        raise ScheduleError(f"position {position} outside 1..{schedule.T}")
+    i = position - 1
     a = schedule.alphas[i]
     ab = schedule.alpha_bars[i]
     return (np.asarray(x_t) - (1.0 - a) / np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(a)
@@ -483,28 +486,21 @@ def train_classifier(dataset, schedule: NoiseSchedule, hyper: Hyperparams = None
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _backend_tag(model):
-    return {
-        AnalyticDenoiser: "analytic_denoiser",
-        AnalyticClassifier: "analytic_classifier",
-        LearnedDenoiser: "learned_denoiser",
-        LearnedClassifier: "learned_classifier",
-    }[type(model)]
-
-
 def save_model(model, path) -> None:
-    header = {"backend": _backend_tag(model),
+    """Write a trained model as a ``.gmod`` checkpoint.  Analytic models are
+    not saved: the config rebuilds them from the data descriptor."""
+    if not isinstance(model, (LearnedDenoiser, LearnedClassifier)):
+        raise ModelError(f"only trained models are saved as checkpoints, "
+                         f"not {type(model).__name__}")
+    header = {"backend": ("learned_denoiser" if isinstance(model, LearnedDenoiser)
+                          else "learned_classifier"),
               "fingerprint": model.base_fingerprint,
-              "dim": model.dim}
-    if isinstance(model, (AnalyticDenoiser, AnalyticClassifier)):
-        header["descriptor"] = model.descriptor.to_text()
-        payload = b""
-    else:
-        header["sizes"] = list(model.mlp.sizes)
-        header["t_embed_dim"] = model.t_embed_dim
-        if isinstance(model, LearnedClassifier):
-            header["n_classes"] = model.n_classes
-        payload = model.mlp.flat_params().astype("<f8").tobytes()
+              "dim": model.dim,
+              "sizes": list(model.mlp.sizes),
+              "t_embed_dim": model.t_embed_dim}
+    if isinstance(model, LearnedClassifier):
+        header["n_classes"] = model.n_classes
+    payload = model.mlp.flat_params().astype("<f8").tobytes()
     head = json.dumps(header, sort_keys=True).encode()
     buf = bytearray()
     buf += MODEL_MAGIC
@@ -548,10 +544,6 @@ def load_model(path, schedule: NoiseSchedule):
             f"{path}: checkpoint schedule fingerprint {fingerprint} "
             f"does not match {schedule.base_fingerprint}")
     backend = required("backend", str)
-    if backend in ("analytic_denoiser", "analytic_classifier"):
-        desc = ManifoldDescriptor.from_text(required("descriptor", str))
-        cls = AnalyticDenoiser if backend == "analytic_denoiser" else AnalyticClassifier
-        return cls(desc, schedule)
     if backend not in ("learned_denoiser", "learned_classifier"):
         raise DataFormatError(f"{path}: unknown checkpoint backend {backend!r}")
     sizes = required("sizes", list)

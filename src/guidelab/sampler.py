@@ -301,9 +301,9 @@ def forward_manifold_traces(dataset, schedule: NoiseSchedule, n_draws: int, seed
     return schedule.timesteps[positions - 1], alpha_bars, d_hat
 
 
-def export_trajectories_csv(batch: SampleBatch, path, dataset=None):
-    """One row per (chain, step); d_hat/d_theory only at stored steps and
-    only when a dataset is supplied.
+def export_trajectories_csv(batch: SampleBatch, path, dataset):
+    """One row per (chain, step); d_hat/d_theory, against ``dataset``, only
+    at stored steps.
 
     The bytes are those of ``csv.writer``: each float is its repr and rows
     end in ``\r\n``.  The per-step cells are formatted once for all chains.
@@ -312,16 +312,16 @@ def export_trajectories_csv(batch: SampleBatch, path, dataset=None):
     lead = [f"{k},{t},{ab!r}," for k, (t, ab)
             in enumerate(zip(batch.ts.tolist(), batch.alpha_bars.tolist()))]
     blank = [",,\r\n"] * S
-    tails = [blank] * M
-    if dataset is not None:
-        D = dataset.points.shape[1]
-        d_theory = np.sqrt((1.0 - batch.stored_alpha_bars) * D).tolist()
-        # one trace per chain, as the benchmark counts distance evaluations
-        for j in range(M):
-            d_hat = trace_manifold_distance(batch.chain(j), dataset)[0].tolist()
-            tails[j] = tail = blank.copy()
-            for k, d, theory in zip(batch.stored_steps.tolist(), d_hat, d_theory):
-                tail[k] = f",{d!r},{theory!r}\r\n"
+    tails = []
+    D = dataset.points.shape[1]
+    d_theory = np.sqrt((1.0 - batch.stored_alpha_bars) * D).tolist()
+    # one trace per chain, as the benchmark counts distance evaluations
+    for j in range(M):
+        d_hat = trace_manifold_distance(batch.chain(j), dataset)[0].tolist()
+        tail = blank.copy()
+        for k, d, theory in zip(batch.stored_steps.tolist(), d_hat, d_theory):
+            tail[k] = f",{d!r},{theory!r}\r\n"
+        tails.append(tail)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
         for j, (norms, tail) in enumerate(zip(batch.adjustment_norms.tolist(), tails)):

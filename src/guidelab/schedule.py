@@ -49,9 +49,6 @@ class NoiseSchedule:
     def T(self) -> int:
         return len(self.betas)
 
-    def fingerprint(self) -> str:
-        return _fingerprint(self.betas, self.gamma_mode, self.base_T)
-
 
 def _fingerprint(betas: np.ndarray, gamma_mode: str, base_T: int) -> str:
     h = hashlib.sha256()

@@ -85,6 +85,14 @@ class TestConfigParsing:
         assert run(["--config", cfg, "--out", tmp_path, "sample"]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_non_positive_threads(self, tmp_path, small_cfg, capsys, threads):
+        out = tmp_path / "out"
+        assert run(["--config", small_cfg, "--out", out, "--threads", threads,
+                    "sample"]) == cli.EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenData:
     def test_writes_dataset_and_manifest(self, tmp_path, small_cfg):
@@ -357,15 +365,16 @@ class TestInputFiles:
     @staticmethod
     def _sample_with(tmp_path, backend, edit):
         """Exit code of ``sample`` with a classifier checkpoint whose header
-        ``edit`` changed."""
+        ``edit`` changed.  An "analytic" one is a trained checkpoint tagged
+        ``analytic_classifier``, a backend that no longer loads."""
         base = cli.RunConfig({"schedule.T": "20"}).base_schedule()
-        if backend == "analytic":
-            model = gm.AnalyticClassifier(gd.eight_gaussians(dim=4), base)
-        else:
-            model = gm.LearnedClassifier(gm.MLP((12, 16, 8), rng=np.random.default_rng(0)),
-                                         base, 4, 8, 8)
+        model = gm.LearnedClassifier(gm.MLP((12, 16, 8), rng=np.random.default_rng(0)),
+                                     base, 4, 8, 8)
         path = tmp_path / "edited.gmod"
         gm.save_model(model, path)
+        if backend == "analytic":
+            TestInputFiles._edit_header(path, TestInputFiles._set("backend",
+                                                                  "analytic_classifier"))
         TestInputFiles._edit_header(path, edit)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\n"
@@ -374,19 +383,19 @@ class TestInputFiles:
 
     @staticmethod
     def _set(field, value):
-        """An edit that sets a header field, or a field of the analytic
-        descriptor (``descriptor.<name>``), to ``value``."""
+        """An edit that sets a header field to ``value``."""
         def edit(header):
-            if field.startswith("descriptor."):
-                desc = json.loads(header["descriptor"])
-                desc[field.split(".", 1)[1]] = value
-                header["descriptor"] = json.dumps(desc)
-            else:
-                header[field] = value
+            header[field] = value
         return edit
 
+    def test_analytic_checkpoint_is_unknown_backend(self, tmp_path, capsys):
+        assert self._sample_with(tmp_path, "analytic", lambda header: None) == 1
+        err = capsys.readouterr().err
+        assert "unknown checkpoint backend 'analytic_classifier'" in err
+
+    # the header's fingerprint and backend are read before its backend is known
     @pytest.mark.parametrize("backend, name", [
-        ("analytic", "fingerprint"), ("analytic", "backend"), ("analytic", "descriptor"),
+        ("analytic", "fingerprint"), ("analytic", "backend"),
         ("learned", "fingerprint"), ("learned", "sizes"), ("learned", "dim"),
         ("learned", "t_embed_dim"), ("learned", "n_classes")])
     def test_header_without_field(self, tmp_path, capsys, backend, name):
@@ -412,9 +421,8 @@ class TestInputFiles:
         assert "payload bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("backend, field, value", [
-        ("analytic", "descriptor", 5), ("analytic", "descriptor.dim", "64"),
-        ("learned", "sizes", "abc"), ("learned", "sizes", [12, -8, 8]),
-        ("learned", "dim", "x"), ("learned", "t_embed_dim", "q"),
+        ("learned", "backend", 7), ("learned", "backend", ""), ("learned", "sizes", "abc"),
+        ("learned", "sizes", [12, -8, 8]), ("learned", "dim", "x"), ("learned", "t_embed_dim", "q"),
         ("learned", "n_classes", True), ("learned", "n_classes", 9)])
     def test_header_field_with_bad_value(self, tmp_path, capsys, backend, field, value):
         assert self._sample_with(tmp_path, backend, self._set(field, value)) == 1
@@ -429,8 +437,7 @@ class TestInputFiles:
             lambda v: _json_type(v) != _json_type(original)))
         code = self._sample_with(tmp_path_factory.mktemp("gmod"), backend,
                                  self._set(field, value))
-        # an analytic checkpoint's "dim" is not read; every other field is
-        assert code == (0 if (backend, field) == ("analytic", "dim") else 1)
+        assert code == 1
 
 
 class TestCorruptContainers:
@@ -472,11 +479,7 @@ class TestCorruptContainers:
 # classes, T = 20), and each field of the analytic descriptor, with a value
 # of its type.
 HEADER_FIELDS = [
-    ("analytic", "fingerprint", "f"), ("analytic", "backend", "b"),
-    ("analytic", "dim", 4), ("analytic", "descriptor", "{}"),
-    ("analytic", "descriptor.kind", "gaussian_mixture"), ("analytic", "descriptor.dim", 4),
-    ("analytic", "descriptor.weights", []), ("analytic", "descriptor.means", []),
-    ("analytic", "descriptor.variances", []),
+    ("analytic", "fingerprint", "f"), ("analytic", "backend", "b"), ("analytic", "dim", 4),
     ("learned", "fingerprint", "f"), ("learned", "backend", "b"), ("learned", "dim", 4),
     ("learned", "sizes", []), ("learned", "t_embed_dim", 8), ("learned", "n_classes", 8)]
 
@@ -560,6 +563,24 @@ class TestNumericalErrors:
         assert run(["--config", small_cfg, "--out", tmp_path, "sample"]) == cli.EXIT_NUMERICAL
         assert "non-finite classifier gradient" in capsys.readouterr().err
 
+    def test_non_finite_guidance_gradient_names_one_row(self, tmp_path, monkeypatch, capsys):
+        # 64 chains' labels would fill several lines; the first bad row is named
+        direction = gm.AnalyticClassifier.class_grad_direction
+
+        def nan_from_row_5(model, x, t, y):
+            out = direction(model, x, t, y)
+            out[5:] = np.nan
+            return out
+
+        monkeypatch.setattr(gm.AnalyticClassifier, "class_grad_direction", nan_from_row_5)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 400\nschedule.T = 50\nschedule.respace = 10\n"
+                       "sampling.n_chains = 64\nguidance.kind = geoguide\nguidance.s = 1.0\n")
+        assert run(["--config", cfg, "--out", tmp_path, "sample"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == ("numerical error: non-finite classifier gradient at t=50 "
+                       "in row 5 (class 5)\n")
+
     def test_non_finite_training_loss(self, tmp_path, monkeypatch, capsys):
         forward = gm.MLP.forward
 
@@ -596,6 +617,27 @@ class TestExperimentPresets:
                 f = gmet.class_fidelity(batch.samples, batch.targets, env.clf)
                 lines.append(f"{kind},{s!r},{cut!r},{float(f)!r}")
         assert (tmp_path / "t1" / "cutoff.csv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("scale", [None, "0"])
+    def test_respace_study_manifest_echoes_scale(self, tmp_path, monkeypatch, scale):
+        # the preset's default scale is 2.0, and a configured 0 stays 0
+        used = set()
+        sample = gsam.sample
+
+        def recording(den, clf, rules, *args, **kwargs):
+            used.update(rule.scale for rule in rules)
+            return sample(den, clf, rules, *args, **kwargs)
+
+        monkeypatch.setattr(gsam, "sample", recording)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 400\nsampling.n_chains = 8\n"
+                       + (f"guidance.s = {scale}\n" if scale else ""))
+        assert run(["--config", cfg, "--out", tmp_path, "experiment",
+                    "respace_study"]) in (0, 1)
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        echoed = [line for line in manifest if line.startswith("guidance.s = ")]
+        assert echoed == [f"guidance.s = {scale or '2.0'}"]
+        assert used == {float(scale or 2.0)}
 
     def test_distance_law_preset(self, tmp_path):
         out = tmp_path / "dl"

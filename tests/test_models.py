@@ -464,33 +464,39 @@ class TestCheckpoints:
                 np.testing.assert_array_equal(back.class_logprobs(probes, 7),
                                               model.class_logprobs(probes, 7))
 
-    def test_analytic_roundtrip(self, gmm8_d8, linb_50, tmp_path):
-        den = gm.AnalyticDenoiser(gmm8_d8, linb_50)
+    def test_analytic_model_not_saved(self, gmm8_d8, linb_50, tmp_path):
+        # the config rebuilds analytic models; only trained ones are checkpoints
         path = tmp_path / "a.gmod"
-        gm.save_model(den, path)
-        back = gm.load_model(path, linb_50)
-        probes = rng_stream(9, 1).standard_normal((100, 8))
-        np.testing.assert_array_equal(back.predict_eps(probes, 3),
-                                      den.predict_eps(probes, 3))
+        for model in (gm.AnalyticDenoiser(gmm8_d8, linb_50),
+                      gm.AnalyticClassifier(gmm8_d8, linb_50)):
+            with pytest.raises(gm.ModelError, match="only trained models"):
+                gm.save_model(model, path)
+        assert not path.exists()
 
-    def test_fingerprint_mismatch(self, gmm8_d8, linb_50, tmp_path):
-        den = gm.AnalyticDenoiser(gmm8_d8, linb_50)
+    @staticmethod
+    def _small_denoiser(schedule):
+        return gm.LearnedDenoiser(gm.MLP((12, 16, 4), rng=np.random.default_rng(0)),
+                                  schedule, 4, 8)
+
+    def test_fingerprint_mismatch(self, linb_50, tmp_path):
         path = tmp_path / "m.gmod"
-        gm.save_model(den, path)
+        gm.save_model(self._small_denoiser(linb_50), path)
         other = gs.build_linear_beta(50, 1e-4, 0.03)
         with pytest.raises(gm.ModelMismatchError):
             gm.load_model(path, other)
 
-    def test_respaced_schedule_accepted(self, gmm8_d8, linb_50, tmp_path):
+    def test_respaced_schedule_accepted(self, linb_50, tmp_path):
         # base fingerprint survives respacing, so checkpoints stay loadable
-        den = gm.AnalyticDenoiser(gmm8_d8, linb_50)
+        den = self._small_denoiser(linb_50)
         path = tmp_path / "r.gmod"
         gm.save_model(den, path)
-        assert gm.load_model(path, gs.respace(linb_50, 10)) is not None
+        probes = rng_stream(9, 1).standard_normal((20, 4))
+        back = gm.load_model(path, gs.respace(linb_50, 10))
+        np.testing.assert_array_equal(back.predict_eps(probes, 3), den.predict_eps(probes, 3))
 
-    def test_corrupted_checkpoint(self, gmm8_d8, linb_50, tmp_path):
+    def test_corrupted_checkpoint(self, linb_50, tmp_path):
         from guidelab.data import ChecksumError
-        den = gm.AnalyticDenoiser(gmm8_d8, linb_50)
+        den = self._small_denoiser(linb_50)
         path = tmp_path / "c.gmod"
         gm.save_model(den, path)
         raw = bytearray(path.read_bytes())
@@ -498,3 +504,5 @@ class TestCheckpoints:
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             gm.load_model(path, linb_50)
+        with pytest.raises(gm.ModelError):
+            den.predict_eps(np.zeros(5), 1)
