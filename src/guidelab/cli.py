@@ -360,10 +360,10 @@ def cmd_eval(args):
     gen_path = cfg.get("eval.generated")
     if not gen_path:
         raise ConfigError("eval.generated must point to a samples file")
-    generated = data_mod.load(_input_file(cfg, "eval.generated"))
-    ref_path = cfg.get("eval.reference") or cfg.get("data.path")
-    reference = (data_mod.load(_input_file(cfg, "eval.reference"))
-                 if cfg.get("eval.reference") else cfg.dataset())
+    generated = _load_finite(cfg, "eval.generated")
+    ref_key = "eval.reference" if cfg.get("eval.reference") else "data.path"
+    ref_path = cfg.get(ref_key)
+    reference = _load_finite(cfg, ref_key) if ref_path else cfg.dataset()
     base = cfg.base_schedule()
     desc = generated.descriptor or reference.descriptor
     if desc is None:
@@ -371,8 +371,9 @@ def cmd_eval(args):
                           f"or data.path ({ref_path}) carries the manifold descriptor "
                           "that the class-fidelity oracle needs")
     oracle = models_mod.AnalyticClassifier(desc, base)
+    k = _eval_k(cfg, len(generated.points), len(reference.points))
     report = _evaluate(generated.points, generated.labels, reference.points,
-                       oracle, cfg.get_int("eval.k"), config=cfg.get("guidance.kind"))
+                       oracle, k, config=cfg.get("guidance.kind"))
     csv_path = out / "metrics.csv"
     metrics_mod.write_metrics_csv([report], csv_path)
     txt_path = out / "metrics.txt"
@@ -380,6 +381,28 @@ def cmd_eval(args):
     write_manifest(out, cfg, [csv_path, txt_path])
     print(report.text_block(), end="")
     return 0
+
+
+def _load_finite(cfg, key):
+    """The dataset in the file that config ``key`` names; a DataFormatError
+    naming the key, the path and the first row with a non-finite value."""
+    path = _input_file(cfg, key)
+    dataset = data_mod.load(path)
+    bad = ~np.isfinite(dataset.points).all(axis=1)
+    if bad.any():
+        raise data_mod.DataFormatError(f"{key}: {path}: row {int(np.argmax(bad))} holds "
+                                       "a non-finite value")
+    return dataset
+
+
+def _eval_k(cfg, n_generated, n_reference):
+    """eval.k; a ConfigError naming it and both set sizes unless each set
+    holds more than k points."""
+    k = cfg.get_int("eval.k")
+    if k >= min(n_generated, n_reference):
+        raise ConfigError(f"eval.k = {k}: each set needs more than k points, got "
+                          f"{n_generated} generated and {n_reference} reference")
+    return k
 
 
 def _evaluate(samples, targets, reference, oracle, k=3, config="", reference_radius=None):
@@ -498,7 +521,7 @@ def preset_cutoff(cfg, out, threads):
 def preset_scale_sweep(cfg, out, threads):
     env = _run_env(cfg)
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
-    k = cfg.get_int("eval.k")
+    k = _eval_k(cfg, env.n, len(env.ds.points))
     radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     files = []
     arms = {}
@@ -558,7 +581,7 @@ def preset_respace_study(cfg, out, threads):
     env = _run_env(cfg)
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
     s = cfg.get_float("guidance.s")
-    k = cfg.get_int("eval.k")
+    k = _eval_k(cfg, env.n, len(env.ds.points))
     radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     kinds = ("geoguide", "geoguide_scaled")
     reports = {}

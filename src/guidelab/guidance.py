@@ -28,7 +28,13 @@ KINDS = ("none", "adm_g", "geoguide", "geoguide_scaled")
 
 
 class GuidanceError(NumericalError):
-    pass
+    """A non-finite classifier gradient at timestep ``t``, first in ``unit``
+    ``index`` (a row of the batch, or a chain of the run), of class ``label``."""
+
+    def __init__(self, t, index, label, unit="row"):
+        super().__init__(f"non-finite classifier gradient at t={t} in {unit} {index} "
+                         f"(class {label})")
+        self.t, self.index, self.label = t, index, label
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,7 @@ def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
         rows = np.isfinite(np.atleast_2d(vec)).all(axis=1)
         row = int(np.argmin(rows))
         label = int(np.broadcast_to(y, rows.shape)[row])
-        raise GuidanceError(f"non-finite classifier gradient at t={t_label} in row {row} "
-                            f"(class {label})")
+        raise GuidanceError(t_label, row, label)
     return factor * vec
 
 

@@ -2,9 +2,14 @@
 
 Fréchet distance is computed on raw coordinates (the desk-scale analog of
 FID; not comparable to feature-space FID numbers).  Precision/recall use the
-standard k-NN manifold estimate, computed over row blocks of GEMM distances
-(``_blas.rows_per_block``), so memory stays bounded at any set size, with
-BLAS held to one thread inside (``_blas.threads``).  class_fidelity stands
+standard k-NN manifold estimate, computed over row blocks of squared
+distances (``_blas.rows_per_block``), so memory stays bounded at any set size
+(about 12.4 MB traced at 4096 vs 8000 points in D = 64), with BLAS held to
+one thread inside (``_blas.threads``).  Each block is one GEMM of augmented
+operands, rows [p, ||p||^2, 1] against columns [-2q, 1, ||q||^2]^T, built once
+per point set.  The cross pass compares squared distances with
+``_sq_threshold`` of the radii, which gives the verdict of comparing their
+clamped square roots without taking one.  class_fidelity stands
 in for a fidelity score: the fraction of samples a zero-noise oracle
 classifier assigns to their target class.
 """
@@ -84,13 +89,43 @@ def frechet_distance(generated, reference) -> float:
     return max(val, 0.0)
 
 
-def _sq_distances(a, aa, b, bb):
-    """Squared distances between the rows of ``a`` and ``b`` in the GEMM form
-    ||a||^2 - 2 a.b + ||b||^2, given the squared row norms ``aa`` and ``bb``."""
-    d2 = 2.0 * a @ b.T
-    np.subtract(aa[:, None], d2, out=d2)
-    d2 += bb
-    return d2
+def _row_operand(p, pp):
+    """[p, ||p||^2, 1] (n, D + 2): with ``_column_operand`` of a set q, the
+    product of a block of these rows is ||p||^2 - 2 p.q + ||q||^2 in one GEMM."""
+    rows = np.empty((len(p), p.shape[1] + 2))
+    rows[:, :-2] = p
+    rows[:, -2] = pp
+    rows[:, -1] = 1.0
+    return rows
+
+
+def _column_operand(p, pp):
+    """[-2p, 1, ||p||^2]^T (D + 2, n), contiguous."""
+    cols = np.empty((p.shape[1] + 2, len(p)))
+    np.multiply(p.T, -2.0, out=cols[:-2])
+    cols[-2] = 1.0
+    cols[-1] = pp
+    return cols
+
+
+def _sq_threshold(radius):
+    """The largest float64 t with sqrt(t) <= r, for each radius r (NaN where
+    no t has it: r negative or NaN).
+
+    sqrt is monotone and correctly rounded, so ``d2 <= t`` equals
+    ``sqrt(max(d2, 0)) <= r`` for every d2, negative values and NaN included.
+    r * r is within an ulp or two of t; each pass moves t one ulp toward it.
+    """
+    r = np.asarray(radius, dtype=np.float64)
+    with np.errstate(over="ignore"):  # r * r beyond the float range is inf
+        t = np.where(r >= 0, r * r, np.nan)
+        while True:
+            down = np.sqrt(t) > r
+            up = np.nextafter(t, np.inf)
+            grow = (up > t) & (np.sqrt(up) <= r)
+            if not (down.any() or grow.any()):
+                return t
+            t = np.where(down, np.nextafter(t, -np.inf), np.where(grow, up, t))
 
 
 def _check_k(n, k):
@@ -100,23 +135,30 @@ def _check_k(n, k):
         raise ValueError("each set needs more than k points")
 
 
+def _radius(rows, cols, k):
+    """kth_nn_radius of the set whose operands are ``rows`` and ``cols``."""
+    out = np.empty(len(rows))
+    # one output block for the pass: a fresh one per GEMM would be allocated
+    # while the last is still held, two 4 MiB blocks at a time
+    block = np.empty((min(len(rows), _blas.rows_per_block(len(rows))), len(rows)))
+    with _blas.threads(1):
+        for lo in range(0, len(rows), len(block)):
+            d2 = np.matmul(rows[lo:lo + len(block)], cols, out=block[:len(rows) - lo])
+            i = np.arange(len(d2))
+            d2[i, lo + i] = np.inf
+            d2.partition(k - 1, axis=1)
+            # an exact duplicate's zero distance can round below 0
+            out[lo:lo + len(d2)] = np.sqrt(np.maximum(d2[:, k - 1], 0.0))
+    return out
+
+
 def kth_nn_radius(points, k: int):
     """Distance from each point to its k-th nearest other point of ``points``
     (a point's own zero distance does not count; duplicates do)."""
     p = np.asarray(points, dtype=np.float64)
     _check_k(len(p), k)
     pp = np.sum(p * p, axis=1)
-    out = np.empty(len(p))
-    step = _blas.rows_per_block(len(p))
-    with _blas.threads(1):
-        for lo in range(0, len(p), step):
-            d2 = _sq_distances(p[lo:lo + step], pp[lo:lo + step], p, pp)
-            rows = np.arange(len(d2))
-            d2[rows, lo + rows] = np.inf
-            d2.partition(k - 1, axis=1)
-            # an exact duplicate's zero distance can round below 0
-            out[lo:lo + len(d2)] = np.sqrt(np.maximum(d2[:, k - 1], 0.0))
-    return out
+    return _radius(_row_operand(p, pp), _column_operand(p, pp), k)
 
 
 def knn_precision_recall(generated, reference, k: int = 3, reference_radius=None):
@@ -130,25 +172,27 @@ def knn_precision_recall(generated, reference, k: int = 3, reference_radius=None
     g = np.asarray(generated, dtype=np.float64)
     r = np.asarray(reference, dtype=np.float64)
     _check_k(min(len(g), len(r)), k)
+    rr = np.sum(r * r, axis=1)
+    r_cols = _column_operand(r, rr)
     if reference_radius is None:
-        radius_r = kth_nn_radius(r, k)
+        radius_r = _radius(_row_operand(r, rr), r_cols, k)
     else:
         radius_r = np.asarray(reference_radius, dtype=np.float64)
         if radius_r.shape != (len(r),):
             raise ValueError(f"reference_radius has shape {radius_r.shape}, "
                              f"expected ({len(r)},)")
-    radius_g = kth_nn_radius(g, k)
-    gg, rr = np.sum(g * g, axis=1), np.sum(r * r, axis=1)
+    gg = np.sum(g * g, axis=1)
+    g_rows = _row_operand(g, gg)
+    t_r = _sq_threshold(radius_r)
+    t_g = _sq_threshold(_radius(g_rows, _column_operand(g, gg), k))
     hit_g = np.empty(len(g), dtype=bool)
     hit_r = np.zeros(len(r), dtype=bool)
-    step = _blas.rows_per_block(len(r))
+    block = np.empty((min(len(g), _blas.rows_per_block(len(r))), len(r)))
     with _blas.threads(1):
-        for lo in range(0, len(g), step):
-            d = _sq_distances(g[lo:lo + step], gg[lo:lo + step], r, rr)
-            np.maximum(d, 0.0, out=d)
-            np.sqrt(d, out=d)
-            hit_g[lo:lo + len(d)] = np.any(d <= radius_r, axis=1)
-            hit_r |= np.any(d <= radius_g[lo:lo + len(d), None], axis=0)
+        for lo in range(0, len(g), len(block)):
+            d2 = np.matmul(g_rows[lo:lo + len(block)], r_cols, out=block[:len(g) - lo])
+            hit_g[lo:lo + len(d2)] = np.any(d2 <= t_r, axis=1)
+            hit_r |= np.any(d2 <= t_g[lo:lo + len(d2), None], axis=0)
     return float(np.mean(hit_g)), float(np.mean(hit_r))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import _blas
 from .errors import NumericalError
 from .forward import q_sample, rng_stream
-from .guidance import GuidanceRule, adjustment, guided_reverse_step
+from .guidance import GuidanceError, GuidanceRule, adjustment, guided_reverse_step
 from .models import mu_from_eps
 from .schedule import NoiseSchedule
 
@@ -198,7 +198,11 @@ def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
                 step = ((rule.kind, rule.scale, rule.t_override)
                         if rule.active(k, n_steps) else None)
                 if step not in taken:
-                    a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
+                    try:
+                        a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
+                    except GuidanceError as exc:
+                        raise GuidanceError(exc.t, lo + exc.index, exc.label,
+                                            unit="chain") from None
                     x_next = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t,
                                                  rule.scale, is_final=(pos == 1),
                                                  eps=window[:, row])

@@ -170,6 +170,51 @@ class TestSampleAndEval:
         err = capsys.readouterr().err
         assert "eval.generated" in err and "eval.reference" in err
 
+    def test_eval_k_too_large_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 50\n")
+        run(["--config", cfg, "--out", tmp_path / "ds", "gen-data"])
+        ev_cfg = tmp_path / "ev.txt"
+        ev_cfg.write_text(f"eval.generated = {tmp_path / 'ds' / 'dataset.glab'}\n"
+                          "data.n = 100\neval.k = 60\n")
+        assert run(["--config", ev_cfg, "--out", tmp_path / "ev", "eval"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: eval.k = 60: each set needs more than k points, "
+            "got 50 generated and 100 reference\n")
+        assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("preset", ["scale_sweep", "respace_study"])
+    def test_preset_eval_k_too_large_is_config_error(self, tmp_path, capsys, preset):
+        # checked before the reference radii, not only in the evaluation
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 3\nsampling.n_chains = 8\n")
+        assert run(["--config", cfg, "--out", tmp_path, "experiment", preset]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: eval.k = 3: each set needs more than k points, "
+            "got 8 generated and 3 reference\n")
+
+    @pytest.mark.parametrize("key", ["eval.generated", "eval.reference"])
+    def test_eval_non_finite_point_is_format_error(self, tmp_path, capsys, monkeypatch, key):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 50\n")
+        run(["--config", cfg, "--out", tmp_path / "ds", "gen-data"])
+        ds = gd.load(tmp_path / "ds" / "dataset.glab")
+        points = ds.points.copy()
+        points[7, 1] = np.nan
+        points[9, 0] = np.inf
+        bad = tmp_path / "bad.glab"
+        gd.save(gd.LabeledDataset(points=points, labels=ds.labels,
+                                  descriptor=ds.descriptor, seed=ds.seed), bad)
+        paths = {"eval.generated": tmp_path / "ds" / "dataset.glab",
+                 "eval.reference": tmp_path / "ds" / "dataset.glab", key: bad}
+        ev_cfg = tmp_path / "ev.txt"
+        ev_cfg.write_text("".join(f"{k} = {v}\n" for k, v in paths.items()))
+        # the check comes before any metric
+        monkeypatch.setattr(gmet, "knn_precision_recall", None)
+        assert run(["--config", ev_cfg, "--out", tmp_path / "ev", "eval"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {key}: {bad}: row 7 holds a non-finite value\n")
+
     def test_blas_and_sampler_threads_byte_identical(self, tmp_path):
         # BLAS does the distance screen and the k-NN distances; neither its
         # thread count nor the sampler's may change a byte of the outputs
@@ -563,23 +608,37 @@ class TestNumericalErrors:
         assert run(["--config", small_cfg, "--out", tmp_path, "sample"]) == cli.EXIT_NUMERICAL
         assert "non-finite classifier gradient" in capsys.readouterr().err
 
-    def test_non_finite_guidance_gradient_names_one_row(self, tmp_path, monkeypatch, capsys):
-        # 64 chains' labels would fill several lines; the first bad row is named
+    @staticmethod
+    def _gradient_error(tmp_path, monkeypatch, capsys, n_chains):
+        """stderr of a geoguide `sample` whose classifier direction turns
+        NaN from row 5 on, in blocks shorter than BLOCK only."""
         direction = gm.AnalyticClassifier.class_grad_direction
 
         def nan_from_row_5(model, x, t, y):
             out = direction(model, x, t, y)
-            out[5:] = np.nan
+            if len(out) < gsam.BLOCK:
+                out[5:] = np.nan
             return out
 
         monkeypatch.setattr(gm.AnalyticClassifier, "class_grad_direction", nan_from_row_5)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("data.n = 400\nschedule.T = 50\nschedule.respace = 10\n"
-                       "sampling.n_chains = 64\nguidance.kind = geoguide\nguidance.s = 1.0\n")
+                       f"sampling.n_chains = {n_chains}\nguidance.kind = geoguide\n"
+                       "guidance.s = 1.0\n")
         assert run(["--config", cfg, "--out", tmp_path, "sample"]) == cli.EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err == ("numerical error: non-finite classifier gradient at t=50 "
-                       "in row 5 (class 5)\n")
+        return capsys.readouterr().err
+
+    def test_non_finite_guidance_gradient_names_one_row(self, tmp_path, monkeypatch, capsys):
+        # 64 chains' labels would fill several lines; the first bad chain is named
+        assert self._gradient_error(tmp_path, monkeypatch, capsys, 64) == (
+            "numerical error: non-finite classifier gradient at t=50 in chain 5 (class 5)\n")
+
+    def test_non_finite_guidance_gradient_names_the_chain(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # row 5 of the second block is chain 261 of the run, not "row 5"
+        assert self._gradient_error(tmp_path, monkeypatch, capsys, 300) == (
+            "numerical error: non-finite classifier gradient at t=50 in chain 261 "
+            "(class 5)\n")
 
     def test_non_finite_training_loss(self, tmp_path, monkeypatch, capsys):
         forward = gm.MLP.forward

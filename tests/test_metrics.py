@@ -174,6 +174,20 @@ class TestBlockedKnn:
                                    rtol=1e-13, atol=0)
         assert gmet.knn_precision_recall(g, r, 3) == _dense_precision_recall(g, r, 3)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_mixture_points_match_dense(self, bench_descriptor, k):
+        # ||p||^2 is about 100 and the k-NN distances about 0.1, so both
+        # kernels cancel most of each squared distance.  Each d2 is within
+        # (D + 2) u (||p||^2 + ||q||^2), about 1.6e-12, of the exact value
+        # in either kernel, which bounds the radii's relative difference by
+        # 2 * 1.6e-12 / (2 r^2) < 1e-9 at r > 0.08 (seen: up to 5e-13)
+        g = gd.generate(bench_descriptor, 1500, seed=3).points
+        r = gd.generate(bench_descriptor, 1000, seed=4).points
+        for points in (g, r):
+            np.testing.assert_allclose(gmet.kth_nn_radius(points, k),
+                                       _dense_radius(points, k), rtol=1e-9, atol=0)
+        assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
+
     def test_reference_radius_reused(self):
         g, r = _grid(600, 5), _grid(900, 6)
         radius = gmet.kth_nn_radius(r, 3)
@@ -194,6 +208,41 @@ class TestBlockedKnn:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+_SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
+
+
+class TestSquaredThreshold:
+    """``d2 <= _sq_threshold(r)`` equals ``sqrt(max(d2, 0)) <= r`` for every
+    d2, without a square root."""
+
+    radii = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=_SMALLEST_NORMAL, exclude_max=True),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=1e150, allow_infinity=True),
+        st.floats())  # also negative and NaN: a caller's reference_radius
+
+    @settings(max_examples=300, deadline=None)
+    @given(rs=st.lists(radii, min_size=1, max_size=8), other=st.floats())
+    def test_equals_square_root_test(self, rs, other):
+        r = np.array(rs)
+        for ri, ti in zip(r, gmet._sq_threshold(r)):
+            with np.errstate(over="ignore"):
+                d2 = np.array([ti, np.nextafter(ti, -np.inf), np.nextafter(ti, np.inf),
+                               ri * ri, np.nextafter(ri * ri, -np.inf),
+                               np.nextafter(ri * ri, np.inf), 0.0, -0.0, -ti, -1.0,
+                               -np.inf, np.inf, np.nan, other])
+            np.testing.assert_array_equal(d2 <= ti, np.sqrt(np.maximum(d2, 0.0)) <= ri)
+
+    def test_largest_such_value(self):
+        # r * r alone is off by an ulp for some radii; the threshold is not
+        r = rng_stream(8, 0).uniform(0.0, 3.0, 10_000)
+        t = gmet._sq_threshold(r)
+        assert np.all(np.sqrt(t) <= r)
+        assert np.all(np.sqrt(np.nextafter(t, np.inf)) > r)
+        assert np.any(t != r * r)
 
 
 class TestClassFidelity:
