@@ -2,14 +2,16 @@
 
 Subcommands: gen-data, train-denoiser, train-classifier, sample, eval,
 experiment <preset>.  Runs are configured by a flat key = value text file
-with dotted section prefixes (see ``DEFAULTS``), overridable by --seed,
---out, --threads.  Every command writes a manifest (config echo plus SHA-256
+with dotted section prefixes (see ``DEFAULTS``), overridable by --seed and
+--out.  --threads must be at least 1 and changes nothing: sampling is one
+serial loop, as its steps are short numpy calls that hold the interpreter
+lock.  Every command writes a manifest (config echo plus SHA-256
 content hashes) to its output directory; rerunning with the same config
 reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 model/schedule mismatch,
 4 numerical error (a non-finite sampler state, guidance gradient or training
-loss), 1 other.
+loss), 1 other (among them an OS error, such as an --out that is a file).
 """
 
 import argparse
@@ -81,6 +83,7 @@ RANGES = {
     "guidance.geoguide_T": (0, math.inf),
     "sampling.n_chains": (1, math.inf),
     "sampling.seed": (0, math.inf),
+    "sampling.store_full": (0, 1),
     "train.epochs": (1, math.inf),
     "train.batch_size": (1, math.inf),
     "train.seed": (0, math.inf),
@@ -275,11 +278,11 @@ class RunEnv(NamedTuple):
     n: int
     ys: np.ndarray
 
-    def sample(self, rule, threads, sch=None, **kwargs):
+    def sample(self, rule, sch=None, **kwargs):
         """``sampler.sample`` of this run under ``rule`` (one rule or a tuple),
         on ``sch`` if given."""
         return sampler_mod.sample(self.den, self.clf, rule, self.sch if sch is None else sch,
-                                  self.ys, self.n, seed=self.seed, threads=threads, **kwargs)
+                                  self.ys, self.n, seed=self.seed, **kwargs)
 
 
 def _run_env(cfg):
@@ -341,8 +344,7 @@ def cmd_sample(args):
     out = out_dir(args)
     env = _run_env(cfg)
     rule = cfg.rule()
-    batch = env.sample(rule, args.threads,
-                       store="full" if cfg.get_int("sampling.store_full") else "thinned")
+    batch = env.sample(rule, store="full" if cfg.get_int("sampling.store_full") else "thinned")
     samples_path = out / "samples.glab"
     data_mod.save(data_mod.LabeledDataset(points=batch.samples, labels=batch.targets,
                                           descriptor=env.ds.descriptor, seed=env.seed),
@@ -437,15 +439,14 @@ def _check(lines, name, ok, detail):
     return ok
 
 
-def preset_norm_curves(cfg, out, threads):
+def preset_norm_curves(cfg, out):
     env = _run_env(cfg)
     summary = []
     plot = LinePlot(title="guidance adjustment norm per reverse step",
                     xlabel="reverse step", ylabel="mean ||s A_t||")
     results = {}
     arms = (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO))
-    batches = env.sample(tuple(GuidanceRule(kind, s) for kind, s in arms), threads,
-                         store="none")
+    batches = env.sample(tuple(GuidanceRule(kind, s) for kind, s in arms), store="none")
     for (kind, s), batch in zip(arms, batches):
         curve = metrics_mod.norm_curve_summary(batch.adjustment_norms)
         results[kind] = (batch, curve)
@@ -470,7 +471,7 @@ def preset_norm_curves(cfg, out, threads):
     return ok, summary, ["norms_adm_g.csv", "norms_geoguide.csv", "norm_curves.svg"]
 
 
-def preset_distance_law(cfg, out, threads):
+def preset_distance_law(cfg, out):
     ds = cfg.dataset()
     sch = cfg.sampling_schedule()
     D = ds.points.shape[1]
@@ -491,14 +492,14 @@ def preset_distance_law(cfg, out, threads):
     return ok, summary, ["distance_law.csv", "distance_law.svg"]
 
 
-def preset_cutoff(cfg, out, threads):
+def preset_cutoff(cfg, out):
     env = _run_env(cfg)
     rows = []
     fid = {}
     arms = [(kind, s, cut) for kind, s in (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO))
             for cut in (1.0, 0.3)]
     batches = env.sample(tuple(GuidanceRule(kind, s, cutoff_fraction=cut)
-                               for kind, s, cut in arms), threads, store="none")
+                               for kind, s, cut in arms), store="none")
     for (kind, s, cut), batch in zip(arms, batches):
         f = metrics_mod.class_fidelity(batch.samples, batch.targets, env.clf)
         fid[(kind, cut)] = f
@@ -518,7 +519,7 @@ def preset_cutoff(cfg, out, threads):
     return ok, summary, ["cutoff.csv", "cutoff.svg"]
 
 
-def preset_scale_sweep(cfg, out, threads):
+def preset_scale_sweep(cfg, out):
     env = _run_env(cfg)
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
     k = _eval_k(cfg, env.n, len(env.ds.points))
@@ -526,8 +527,7 @@ def preset_scale_sweep(cfg, out, threads):
     files = []
     arms = {}
     for kind in ("adm_g", "geoguide", "geoguide_scaled"):
-        batches = env.sample(tuple(GuidanceRule(kind, s) for s in SWEEP_GRID), threads,
-                             store="none")
+        batches = env.sample(tuple(GuidanceRule(kind, s) for s in SWEEP_GRID), store="none")
         rows = [(s, _evaluate(batch.samples, batch.targets, env.ds.points, oracle, k,
                               config=f"{kind} s={s}", reference_radius=radius))
                 for s, batch in zip(SWEEP_GRID, batches)]
@@ -577,7 +577,7 @@ def preset_scale_sweep(cfg, out, threads):
     return ok, summary, files
 
 
-def preset_respace_study(cfg, out, threads):
+def preset_respace_study(cfg, out):
     env = _run_env(cfg)
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
     s = cfg.get_float("guidance.s")
@@ -586,7 +586,7 @@ def preset_respace_study(cfg, out, threads):
     kinds = ("geoguide", "geoguide_scaled")
     reports = {}
     for steps in RESPACE_STEPS:
-        batches = env.sample(tuple(GuidanceRule(kind, s) for kind in kinds), threads,
+        batches = env.sample(tuple(GuidanceRule(kind, s) for kind in kinds),
                              sch=schedule_mod.respace(env.base, steps), store="none")
         for kind, batch in zip(kinds, batches):
             reports[(kind, steps)] = _evaluate(
@@ -630,7 +630,7 @@ def cmd_experiment(args):
     runner, preset_defaults = PRESET_RUNNERS[args.preset]
     cfg = load_cfg(args, extra=preset_defaults)
     out = out_dir(args)
-    ok, summary, files = runner(cfg, out, args.threads)
+    ok, summary, files = runner(cfg, out)
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     write_manifest(out, cfg, [out / f for f in files] + [out / "summary.txt"])
     print("\n".join(summary))
@@ -671,6 +671,10 @@ def main(argv=None):
         return EXIT_NUMERICAL
     except (data_mod.DataFormatError, models_mod.ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

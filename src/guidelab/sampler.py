@@ -1,21 +1,21 @@
 """Reverse ancestral sampling with pluggable guidance and a columnar record.
 
-Chains are embarrassingly parallel: each chain's noise comes from its own
-stream keyed by (seed, chain), and chains are processed in fixed blocks of
-``BLOCK`` = 256, so results are byte-identical regardless of thread count or
-execution order.  A block draws its streams in windows of a few steps (4 MiB
-across the block, ``_blas.rows_per_block``) rather than all at once; chunked
-draws continue a stream bit for bit, so the window size does not change any
-value.  Several guidance rules may share one run: a block then steps one
-state per rule over each window, so every noise value is drawn once, and
-rules share every step until their guidance differs.
+Chains are independent: each chain's noise comes from its own stream keyed
+by (seed, chain), and chains run in fixed blocks of ``BLOCK`` = 256, one block
+after another.  The block size sets the array shapes, and so the rounding; it
+is fixed, so a run's values depend on its arguments alone.  A block draws its
+streams in windows of a few steps (4 MiB across the block,
+``_blas.rows_per_block``) rather than all at once; chunked draws continue a
+stream bit for bit, so the window size does not change any value.  Several
+guidance rules may share one run: a block then steps one state per rule over
+each window, so every noise value is drawn once, and rules share every step
+until their guidance differs.
 
 A rule's record is one ``SampleBatch``: chain j is row j of every per-chain
 array, and each block writes its own rows in place.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +27,7 @@ from .guidance import GuidanceError, GuidanceRule, adjustment, guided_reverse_st
 from .models import mu_from_eps
 from .schedule import NoiseSchedule
 
-BLOCK = 256  # chains per vectorized block; fixed so threading cannot change shapes
+BLOCK = 256  # chains per vectorized block; fixed, as shapes set the rounding
 
 TRAJECTORY_CSV_HEADER = ["chain", "step", "t", "alpha_bar", "adjustment_norm",
                          "d_hat", "d_theory"]
@@ -71,7 +71,7 @@ STORE = ("none", "thinned", "full")
 
 
 def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int,
-           seed: int, threads: int = 1, store: str = "thinned"):
+           seed: int, store: str = "thinned"):
     """Run n_chains guided reverse diffusions targeting class y.
 
     ``rule`` is one ``GuidanceRule``, which returns one ``SampleBatch``, or a
@@ -128,17 +128,9 @@ def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int
         stored_alpha_bars=np.append(alpha_bars[1:], 1.0)[stored],
         stored_x=np.empty((n_chains, len(stored), denoiser.dim))) for r in rules)
 
-    blocks = [(lo, min(lo + BLOCK, n_chains)) for lo in range(0, n_chains, BLOCK)]
-
-    def run_block(bounds):
-        _run_block(denoiser, classifier, rules, schedule, batches, *bounds, seed)
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
-    else:
-        for bounds in blocks:
-            run_block(bounds)
+    for lo in range(0, n_chains, BLOCK):
+        _run_block(denoiser, classifier, rules, schedule, batches, lo,
+                   min(lo + BLOCK, n_chains), seed)
     return batches if isinstance(rule, tuple) else batches[0]
 
 

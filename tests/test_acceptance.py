@@ -18,8 +18,6 @@ from guidelab import schedule as gs
 from guidelab.forward import rng_stream
 from guidelab.guidance import GuidanceRule
 
-THREADS = 8
-
 
 @pytest.fixture
 def report(capfd):
@@ -65,7 +63,7 @@ def reference(desc):
 def test_criterion_1_geoguide_norm_constancy(desc, linb_250, linb_models, report):
     den, clf = linb_models
     batch = gsam.sample(den, clf, GuidanceRule("geoguide", cli.TUNED_GEO), linb_250,
-                        np.arange(16) % 8, 16, seed=0, threads=THREADS)
+                        np.arange(16) % 8, 16, seed=0)
     target = cli.TUNED_GEO * np.sqrt(64) / linb_250.T
     norms = batch.adjustment_norms
     max_rel = float(np.max(np.abs(norms - target)) / target)
@@ -79,7 +77,7 @@ def test_criterion_1_geoguide_norm_constancy(desc, linb_250, linb_models, report
 def test_criterion_2_adm_norm_decay(desc, lina_250, lina_models, report):
     den, clf = lina_models
     batch = gsam.sample(den, clf, GuidanceRule("adm_g", cli.TUNED_ADM), lina_250,
-                        np.arange(64) % 8, 64, seed=0, threads=THREADS)
+                        np.arange(64) % 8, 64, seed=0)
     ratio = gmet.norm_curve_summary(batch.adjustment_norms)["ratio"]
     report(2, "adm_g norm decay", ratio < 0.2,
            f"last/first decile mean-norm ratio = {ratio:.4f} (< 0.2)")
@@ -108,7 +106,7 @@ def test_criterion_5_guidance_efficacy(desc, lina_250, lina_models, report):
     for kind, s, n in (("none", 0.0, 2048), ("geoguide", cli.TUNED_GEO, 512),
                        ("adm_g", cli.TUNED_ADM, 512)):
         batch = gsam.sample(den, clf, GuidanceRule(kind, s), lina_250,
-                            np.arange(n) % 8, n, seed=0, threads=THREADS)
+                            np.arange(n) % 8, n, seed=0)
         fid[kind] = gmet.class_fidelity(batch.samples, batch.targets, clf)
     ok = (fid["geoguide"] >= 0.90 and fid["adm_g"] >= 0.80
           and abs(fid["none"] - 0.125) <= 0.02)
@@ -125,8 +123,7 @@ def test_criterion_6_cutoff_direction(desc, lina_250, lina_models, report):
     rules = tuple(GuidanceRule(kind, s, cutoff_fraction=cut)
                   for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO))
                   for cut in (1.0, 0.3))
-    batches = gsam.sample(den, clf, rules, lina_250, ys, n, seed=0, threads=THREADS,
-                          store="none")
+    batches = gsam.sample(den, clf, rules, lina_250, ys, n, seed=0, store="none")
     fid = {(rule.kind, rule.cutoff_fraction):
            gmet.class_fidelity(batch.samples, batch.targets, clf)
            for rule, batch in zip(rules, batches)}
@@ -144,8 +141,7 @@ def test_criterion_7_tradeoff_monotonicity(desc, linb_250, linb_models, referenc
     radius = gmet.kth_nn_radius(reference, 3)
     recall, fidelity = [], []
     rules = tuple(GuidanceRule("geoguide", s) for s in cli.SWEEP_GRID)
-    batches = gsam.sample(den, clf, rules, linb_250, ys, n, seed=0, threads=THREADS,
-                          store="none")
+    batches = gsam.sample(den, clf, rules, linb_250, ys, n, seed=0, store="none")
     for batch in batches:
         _, r = gmet.knn_precision_recall(batch.samples, reference, k=3,
                                          reference_radius=radius)
@@ -168,7 +164,7 @@ def test_criterion_8_scaled_variant_report(desc, linb_250, linb_models,
     frechet = {}
     for kind in ("geoguide", "geoguide_scaled"):
         batch = gsam.sample(den, clf, GuidanceRule(kind, cli.TUNED_GEO), linb_250,
-                            ys, n, seed=0, threads=THREADS)
+                            ys, n, seed=0)
         frechet[kind] = gmet.frechet_distance(batch.samples, reference)
     path = tmp_path / "scaled_comparison.txt"
     direction = ("base better" if frechet["geoguide"] <= frechet["geoguide_scaled"]
@@ -193,7 +189,7 @@ def test_criterion_9_respacing(desc, reference, report):
     for steps in (50, 250, 1000):
         sch = gs.respace(base, steps)
         batch = gsam.sample(den_b, clf_b, GuidanceRule("geoguide_scaled", 2.0),
-                            sch, ys, n, seed=31, threads=THREADS)
+                            sch, ys, n, seed=31)
         f[steps] = gmet.frechet_distance(batch.samples, reference)
     rel = abs(f[1000] - f[250]) / f[250]
     report(9, "respacing", f[50] >= f[250] and rel <= 0.25,

@@ -2,7 +2,8 @@
 
 The recorder wraps functions and methods by name and its counters read
 call arguments by parameter name, so a rename there breaks the benchmark,
-not the library.  These checks catch it without running a command."""
+not the library.  Likewise every command line the benchmark runs must parse.
+These checks catch both without running a command."""
 
 import ast
 import inspect
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-import guidelab.cli  # noqa: F401  (loads every module the recorder wraps)
+import guidelab.cli  # loads every module the recorder wraps
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import run as bench_run  # noqa: E402
 import spans  # noqa: E402
 
 
@@ -65,3 +67,17 @@ def test_sampler_names_the_recorder_reads():
     assert callable(sampler.rng_stream)
     assert isinstance(inspect.getattr_static(sampler.SampleBatch, "logs"), property)
     assert "ts" in sampler.SampleBatch.__dataclass_fields__
+
+
+@pytest.mark.parametrize("workload", bench_run.WORKLOADS)
+def test_bench_command_lines_parse(workload, monkeypatch):
+    # each subcommand only records its arguments, so no command runs
+    called = []
+    for name in [n for n in vars(guidelab.cli) if n.startswith("cmd_")]:
+        monkeypatch.setattr(guidelab.cli, name,
+                            lambda args, name=name: called.append((name, args)) or 0)
+    spec = bench_run.command_spec(workload, 0, bench_run.THREADS_N)
+    for argv in spec["prepare"] + [spec["argv"]]:
+        assert guidelab.cli.main(argv) == 0
+    assert len(called) == len(spec["prepare"]) + 1
+    assert called[-1][1].threads == bench_run.THREADS_N

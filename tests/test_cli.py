@@ -77,7 +77,8 @@ class TestConfigParsing:
         ("guidance.s", "nan"), ("guidance.cutoff", "2"), ("schedule.respace", "5000"),
         ("schedule.respace", "1"), ("schedule.T", "0"), ("schedule.gamma_mode", "foo"),
         ("schedule.beta_end", "2"), ("data.n", "0"), ("data.dim", "1"), ("data.sigma", "0"),
-        ("data.radius", "nan"), ("guidance.s", "inf")])
+        ("data.radius", "nan"), ("guidance.s", "inf"), ("sampling.store_full", "2"),
+        ("sampling.store_full", "-1")])
     def test_out_of_range_value(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "c.txt"
         cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\n"
@@ -112,6 +113,17 @@ class TestGenData:
                 == (out2 / "dataset.glab").read_bytes())
         assert ((out1 / "manifest.txt").read_text()
                 == (out2 / "manifest.txt").read_text())
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_at_a_file_is_os_error(self, tmp_path, capsys, under):
+        # an --out that is a file, or lies under one, is no directory
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x" if under else blocker
+        assert run(["--out", out, "gen-data"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_env_fallback_out_dir(self, tmp_path, small_cfg, monkeypatch):
         target = tmp_path / "env_out"
@@ -217,7 +229,7 @@ class TestSampleAndEval:
 
     def test_blas_and_sampler_threads_byte_identical(self, tmp_path):
         # BLAS does the distance screen and the k-NN distances; neither its
-        # thread count nor the sampler's may change a byte of the outputs
+        # thread count nor --threads may change a byte of the outputs
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("data.n = 2000\nschedule.T = 50\nsampling.n_chains = 8\n"
                        "guidance.kind = geoguide\nguidance.s = 1.0\n")
@@ -657,7 +669,7 @@ class TestNumericalErrors:
 class TestExperimentPresets:
     def test_cutoff_preset_equals_single_rule_runs(self, tmp_path):
         # 300 chains cross a block boundary; the preset's one four-rule call
-        # gives the table of four one-rule calls, at any thread count
+        # gives the table of four one-rule calls, at any --threads
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("sampling.n_chains = 300\n")
         manifests = []
@@ -672,7 +684,7 @@ class TestExperimentPresets:
         lines = ["rule,s,cutoff_fraction,class_fidelity"]
         for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO)):
             for cut in (1.0, 0.3):
-                batch = env.sample(GuidanceRule(kind, s, cutoff_fraction=cut), 1)
+                batch = env.sample(GuidanceRule(kind, s, cutoff_fraction=cut))
                 f = gmet.class_fidelity(batch.samples, batch.targets, env.clf)
                 lines.append(f"{kind},{s!r},{cut!r},{float(f)!r}")
         assert (tmp_path / "t1" / "cutoff.csv").read_text() == "\n".join(lines) + "\n"

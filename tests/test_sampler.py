@@ -2,7 +2,9 @@
 
 import csv
 import hashlib
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, cycle, repeat
 
 import numpy as np
@@ -38,8 +40,7 @@ class TestSampleBasics:
                                      variances=np.array([1.0]))
         sch = gs.build_linear_beta(250, 1e-4, 0.02)
         den = gm.AnalyticDenoiser(desc, sch)
-        batch = gsam.sample(den, None, GuidanceRule("none"), sch, 0, 2000,
-                            seed=5, threads=4)
+        batch = gsam.sample(den, None, GuidanceRule("none"), sch, 0, 2000, seed=5)
         mean_norm = float(np.mean(np.linalg.norm(batch.samples, axis=1)))
         assert abs(mean_norm - 4.0) / 4.0 < 0.02
 
@@ -52,8 +53,7 @@ class TestSampleBasics:
     def test_guidance_efficacy(self, bench):
         desc, sch, den, clf = bench
         ys = np.arange(64) % 8
-        batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.0), sch, ys, 64,
-                            seed=4, threads=4)
+        batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.0), sch, ys, 64, seed=4)
         fid = float(np.mean(clf.predict(batch.samples, 0) == ys))
         assert fid >= 0.90
 
@@ -73,18 +73,35 @@ class TestSampleBasics:
             gsam.sample(den, None, GuidanceRule("adm_g", 1.0), sch, 0, 2, seed=0)
 
 
+def _in_threads(*calls):
+    """The results of ``calls``, run at once, each in its own thread, with the
+    interpreter switching threads often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(calls)) as pool:
+            futures = [pool.submit(call) for call in calls]
+            return [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestDeterminism:
     def test_thread_count_invariant(self, bench):
+        # callers may share one model pair across their own threads: calls
+        # that run at once give the arrays of a serial call
         _, sch, den, clf = bench
         n = 2 * gsam.BLOCK + 2   # two full blocks and a partial third
         ys = np.arange(n) % 8
-        a = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, ys, n,
-                        seed=11, threads=1)
-        b = gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, ys, n,
-                        seed=11, threads=8)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        np.testing.assert_array_equal(a.adjustment_norms, b.adjustment_norms)
-        np.testing.assert_array_equal(a.stored_x, b.stored_x)
+
+        def call():
+            return gsam.sample(den, clf, GuidanceRule("geoguide", 1.0), sch, ys, n, seed=11)
+
+        a = call()
+        for b in _in_threads(*[call] * 4):
+            np.testing.assert_array_equal(a.samples, b.samples)
+            np.testing.assert_array_equal(a.adjustment_norms, b.adjustment_norms)
+            np.testing.assert_array_equal(a.stored_x, b.stored_x)
 
     def test_seed_changes_output(self, bench):
         _, sch, den, clf = bench
@@ -181,6 +198,7 @@ class TestArms:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_equal_to_single_rule_calls(self, bench, monkeypatch, threads):
+        # at 2, each call runs in a second thread that the test starts
         _, sch, den, clf = bench
         n, seed, S, D = 2 * gsam.BLOCK + 2, 11, sch.T, den.dim
         ys = np.arange(n) % 8
@@ -190,7 +208,10 @@ class TestArms:
 
         def run(rule):
             draws.clear()
-            out = gsam.sample(den, clf, rule, sch, ys, n, seed=seed, threads=threads)
+            def call():
+                return gsam.sample(den, clf, rule, sch, ys, n, seed=seed)
+
+            out = call() if threads == 1 else _in_threads(call)[0]
             # each chain's stream yields its S + 1 rows once, however many rules
             assert sorted(draws) == list(range(n))
             assert all(sum(part.size for part in parts) == (S + 1) * D
