@@ -5,9 +5,11 @@ experiment <preset>.  Runs are configured by a flat key = value text file
 with dotted section prefixes (see ``DEFAULTS``), overridable by --seed and
 --out.  --threads must be at least 1 and changes nothing: sampling is one
 serial loop, as its steps are short numpy calls that hold the interpreter
-lock.  Every command writes a manifest (config echo plus SHA-256
-content hashes) to its output directory; rerunning with the same config
-reproduces the outputs byte for byte.
+lock.  Every command reads and checks its config before it creates its
+output directory, so a config error leaves no --out behind.  Every command
+writes a manifest (config echo plus SHA-256 content hashes) to its output
+directory; rerunning with the same config reproduces the outputs byte for
+byte.
 
 Exit codes: 0 success, 2 config error, 3 model/schedule mismatch,
 4 numerical error (a non-finite sampler state, guidance gradient or training
@@ -301,9 +303,9 @@ def _run_env(cfg):
 
 def cmd_gen_data(args):
     cfg = load_cfg(args)
+    desc, n, seed = cfg.descriptor(), cfg.get_int("data.n"), cfg.get_int("data.seed")
     out = out_dir(args)
-    ds = data_mod.generate(cfg.descriptor(), cfg.get_int("data.n"),
-                           cfg.get_int("data.seed"))
+    ds = data_mod.generate(desc, n, seed)
     path = out / "dataset.glab"
     data_mod.save(ds, path)
     write_manifest(out, cfg, [path])
@@ -313,14 +315,15 @@ def cmd_gen_data(args):
 
 def _train(args, which):
     cfg = load_cfg(args)
-    out = out_dir(args)
     ds = cfg.dataset()
     base = cfg.base_schedule()
     hyper = models_mod.Hyperparams(epochs=cfg.get_int("train.epochs"),
                                    batch_size=cfg.get_int("train.batch_size"),
                                    lr=cfg.get_float("train.lr"))
+    seed = cfg.get_int("train.seed")
+    out = out_dir(args)
     train = models_mod.train_denoiser if which == "denoiser" else models_mod.train_classifier
-    model, report = train(ds, base, hyper, seed=cfg.get_int("train.seed"))
+    model, report = train(ds, base, hyper, seed=seed)
     path = out / f"{which}.gmod"
     models_mod.save_model(model, path)
     loss_csv = out / f"{which}_loss.csv"
@@ -341,10 +344,11 @@ def cmd_train_classifier(args):
 
 def cmd_sample(args):
     cfg = load_cfg(args)
-    out = out_dir(args)
-    env = _run_env(cfg)
+    store = "full" if cfg.get_int("sampling.store_full") else "thinned"
     rule = cfg.rule()
-    batch = env.sample(rule, store="full" if cfg.get_int("sampling.store_full") else "thinned")
+    env = _run_env(cfg)
+    out = out_dir(args)
+    batch = env.sample(rule, store=store)
     samples_path = out / "samples.glab"
     data_mod.save(data_mod.LabeledDataset(points=batch.samples, labels=batch.targets,
                                           descriptor=env.ds.descriptor, seed=env.seed),
@@ -358,7 +362,6 @@ def cmd_sample(args):
 
 def cmd_eval(args):
     cfg = load_cfg(args)
-    out = out_dir(args)
     gen_path = cfg.get("eval.generated")
     if not gen_path:
         raise ConfigError("eval.generated must point to a samples file")
@@ -374,6 +377,7 @@ def cmd_eval(args):
                           "that the class-fidelity oracle needs")
     oracle = models_mod.AnalyticClassifier(desc, base)
     k = _eval_k(cfg, len(generated.points), len(reference.points))
+    out = out_dir(args)
     report = _evaluate(generated.points, generated.labels, reference.points,
                        oracle, k, config=cfg.get("guidance.kind"))
     csv_path = out / "metrics.csv"
@@ -439,14 +443,15 @@ def _check(lines, name, ok, detail):
     return ok
 
 
-def preset_norm_curves(cfg, out):
+def preset_norm_curves(cfg, make_out):
     env = _run_env(cfg)
+    out = make_out()
     summary = []
     plot = LinePlot(title="guidance adjustment norm per reverse step",
                     xlabel="reverse step", ylabel="mean ||s A_t||")
     results = {}
     arms = (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO))
-    batches = env.sample(tuple(GuidanceRule(kind, s) for kind, s in arms), store="none")
+    batches = env.sample(tuple(GuidanceRule(kind, s) for kind, s in arms), store="norms")
     for (kind, s), batch in zip(arms, batches):
         curve = metrics_mod.norm_curve_summary(batch.adjustment_norms)
         results[kind] = (batch, curve)
@@ -471,12 +476,14 @@ def preset_norm_curves(cfg, out):
     return ok, summary, ["norms_adm_g.csv", "norms_geoguide.csv", "norm_curves.svg"]
 
 
-def preset_distance_law(cfg, out):
+def preset_distance_law(cfg, make_out):
     ds = cfg.dataset()
     sch = cfg.sampling_schedule()
+    seed = cfg.get_int("sampling.seed")
+    out = make_out()
     D = ds.points.shape[1]
-    ts, alpha_bars, d_hat = sampler_mod.forward_manifold_traces(
-        ds, sch, n_draws=200, seed=cfg.get_int("sampling.seed"))
+    ts, alpha_bars, d_hat = sampler_mod.forward_manifold_traces(ds, sch, n_draws=200,
+                                                                seed=seed)
     fit = metrics_mod.distance_law_fit(ts, alpha_bars, d_hat, D)
     _write_table(out / "distance_law.csv", ["t", "median_rel_error", "n"],
                  ((row["t"], row["median_rel_error"], row["n"]) for row in fit["per_t"]))
@@ -492,14 +499,15 @@ def preset_distance_law(cfg, out):
     return ok, summary, ["distance_law.csv", "distance_law.svg"]
 
 
-def preset_cutoff(cfg, out):
+def preset_cutoff(cfg, make_out):
     env = _run_env(cfg)
+    out = make_out()
     rows = []
     fid = {}
     arms = [(kind, s, cut) for kind, s in (("adm_g", TUNED_ADM), ("geoguide", TUNED_GEO))
             for cut in (1.0, 0.3)]
     batches = env.sample(tuple(GuidanceRule(kind, s, cutoff_fraction=cut)
-                               for kind, s, cut in arms), store="none")
+                               for kind, s, cut in arms), store="samples")
     for (kind, s, cut), batch in zip(arms, batches):
         f = metrics_mod.class_fidelity(batch.samples, batch.targets, env.clf)
         fid[(kind, cut)] = f
@@ -519,15 +527,17 @@ def preset_cutoff(cfg, out):
     return ok, summary, ["cutoff.csv", "cutoff.svg"]
 
 
-def preset_scale_sweep(cfg, out):
+def preset_scale_sweep(cfg, make_out):
     env = _run_env(cfg)
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
     k = _eval_k(cfg, env.n, len(env.ds.points))
+    out = make_out()
     radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     files = []
     arms = {}
     for kind in ("adm_g", "geoguide", "geoguide_scaled"):
-        batches = env.sample(tuple(GuidanceRule(kind, s) for s in SWEEP_GRID), store="none")
+        batches = env.sample(tuple(GuidanceRule(kind, s) for s in SWEEP_GRID),
+                             store="samples")
         rows = [(s, _evaluate(batch.samples, batch.targets, env.ds.points, oracle, k,
                               config=f"{kind} s={s}", reference_radius=radius))
                 for s, batch in zip(SWEEP_GRID, batches)]
@@ -577,17 +587,18 @@ def preset_scale_sweep(cfg, out):
     return ok, summary, files
 
 
-def preset_respace_study(cfg, out):
+def preset_respace_study(cfg, make_out):
     env = _run_env(cfg)
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
     s = cfg.get_float("guidance.s")
     k = _eval_k(cfg, env.n, len(env.ds.points))
+    out = make_out()
     radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     kinds = ("geoguide", "geoguide_scaled")
     reports = {}
     for steps in RESPACE_STEPS:
         batches = env.sample(tuple(GuidanceRule(kind, s) for kind in kinds),
-                             sch=schedule_mod.respace(env.base, steps), store="none")
+                             sch=schedule_mod.respace(env.base, steps), store="samples")
         for kind, batch in zip(kinds, batches):
             reports[(kind, steps)] = _evaluate(
                 batch.samples, batch.targets, env.ds.points, oracle, k,
@@ -615,6 +626,8 @@ def preset_respace_study(cfg, out):
     return ok, summary, ["respace.csv", "respace.svg"]
 
 
+# preset -> (runner, config defaults).  runner(cfg, make_out) reads and checks
+# its config first, and only then calls make_out() for the output directory.
 PRESET_RUNNERS = {
     "norm_curves": (preset_norm_curves, dict(GEOMETRY_SCHEDULE, **{"sampling.n_chains": "64"})),
     "distance_law": (preset_distance_law, {"schedule.respace": "250"}),
@@ -629,8 +642,8 @@ PRESET_RUNNERS = {
 def cmd_experiment(args):
     runner, preset_defaults = PRESET_RUNNERS[args.preset]
     cfg = load_cfg(args, extra=preset_defaults)
+    ok, summary, files = runner(cfg, lambda: out_dir(args))
     out = out_dir(args)
-    ok, summary, files = runner(cfg, out)
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     write_manifest(out, cfg, [out / f for f in files] + [out / "summary.txt"])
     print("\n".join(summary))

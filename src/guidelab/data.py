@@ -155,8 +155,11 @@ def generate(descriptor: ManifoldDescriptor, n: int, seed: int) -> LabeledDatase
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     labels = rng.choice(descriptor.n_classes, size=n, p=descriptor.weights)
-    std = np.sqrt(descriptor.variances[labels])
-    points = descriptor.means[labels] + std * rng.standard_normal((n, descriptor.dim))
+    # in place: the values of means[labels] + sqrt(variances[labels]) * z, bit
+    # for bit, with one dataset-sized temporary
+    points = rng.standard_normal((n, descriptor.dim))
+    points *= np.sqrt(descriptor.variances)[labels]
+    points += descriptor.means[labels]
     return LabeledDataset(points=points, labels=labels, descriptor=descriptor, seed=seed)
 
 

@@ -47,7 +47,7 @@ class GuidanceRule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"guidance kind must be one of {KINDS}, got {self.kind!r}")
-        # s = inf would turn an inactive step's s * 0 into NaN
+        # s = inf would turn a vanished direction's s * 0 into NaN
         if not (np.isfinite(self.scale) and self.scale >= 0):
             raise ValueError(f"scale must be finite and nonnegative, got {self.scale!r}")
         if not 0.0 <= self.cutoff_fraction <= 1.0:
@@ -100,7 +100,8 @@ def guided_reverse_step(mu, gamma_t: float, a_t, s: float, is_final: bool = Fals
     """x_{t-1} = mu + sqrt(gamma_t) * eps + s * A_t.
 
     The caller supplies the noise ``eps``; the final step is noise-free
-    (eps = 0) and needs none.
+    (eps = 0) and needs none.  ``a_t = None`` is an unguided step: no
+    adjustment term is added, not even s * 0.
     """
     if gamma_t < 0:
         raise ValueError("gamma_t must be nonnegative")
@@ -109,4 +110,5 @@ def guided_reverse_step(mu, gamma_t: float, a_t, s: float, is_final: bool = Fals
         eps = np.zeros_like(mu)
     elif eps is None:
         raise ValueError("eps is required before the final step")
-    return mu + np.sqrt(gamma_t) * eps + s * np.asarray(a_t)
+    x = mu + np.sqrt(gamma_t) * eps
+    return x if a_t is None else x + s * np.asarray(a_t)

@@ -4,15 +4,17 @@ Chains are independent: each chain's noise comes from its own stream keyed
 by (seed, chain), and chains run in fixed blocks of ``BLOCK`` = 256, one block
 after another.  The block size sets the array shapes, and so the rounding; it
 is fixed, so a run's values depend on its arguments alone.  A block draws its
-streams in windows of a few steps (4 MiB across the block,
-``_blas.rows_per_block``) rather than all at once; chunked draws continue a
-stream bit for bit, so the window size does not change any value.  Several
-guidance rules may share one run: a block then steps one state per rule over
-each window, so every noise value is drawn once, and rules share every step
-until their guidance differs.
+streams in windows of a few steps (``WINDOW_ENTRIES``, 1 MiB across the block)
+rather than all at once; chunked draws continue a stream bit for bit, so the
+window size does not change any value.  Several guidance rules may share one
+run: a block then steps one state per rule over each window, so every noise
+value is drawn once, and rules share every step until their guidance differs.
+An unguided step (after a cut-off, or under kind none) takes no adjustment.
 
 A rule's record is one ``SampleBatch``: chain j is row j of every per-chain
-array, and each block writes its own rows in place.
+array, and each block writes its own rows in place.  ``store`` names the
+arrays a call keeps, and the work behind an array it does not keep is
+skipped.
 """
 
 import math
@@ -28,6 +30,7 @@ from .models import mu_from_eps
 from .schedule import NoiseSchedule
 
 BLOCK = 256  # chains per vectorized block; fixed, as shapes set the rounding
+WINDOW_ENTRIES = 1 << 17  # noise values per block window: 1 MiB of float64
 
 TRAJECTORY_CSV_HEADER = ["chain", "step", "t", "alpha_bar", "adjustment_norm",
                          "d_hat", "d_theory"]
@@ -41,13 +44,14 @@ class SamplerError(RuntimeError):
 class SampleBatch:
     """The record of one rule's run.  Chain j is row j of every per-chain array;
     the per-step arrays are shared by every chain.  x_t is kept at the K
-    ``stored_steps`` only: thinned, every step, or none (see ``STORE``)."""
+    ``stored_steps`` only: thinned, every step, or none; the norms are None
+    when the call kept samples only (see ``STORE``)."""
     samples: np.ndarray            # (M, D) final states
     targets: np.ndarray            # (M,) class labels
     ts: np.ndarray                 # (S,) timestep labels, descending
     alpha_bars: np.ndarray         # (S,)
     guidance_active: np.ndarray    # (S,) bool
-    adjustment_norms: np.ndarray   # (M, S) ||s * A_t||
+    adjustment_norms: np.ndarray   # (M, S) ||s * A_t||, or None
     stored_steps: np.ndarray       # (K,) indices into the step axis with x stored
     stored_ts: np.ndarray          # (K,) timestep label of each stored state
     stored_alpha_bars: np.ndarray  # (K,) noise level (alpha_bar) of each stored state
@@ -56,8 +60,9 @@ class SampleBatch:
     def chain(self, j: int) -> "SampleBatch":
         """Chain j as a one-chain batch of views into this one."""
         rows = slice(j, j + 1)
+        norms = self.adjustment_norms
         return replace(self, samples=self.samples[rows], targets=self.targets[rows],
-                       adjustment_norms=self.adjustment_norms[rows],
+                       adjustment_norms=None if norms is None else norms[rows],
                        stored_x=self.stored_x[rows])
 
     @property
@@ -67,7 +72,9 @@ class SampleBatch:
         return [self.chain(j) for j in range(len(self.samples))]
 
 
-STORE = ("none", "thinned", "full")
+# what a call keeps beside the final samples: nothing, the adjustment norms,
+# or the norms and x_t at thinned or at all steps
+STORE = ("samples", "norms", "thinned", "full")
 
 
 def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int,
@@ -85,8 +92,10 @@ def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int
     y may be a single label or one label per chain.  Each chain starts at
     x_T ~ N(0, I) and iterates mu_from_eps + guided_reverse_step over the
     (possibly respaced) schedule, noise-free at the final step.  ``store``
-    keeps x_t every ceil(S / 50) steps and at the last one ("thinned"), at
-    every step ("full") or at none ("none").
+    keeps the final samples only ("samples"), with the per-step adjustment
+    norms ("norms"), and with x_t every ceil(S / 50) steps and at the last
+    one ("thinned") or at every step ("full").  Under "samples" no norm is
+    computed and ``adjustment_norms`` is None.
     """
     rules = rule if isinstance(rule, tuple) else (rule,)
     if not rules:
@@ -108,7 +117,7 @@ def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int
         if classifier.base_fingerprint != schedule.base_fingerprint:
             raise SamplerError("classifier does not match the schedule fingerprint")
     n_steps = schedule.T
-    if store == "none":
+    if store in ("samples", "norms"):
         stored = np.arange(0)
     else:
         store_every = 1 if store == "full" else math.ceil(n_steps / 50)
@@ -122,7 +131,7 @@ def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int
         samples=np.empty((n_chains, denoiser.dim)), targets=targets,
         ts=ts, alpha_bars=alpha_bars,
         guidance_active=r.active(np.arange(n_steps), n_steps),
-        adjustment_norms=np.empty((n_chains, n_steps)),
+        adjustment_norms=None if store == "samples" else np.empty((n_chains, n_steps)),
         stored_steps=stored,
         stored_ts=np.append(ts[1:], 0)[stored],
         stored_alpha_bars=np.append(alpha_bars[1:], 1.0)[stored],
@@ -142,17 +151,19 @@ def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
     states are one object share ``predict_eps`` and ``mu_from_eps``; those
     that also take the same step (active with equal kind, scale and
     ``t_override``, or all inactive) share its adjustment, reverse update and
-    resulting state.  A shared step that turns non-finite names the first
-    rule in tuple order that takes it."""
+    resulting state.  An inactive step takes no adjustment, and its norms are
+    0.  A shared step that turns non-finite names the first rule in tuple
+    order that takes it."""
     n_steps = schedule.T
     ys = batches[0].targets[lo:hi]
+    keep_norms = batches[0].adjustment_norms is not None
     slot = {k: i for i, k in enumerate(batches[0].stored_steps.tolist())}
     # each chain's stream holds n_steps + 1 rows: x_T, then the noise of
     # step k at row k + 1; a window holds the next `width` rows of every stream
     streams = [rng_stream(seed, c) for c in range(lo, hi)]
     n_rows = n_steps + 1
-    window = np.empty((hi - lo, min(_blas.rows_per_block((hi - lo) * denoiser.dim), n_rows),
-                       denoiser.dim))
+    window = np.empty((hi - lo, min(max(1, WINDOW_ENTRIES // ((hi - lo) * denoiser.dim)),
+                                    n_rows), denoiser.dim))
     width = window.shape[1]
 
     def draw(first):
@@ -185,16 +196,19 @@ def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
             taken = {}  # step -> (next state, norms)
             for i in members:
                 rule, batch = rules[i], batches[i]
-                # an inactive step adds s * 0 = 0 for any finite s, so all
-                # inactive rules take the same step
-                step = ((rule.kind, rule.scale, rule.t_override)
-                        if rule.active(k, n_steps) else None)
+                # an inactive step adds no adjustment, so all inactive rules
+                # take the same step
+                active = rule.active(k, n_steps)
+                step = (rule.kind, rule.scale, rule.t_override) if active else None
                 if step not in taken:
-                    try:
-                        a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
-                    except GuidanceError as exc:
-                        raise GuidanceError(exc.t, lo + exc.index, exc.label,
-                                            unit="chain") from None
+                    a_t = None
+                    if active:
+                        try:
+                            a_t = adjustment(rule, classifier, x, pos, ys, schedule, k,
+                                             n_steps)
+                        except GuidanceError as exc:
+                            raise GuidanceError(exc.t, lo + exc.index, exc.label,
+                                                unit="chain") from None
                     x_next = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t,
                                                  rule.scale, is_final=(pos == 1),
                                                  eps=window[:, row])
@@ -204,9 +218,11 @@ def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
                             f"non-finite state at step {k} (t={t_label}) in chain {bad} "
                             f"under rule {rule.kind} (s={rule.scale}, "
                             f"cutoff={rule.cutoff_fraction})")
-                    taken[step] = (x_next, rule.scale * np.linalg.norm(a_t, axis=-1))
+                    taken[step] = (x_next, rule.scale * np.linalg.norm(a_t, axis=-1)
+                                   if keep_norms and active else 0.0)
                 xs[i], norms = taken[step]
-                batch.adjustment_norms[lo:hi, k] = norms
+                if keep_norms:
+                    batch.adjustment_norms[lo:hi, k] = norms
                 if k in slot:
                     batch.stored_x[lo:hi, slot[k]] = xs[i]
     for batch, x in zip(batches, xs):
@@ -303,7 +319,11 @@ def export_trajectories_csv(batch: SampleBatch, path, dataset):
 
     The bytes are those of ``csv.writer``: each float is its repr and rows
     end in ``\r\n``.  The per-step cells are formatted once for all chains.
+    The batch must keep its norms (any ``store`` but "samples").
     """
+    if batch.adjustment_norms is None:
+        raise ValueError("the batch keeps no adjustment norms: sample it with store "
+                         "'norms', 'thinned' or 'full', not 'samples'")
     M, S = batch.adjustment_norms.shape
     lead = [f"{k},{t},{ab!r}," for k, (t, ab)
             in enumerate(zip(batch.ts.tolist(), batch.alpha_bars.tolist()))]

@@ -4,6 +4,8 @@ The single forward step and the exact posterior q(x_{t-1} | x_t, x_0) check
 the closed-form jump (``forward.q_sample``) and the reverse mean
 (``models.mu_from_eps``) from first principles.  ``lockstep_counts`` gives
 the work of a lockstep sampler call from the rules' active masks alone.
+``mixture_draw`` is the dataset draw as the plain formula, which
+``data.generate`` evaluates in place.
 """
 
 import numpy as np
@@ -44,6 +46,15 @@ def posterior_mean_var(x_t, x_0, t: int, schedule: NoiseSchedule):
     return mean, float(schedule.posterior_vars[i])
 
 
+def mixture_draw(descriptor, n: int, seed: int):
+    """(points, labels) of ``data.generate(descriptor, n, seed)``: the labels,
+    then means[labels] + sqrt(variances[labels]) * z, with temporaries."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    labels = rng.choice(descriptor.n_classes, size=n, p=descriptor.weights)
+    std = np.sqrt(descriptor.variances[labels])
+    return descriptor.means[labels] + std * rng.standard_normal((n, descriptor.dim)), labels
+
+
 def lockstep_counts(rules, total_steps: int):
     """(denoiser calls, classifier calls, reverse updates) of one block of a
     ``sampler.sample`` call under ``rules``, from ``GuidanceRule.active``.
@@ -51,8 +62,8 @@ def lockstep_counts(rules, total_steps: int):
     All rules start at one state.  At each step every distinct state takes
     one denoiser call; its rules then split by the step they take, which is
     (kind, scale, t_override) while guided and one shared unguided step
-    otherwise.  Each distinct step is one reverse update (and one classifier
-    call if guided), and its rules share the next state.
+    otherwise.  Each distinct step is one reverse update (and one adjustment
+    and one classifier call if guided), and its rules share the next state.
     """
     groups = [list(rules)]
     eps = guided = updates = 0

@@ -123,7 +123,7 @@ def test_criterion_6_cutoff_direction(desc, lina_250, lina_models, report):
     rules = tuple(GuidanceRule(kind, s, cutoff_fraction=cut)
                   for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO))
                   for cut in (1.0, 0.3))
-    batches = gsam.sample(den, clf, rules, lina_250, ys, n, seed=0, store="none")
+    batches = gsam.sample(den, clf, rules, lina_250, ys, n, seed=0, store="samples")
     fid = {(rule.kind, rule.cutoff_fraction):
            gmet.class_fidelity(batch.samples, batch.targets, clf)
            for rule, batch in zip(rules, batches)}
@@ -141,7 +141,7 @@ def test_criterion_7_tradeoff_monotonicity(desc, linb_250, linb_models, referenc
     radius = gmet.kth_nn_radius(reference, 3)
     recall, fidelity = [], []
     rules = tuple(GuidanceRule("geoguide", s) for s in cli.SWEEP_GRID)
-    batches = gsam.sample(den, clf, rules, linb_250, ys, n, seed=0, store="none")
+    batches = gsam.sample(den, clf, rules, linb_250, ys, n, seed=0, store="samples")
     for batch in batches:
         _, r = gmet.knn_precision_recall(batch.samples, reference, k=3,
                                          reference_radius=radius)
@@ -189,7 +189,7 @@ def test_criterion_9_respacing(desc, reference, report):
     for steps in (50, 250, 1000):
         sch = gs.respace(base, steps)
         batch = gsam.sample(den_b, clf_b, GuidanceRule("geoguide_scaled", 2.0),
-                            sch, ys, n, seed=31)
+                            sch, ys, n, seed=31, store="samples")
         f[steps] = gmet.frechet_distance(batch.samples, reference)
     rel = abs(f[1000] - f[250]) / f[250]
     report(9, "respacing", f[50] >= f[250] and rel <= 0.25,

@@ -86,6 +86,38 @@ class TestConfigParsing:
         assert run(["--config", cfg, "--out", tmp_path, "sample"]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (["gen-data"], "data.seed", "-1"),
+        (["train-denoiser"], "train.seed", "-1"),
+        (["train-classifier"], "train.lr", "nan"),
+        (["sample"], "sampling.store_full", "7"),
+        (["eval"], "eval.k", "0"),
+        (["experiment", "norm_curves"], "sampling.target", "9"),
+        (["experiment", "distance_law"], "sampling.seed", "-1"),
+        (["experiment", "cutoff"], "sampling.target", "9"),
+        (["experiment", "scale_sweep"], "eval.k", "0"),
+        (["experiment", "respace_study"], "eval.k", "0"),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+    def test_config_error_leaves_no_out(self, tmp_path, capsys, argv, key, value):
+        # each key is among the last its command reads
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\nschedule.respace = 10\n"
+                       f"sampling.n_chains = 2\neval.generated = {tmp_path / 'gen' / 'dataset.glab'}\n")
+        assert run(["--config", cfg, "--out", tmp_path / "gen", "gen-data"]) == 0
+        with cfg.open("a") as fh:
+            fh.write(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, *argv]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_store_full_checked_before_the_run_is_built(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("sampling.store_full = 7\n")
+        monkeypatch.setattr(cli, "_run_env", None)
+        assert run(["--config", cfg, "--out", tmp_path / "out", "sample"]) == cli.EXIT_CONFIG
+        assert "sampling.store_full" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_non_positive_threads(self, tmp_path, small_cfg, capsys, threads):
         out = tmp_path / "out"
@@ -262,10 +294,14 @@ class TestSampleAndEval:
         assert header == "chain,step,t,alpha_bar,adjustment_norm,d_hat,d_theory"
 
     @staticmethod
-    def _recorded(tmp_path, cfg_text, argv):
+    def _recorded(tmp_path, cfg_text, argv, workload):
         """The per-layer metrics of bench/spans.py's full recorder around one
         CLI command (its argv tokens after the options) in a fresh
-        interpreter, with bench/run.py's ``LAYER_METRICS`` under ``"listed"``."""
+        interpreter, with bench/run.py's ``LAYER_METRICS`` under ``"listed"``.
+
+        Every time the benchmark lists for ``workload`` must read > 0, so a
+        stale list fails here before it stops a traced benchmark run;
+        ``trace.*`` is the benchmark's own clock, not a layer."""
         script = (
             "import json, sys\n"
             f"sys.path[:0] = [{str(ROOT / 'bench')!r}, {str(SRC)!r}]\n"
@@ -285,14 +321,18 @@ class TestSampleAndEval:
                               check=True, capture_output=True, text=True, timeout=300)
         result = json.loads(done.stdout.splitlines()[-1])
         assert result["code"] == 0
-        return result["metrics"]
+        metrics = result["metrics"]
+        for name in metrics["listed"][workload]:
+            if name.endswith("_s") and not name.startswith("trace."):
+                assert metrics[name] > 0, name
+        return metrics
 
     def test_benchmark_recorder_counts(self, tmp_path):
         # bench/spans.py binds guidelab names (batch.logs, log.ts,
         # trajectory.stored_ts, ...); its full recorder must still count
         metrics = self._recorded(
             tmp_path, "data.n = 300\nschedule.respace = 10\nsampling.n_chains = 2\n"
-            "guidance.kind = geoguide\nguidance.s = 1.0\n", ["sample"])
+            "guidance.kind = geoguide\nguidance.s = 1.0\n", ["sample"], "sample_trace")
         M, S, K, N = 2, 10, 10, 300   # ceil(10 / 50) = 1: every step stored
         assert metrics["sampler.trace_distance_s"] > 0
         assert metrics["sampler.export_csv_s"] > 0
@@ -307,7 +347,7 @@ class TestSampleAndEval:
         assert run(["--config", gen_cfg, "--out", tmp_path / "gen", "gen-data"]) == 0
         metrics = self._recorded(
             tmp_path, f"eval.generated = {tmp_path / 'gen' / 'dataset.glab'}\n"
-            f"data.n = {R}\n", ["eval"])
+            f"data.n = {R}\n", ["eval"], "eval_knn")
         assert metrics["metrics.knn_s"] > 0
         assert metrics["metrics.knn_pairs"] == G * R + G * G + R * R
 
@@ -317,7 +357,7 @@ class TestSampleAndEval:
         M, S = 64, 50   # enough for the preset's [PASS], so the command exits 0
         metrics = self._recorded(
             tmp_path, f"data.n = 300\nschedule.respace = {S}\nsampling.n_chains = {M}\n",
-            ["experiment", "cutoff"])
+            ["experiment", "cutoff"], "guide_cutoff")
         listed = [n for n in metrics["listed"]["guide_cutoff"]
                   if n.split(".")[0] in ("models", "guidance")]
         assert "guidance.calls" in listed and "models.rows" in listed
@@ -329,7 +369,8 @@ class TestSampleAndEval:
                       (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO))
                       for cut in (1.0, 0.3))
         eps, guided, updates = lockstep_counts(rules, S)
-        assert metrics["guidance.calls"] == updates
+        # an unguided update makes no adjustment call
+        assert metrics["guidance.calls"] == guided < updates
         # class_fidelity reads each arm's M samples once
         assert metrics["models.rows"] == M * (eps + guided + len(rules))
 

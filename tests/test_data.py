@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from guidelab import data as gd
+from oracles import mixture_draw
 
 
 class TestDescriptor:
@@ -83,6 +84,21 @@ class TestGenerate:
             sigma = np.sqrt(np.max(bench_descriptor.variances[k]))
             tol = 5.0 * sigma / np.sqrt(len(pts))
             assert np.all(np.abs(pts.mean(axis=0) - bench_descriptor.means[k]) < tol)
+
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    def test_equals_the_plain_formula(self, dim):
+        # generate draws in place; the values are the formula's bit for bit
+        uneven = gd.ManifoldDescriptor(
+            kind="gaussian_mixture", dim=dim, weights=np.array([0.7, 0.2, 0.1]),
+            means=np.arange(3 * dim, dtype=float).reshape(3, dim) - 2.5,
+            variances=np.array([0.3, 2.0, 1e-4]))
+        for desc in (gd.eight_gaussians(dim=dim), uneven):
+            for seed in (0, 1, 5, 1000):
+                for n in (1, 7, 4096, 8000):
+                    ds = gd.generate(desc, n, seed)
+                    points, labels = mixture_draw(desc, n, seed)
+                    assert ds.points.tobytes() == points.tobytes()
+                    assert ds.labels.tobytes() == labels.tobytes()
 
     def test_rejects_bad_n(self, bench_descriptor):
         with pytest.raises(ValueError):

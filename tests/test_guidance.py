@@ -38,7 +38,7 @@ class TestRuleValidation:
         (dict(t_override=0), "0"),
         (dict(t_override=2.5), "2.5"),
         (dict(t_override=True), "True"),
-        # s = inf makes an inactive step's s * 0 NaN
+        # s = inf makes a vanished direction's s * 0 NaN
         (dict(scale=np.inf), "inf"),
         (dict(scale=np.nan), "nan"),
         (dict(scale=-1.0), "-1.0"),
@@ -262,6 +262,17 @@ class TestGuidedStep:
         out = guided_reverse_step(mu, gamma, a_t, s, eps=eps)
         np.testing.assert_allclose(out - (mu + np.sqrt(gamma) * eps), s * a_t,
                                    rtol=1e-12)
+
+    def test_unguided_step_adds_nothing(self):
+        # a_t = None adds no s * 0 term, which would turn -0.0 into +0.0
+        mu = np.array([-0.0, 1.0, -2.0])
+        eps = np.array([-0.0, 0.5, 3.0])
+        out = guided_reverse_step(mu, 0.25, None, 2.0, eps=eps)
+        assert out.tobytes() == (mu + np.sqrt(0.25) * eps).tobytes()
+        assert np.signbit(out[0])
+        with_zero = guided_reverse_step(mu, 0.25, np.zeros(3), 2.0, eps=eps)
+        assert not np.signbit(with_zero[0])
+        np.testing.assert_array_equal(with_zero, out)
 
     def test_final_step_noise_free(self):
         mu = np.array([0.5, 0.5])

@@ -131,7 +131,7 @@ class TestNoiseWindows:
         # window widths of 1 step, 7 steps (S + 1 = 51 is not a multiple) and
         # at least S + 1 steps (one window)
         for width in (1, 7, S + 1):
-            monkeypatch.setattr(_blas, "BLOCK_ENTRIES", width * n * D)
+            monkeypatch.setattr(gsam, "WINDOW_ENTRIES", width * n * D)
             draws = {}
             monkeypatch.setattr(gsam, "rng_stream", lambda s, c: _RecordingStream(
                 rng_stream(s, c), draws.setdefault(c, [])))
@@ -226,15 +226,36 @@ class TestArms:
                 np.testing.assert_array_equal(getattr(arm, name), getattr(one, name))
 
     def test_store_none(self, bench):
+        # "norms" keeps no states
         _, sch, den, clf = bench
         n, ys = 6, np.arange(6) % 8
         thinned = gsam.sample(den, clf, self.RULES, sch, ys, n, seed=2)
-        bare = gsam.sample(den, clf, self.RULES, sch, ys, n, seed=2, store="none")
+        bare = gsam.sample(den, clf, self.RULES, sch, ys, n, seed=2, store="norms")
         for a, b in zip(thinned, bare):
             assert b.stored_x.shape == (n, 0, den.dim)
             assert b.stored_steps.shape == b.stored_ts.shape == (0,)
             np.testing.assert_array_equal(b.samples, a.samples)
             np.testing.assert_array_equal(b.adjustment_norms, a.adjustment_norms)
+            # an unguided step's norm is exactly +0.0
+            idle = b.adjustment_norms[:, ~b.guidance_active]
+            assert np.all(idle == 0.0) and not np.any(np.signbit(idle))
+
+    def test_store_samples(self, bench, bench_dataset, tmp_path):
+        # "samples" keeps the final samples alone, and they are those of a
+        # call that keeps everything
+        _, sch, den, clf = bench
+        n, ys = 6, np.arange(6) % 8
+        thinned = gsam.sample(den, clf, self.RULES, sch, ys, n, seed=2)
+        bare = gsam.sample(den, clf, self.RULES, sch, ys, n, seed=2, store="samples")
+        for a, b in zip(thinned, bare):
+            assert b.adjustment_norms is None
+            assert b.stored_x.shape == (n, 0, den.dim)
+            assert b.samples.tobytes() == a.samples.tobytes()
+            np.testing.assert_array_equal(b.guidance_active, a.guidance_active)
+            assert b.chain(3).adjustment_norms is None
+        with pytest.raises(ValueError, match="store"):
+            gsam.export_trajectories_csv(bare[0], tmp_path / "traj.csv", bench_dataset)
+        assert not (tmp_path / "traj.csv").exists()
 
     def test_arms_without_states_need_less_memory(self, lina_1000):
         # four 512-chain x 250-step records without states peak below one
@@ -252,12 +273,17 @@ class TestArms:
             finally:
                 tracemalloc.stop()
 
-        assert peak(CUTOFF_RULES, "none") < peak(CUTOFF_RULES[2], "thinned")
+        norms = peak(CUTOFF_RULES, "norms")
+        assert norms < peak(CUTOFF_RULES[2], "thinned")
+        # keeping samples only drops four (512, 250) norm arrays, 3.9 MiB
+        assert peak(CUTOFF_RULES, "samples") <= norms - 3 * 2**20
 
     @pytest.mark.parametrize("rule, store, offending", [
         ((), "thinned", "()"),
         ((GuidanceRule("none"), "geoguide"), "thinned", "'geoguide'"),
         (GuidanceRule("none"), "thin", "'thin'"),
+        # the level that keeps norms without states is "norms"
+        (GuidanceRule("none"), "none", "'none'"),
     ])
     def test_bad_arguments_named(self, bench, rule, store, offending):
         _, sch, den, clf = bench
@@ -269,7 +295,8 @@ class TestArms:
 class TestSharedSteps:
     """Rules share every step until their guidance differs: the calls a
     lockstep run makes are those of ``oracles.lockstep_counts``."""
-    COUNTED = ("predict_eps", "class_grad", "class_grad_direction", "guided_reverse_step")
+    COUNTED = ("predict_eps", "class_grad", "class_grad_direction", "adjustment",
+               "guided_reverse_step")
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -284,7 +311,7 @@ class TestSharedSteps:
         for owner, name in ((gm.AnalyticDenoiser, "predict_eps"),
                             (gm.AnalyticClassifier, "class_grad"),
                             (gm.AnalyticClassifier, "class_grad_direction"),
-                            (gsam, "guided_reverse_step")):
+                            (gsam, "adjustment"), (gsam, "guided_reverse_step")):
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         return calls
 
@@ -312,6 +339,8 @@ class TestSharedSteps:
         eps, guided, updates = lockstep_counts(rules, S)
         assert calls["predict_eps"] == 2 * eps
         assert calls["class_grad"] + calls["class_grad_direction"] == 2 * guided
+        # an unguided step makes no adjustment call
+        assert calls["adjustment"] == 2 * guided
         assert calls["guided_reverse_step"] == 2 * updates
 
     @pytest.mark.parametrize("rules", [CUTOFF_RULES[0], CUTOFF_RULES[2],
@@ -324,7 +353,7 @@ class TestSharedSteps:
         kind = (rules[0] if isinstance(rules, tuple) else rules).kind
         grad, other = (("class_grad", "class_grad_direction") if kind == "adm_g"
                        else ("class_grad_direction", "class_grad"))
-        for name in ("predict_eps", grad, "guided_reverse_step"):
+        for name in ("predict_eps", grad, "adjustment", "guided_reverse_step"):
             assert calls[name] == sch.T, name
         assert calls[other] == 0
 
@@ -603,7 +632,8 @@ class TestCsvExport:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bytes_equal_csv_writer(self, bench, bench_dataset, tmp_path, seed):
         _, sch, den, clf = bench
-        for store in gsam.STORE:
+        # every store that keeps the norms ("samples" cannot be exported)
+        for store in gsam.STORE[1:]:
             batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), sch,
                                 [0, 3, 5], 3, seed=seed, store=store)
             path, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
