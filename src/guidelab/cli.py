@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train-denoiser, train-classifier, sample, eval,
 experiment <preset>.  Runs are configured by a flat key = value text file
-with dotted section prefixes (see ``DEFAULTS``), overridable by --seed and
---out.  --threads must be at least 1 and changes nothing: sampling is one
+with dotted section prefixes (see ``DEFAULTS``).  --seed N replaces
+sampling.seed, and sets train.seed only where the config file leaves it
+unset.  --threads must be at least 1 and changes nothing: sampling is one
 serial loop, as its steps are short numpy calls that hold the interpreter
 lock.  Every command reads and checks its config before it creates its
 output directory, so a config error leaves no --out behind.  Every command
@@ -264,8 +265,7 @@ def load_cfg(args, extra=None):
     if args.seed is not None:
         overrides["sampling.seed"] = str(args.seed)
         overrides.setdefault("train.seed", str(args.seed))
-    cfg = RunConfig(overrides)
-    return cfg
+    return RunConfig(overrides)
 
 
 class RunEnv(NamedTuple):
@@ -592,6 +592,9 @@ def preset_respace_study(cfg, make_out):
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
     s = cfg.get_float("guidance.s")
     k = _eval_k(cfg, env.n, len(env.ds.points))
+    if env.base.T < max(RESPACE_STEPS):
+        raise ConfigError(f"schedule.T = {env.base.T}: respace_study respaces it to "
+                          f"{RESPACE_STEPS} steps, so it needs at least {max(RESPACE_STEPS)}")
     out = make_out()
     radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     kinds = ("geoguide", "geoguide_scaled")

@@ -65,18 +65,25 @@ class GuidanceRule:
         return (self.kind != "none") & (np.asarray(step_index)
                                         < self.cutoff_fraction * total_steps)
 
+    def step_key(self, step_index: int, total_steps: int):
+        """None where the rule does not act at reverse step ``step_index`` of
+        ``total_steps``, else a hashable key: rules with equal keys add the
+        same s * A_t, so at one state they share the step."""
+        active = self.active(step_index, total_steps)
+        return (self.kind, self.scale, self.t_override) if active else None
+
 
 def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
                schedule: NoiseSchedule, step_index: int, total_steps: int):
-    """A_t for one reverse step (unscaled; the caller applies s).
+    """A_t for one reverse step at which ``rule`` acts (see ``step_key``),
+    unscaled: the caller applies s.
 
     ``position`` is the 1-based index into the sampling schedule;
-    ``step_index`` counts executed reverse steps from 0 (t = T downward).
+    ``step_index`` counts executed reverse steps from 0 (t = T downward), and
+    only the benchmark's call counter (bench/spans.py) reads it.
     Accepts a single point (D,) or a batch (N, D); y may be scalar or per-row.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
-    if not rule.active(step_index, total_steps):
-        return np.zeros_like(x_t)
     t_label = int(schedule.timesteps[position - 1])
     if rule.kind == "adm_g":
         _, vec = classifier.class_grad(x_t, t_label, y)

@@ -7,9 +7,9 @@ is fixed, so a run's values depend on its arguments alone.  A block draws its
 streams in windows of a few steps (``WINDOW_ENTRIES``, 1 MiB across the block)
 rather than all at once; chunked draws continue a stream bit for bit, so the
 window size does not change any value.  Several guidance rules may share one
-run: a block then steps one state per rule over each window, so every noise
-value is drawn once, and rules share every step until their guidance differs.
-An unguided step (after a cut-off, or under kind none) takes no adjustment.
+run: a block steps them in groups of rules at one state, each noise value is
+drawn once, and rules share every step until their guidance differs.  An
+unguided step (after a cut-off, or under kind none) takes no adjustment.
 
 A rule's record is one ``SampleBatch``: chain j is row j of every per-chain
 array, and each block writes its own rows in place.  ``store`` names the
@@ -147,13 +147,13 @@ def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
     """Run chains lo..hi-1 under every rule, each rule's state over the same
     noise, and write their rows of ``batches`` in place.
 
-    Each step is computed once per distinct piece of work.  Rules whose
-    states are one object share ``predict_eps`` and ``mu_from_eps``; those
-    that also take the same step (active with equal kind, scale and
-    ``t_override``, or all inactive) share its adjustment, reverse update and
-    resulting state.  An inactive step takes no adjustment, and its norms are
-    0.  A shared step that turns non-finite names the first rule in tuple
-    order that takes it."""
+    The rules run in groups, each a state and the indices of the rules at
+    it; all start as one group at x_T.  A group makes one ``predict_eps`` and
+    ``mu_from_eps`` call a step, and its rules split by ``step_key``: those
+    of one key share the adjustment, reverse update and next state.  An
+    unguided step takes no adjustment, and its norms are 0.  Groups run in
+    the order of their first rule, so a step that turns non-finite names the
+    first rule in tuple order that takes it."""
     n_steps = schedule.T
     ys = batches[0].targets[lo:hi]
     keep_norms = batches[0].adjustment_norms is not None
@@ -172,61 +172,50 @@ def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
             rng.standard_normal(out=out[:rows])
 
     draw(0)
-    # every update makes a new array, so the rules may share x_T
-    xs = [window[:, 0].copy()] * len(rules)
+    groups = [(window[:, 0].copy(), list(range(len(rules))))]
 
     for k, pos in enumerate(range(n_steps, 0, -1)):
         row = (k + 1) % width
         if row == 0:
             draw(k + 1)
         t_label = int(batches[0].ts[k])
-        # the rules at each distinct state, in the order of their first rule;
-        # only xs holds the states, so each is freed once its rules have stepped
-        groups = []
-        for i, x in enumerate(xs):
-            same = next((g for g in groups if xs[g[0]] is x), None)
-            if same is None:
-                groups.append([i])
-            else:
-                same.append(i)
-        for members in groups:
-            x = xs[members[0]]
+        split = []
+        for x, members in groups:
             eps_hat = denoiser.predict_eps(x, t_label)
             mu = mu_from_eps(x, pos, eps_hat, schedule)
-            taken = {}  # step -> (next state, norms)
+            steps = {}
             for i in members:
-                rule, batch = rules[i], batches[i]
-                # an inactive step adds no adjustment, so all inactive rules
-                # take the same step
-                active = rule.active(k, n_steps)
-                step = (rule.kind, rule.scale, rule.t_override) if active else None
-                if step not in taken:
-                    a_t = None
-                    if active:
-                        try:
-                            a_t = adjustment(rule, classifier, x, pos, ys, schedule, k,
-                                             n_steps)
-                        except GuidanceError as exc:
-                            raise GuidanceError(exc.t, lo + exc.index, exc.label,
-                                                unit="chain") from None
-                    x_next = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t,
-                                                 rule.scale, is_final=(pos == 1),
-                                                 eps=window[:, row])
-                    if not np.all(np.isfinite(x_next)):
-                        bad = lo + int(np.argmax(~np.isfinite(x_next).all(axis=1)))
-                        raise NumericalError(
-                            f"non-finite state at step {k} (t={t_label}) in chain {bad} "
-                            f"under rule {rule.kind} (s={rule.scale}, "
-                            f"cutoff={rule.cutoff_fraction})")
-                    taken[step] = (x_next, rule.scale * np.linalg.norm(a_t, axis=-1)
-                                   if keep_norms and active else 0.0)
-                xs[i], norms = taken[step]
+                steps.setdefault(rules[i].step_key(k, n_steps), []).append(i)
+            for key, sharing in steps.items():
+                rule = rules[sharing[0]]
+                a_t = None
+                if key is not None:
+                    try:
+                        a_t = adjustment(rule, classifier, x, pos, ys, schedule, k, n_steps)
+                    except GuidanceError as exc:
+                        raise GuidanceError(exc.t, lo + exc.index, exc.label,
+                                            unit="chain") from None
+                x_next = guided_reverse_step(mu, schedule.gammas[pos - 1], a_t,
+                                             rule.scale, is_final=(pos == 1),
+                                             eps=window[:, row])
+                if not np.all(np.isfinite(x_next)):
+                    bad = lo + int(np.argmax(~np.isfinite(x_next).all(axis=1)))
+                    raise NumericalError(
+                        f"non-finite state at step {k} (t={t_label}) in chain {bad} "
+                        f"under rule {rule.kind} (s={rule.scale}, "
+                        f"cutoff={rule.cutoff_fraction})")
                 if keep_norms:
-                    batch.adjustment_norms[lo:hi, k] = norms
-                if k in slot:
-                    batch.stored_x[lo:hi, slot[k]] = xs[i]
-    for batch, x in zip(batches, xs):
-        batch.samples[lo:hi] = x
+                    norms = 0.0 if a_t is None else rule.scale * np.linalg.norm(a_t, axis=-1)
+                for i in sharing:
+                    if keep_norms:
+                        batches[i].adjustment_norms[lo:hi, k] = norms
+                    if k in slot:
+                        batches[i].stored_x[lo:hi, slot[k]] = x_next
+                    if pos == 1:
+                        batches[i].samples[lo:hi] = x_next
+                split.append((x_next, sharing))
+        # a split group's parts may follow groups with later first rules
+        groups = sorted(split, key=lambda group: group[1][0])
 
 
 _EPS = np.finfo(np.float64).eps

@@ -66,6 +66,20 @@ class TestConfigParsing:
         cfg.write_text("# comment\n\ndata.n = 25  # trailing\n")
         assert cli.parse_config_file(cfg) == {"data.n": "25"}
 
+    @pytest.mark.parametrize("lines, train_seed", [("", 9), ("train.seed = 5\n", 5)],
+                             ids=["train_seed_unset", "train_seed_set"])
+    def test_seed_option(self, tmp_path, monkeypatch, lines, train_seed):
+        # --seed replaces sampling.seed, sets train.seed only where the config
+        # file leaves it unset, and leaves data.seed alone
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("sampling.seed = 4\ndata.seed = 3\n" + lines)
+        loaded = []
+        monkeypatch.setattr(cli, "cmd_gen_data",
+                            lambda args: loaded.append(cli.load_cfg(args)) or 0)
+        assert run(["--config", cfg, "--seed", 9, "gen-data"]) == 0
+        assert [loaded[0].get_int(key) for key in ("sampling.seed", "train.seed",
+                                                   "data.seed")] == [9, train_seed, 3]
+
     def test_non_numeric_value(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("data.n = lots\n")
@@ -109,6 +123,17 @@ class TestConfigParsing:
         out = tmp_path / "out"
         assert run(["--config", cfg, "--out", out, *argv]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_respace_study_needs_its_longest_schedule(self, tmp_path, capsys):
+        # the study respaces schedule.T to each of RESPACE_STEPS
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 100\nsampling.n_chains = 8\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, "experiment",
+                    "respace_study"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "schedule.T = 100" in err and str(max(cli.RESPACE_STEPS)) in err
         assert not out.exists()
 
     def test_store_full_checked_before_the_run_is_built(self, tmp_path, monkeypatch, capsys):

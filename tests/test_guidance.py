@@ -53,13 +53,38 @@ class TestRuleValidation:
         assert GuidanceRule("geoguide", 1.0, t_override=np.int64(250)).t_override == 250
 
 
-class TestAdjustment:
-    def test_none_is_zero(self, setup):
-        sch, clf = setup
-        x = rng_stream(0, 0).standard_normal(8)
-        a = adjustment(GuidanceRule("none"), clf, x, 25, 0, sch, 0, 50)
-        np.testing.assert_array_equal(a, 0.0)
+class TestRuleSteps:
+    """``GuidanceRule.step_key`` decides whether a rule acts at a step and
+    which rules share it."""
 
+    def test_none_is_never_guided(self):
+        rule = GuidanceRule("none", scale=2.0)
+        assert [rule.step_key(k, 50) for k in range(50)] == [None] * 50
+        assert not rule.active(np.arange(50), 50).any()
+
+    def test_cutoff_counts_steps(self):
+        rule = GuidanceRule("geoguide", 1.0, cutoff_fraction=0.3)
+        total = 50
+        keys = [rule.step_key(k, total) for k in range(total)]
+        # exactly ceil(0.3 * 50) = 15 initial steps guided
+        assert keys == [("geoguide", 1.0, None)] * 15 + [None] * 35
+        np.testing.assert_array_equal(rule.active(np.arange(total), total),
+                                      [key is not None for key in keys])
+
+    def test_equal_keys_mean_equal_guidance(self):
+        full, cut = (GuidanceRule("adm_g", 1.0, cutoff_fraction=c) for c in (1.0, 0.3))
+        # the cut rule shares its twin's steps up to the cut-off
+        assert full.step_key(14, 50) == cut.step_key(14, 50) is not None
+        assert cut.step_key(15, 50) is None and full.step_key(15, 50) is not None
+        # geoguide at s = 0 adds 0 * A_t but is guided, unlike none
+        assert GuidanceRule("geoguide", 0.0).step_key(0, 50) is not None
+        others = [GuidanceRule("geoguide", 1.0), GuidanceRule("geoguide", 2.0),
+                  GuidanceRule("geoguide_scaled", 1.0),
+                  GuidanceRule("geoguide", 1.0, t_override=1000), full]
+        assert len({rule.step_key(0, 50) for rule in others}) == len(others)
+
+
+class TestAdjustment:
     def test_geoguide_norm_exact(self, setup):
         sch, clf = setup
         rule = GuidanceRule("geoguide", scale=1.0)
@@ -138,17 +163,6 @@ class TestAdjustment:
         hand = 0.5 * (np.sqrt(ab) * (desc.means[0] - desc.means[1])) / v
         np.testing.assert_allclose(a, sch.gammas[pos - 1] * hand, rtol=1e-9,
                                    atol=1e-15)
-
-    def test_cutoff_counts_steps(self, setup):
-        sch, clf = setup
-        x = rng_stream(0, 6).standard_normal(8)
-        rule = GuidanceRule("geoguide", 1.0, cutoff_fraction=0.3)
-        total = 50
-        active = [np.linalg.norm(adjustment(rule, clf, x, 25, 0, sch, k, total)) > 0
-                  for k in range(total)]
-        # exactly ceil(0.3 * 50) = 15 initial steps active
-        assert sum(active) == 15
-        assert all(active[:15]) and not any(active[15:])
 
     def test_batched_matches_single(self, setup):
         sch, clf = setup

@@ -17,6 +17,7 @@ from guidelab import data as gd
 from guidelab import models as gm
 from guidelab import sampler as gsam
 from guidelab import schedule as gs
+from guidelab.errors import NumericalError
 from guidelab.forward import rng_stream
 from guidelab.guidance import GuidanceRule
 from oracles import lockstep_counts
@@ -356,6 +357,32 @@ class TestSharedSteps:
         for name in ("predict_eps", grad, "adjustment", "guided_reverse_step"):
             assert calls[name] == sch.T, name
         assert calls[other] == 0
+
+    def test_error_after_a_split_names_the_first_rule(self, ten_steps, monkeypatch):
+        # rules 0 and 2 share steps until rule 0's cut-off; one step later
+        # rules 1 and 2 turn non-finite together, and rule 1 comes first
+        sch, den, clf = ten_steps
+        S = sch.T
+        rules = (GuidanceRule("adm_g", 1.0, cutoff_fraction=0.3),
+                 GuidanceRule("geoguide", 2.5), GuidanceRule("adm_g", 1.0))
+        cut = int(rules[0].active(np.arange(S), S).sum())
+        assert 0 < cut < S - 1
+        adjustment = gsam.adjustment
+
+        def nan_after_the_cut(rule, classifier, x, position, y, schedule, step_index,
+                              total_steps):
+            a_t = adjustment(rule, classifier, x, position, y, schedule, step_index,
+                             total_steps)
+            if step_index == cut + 1:
+                a_t[3] = np.nan
+            return a_t
+
+        monkeypatch.setattr(gsam, "adjustment", nan_after_the_cut)
+        with pytest.raises(NumericalError) as err:
+            gsam.sample(den, clf, rules, sch, np.arange(6) % 8, 6, seed=5)
+        assert str(err.value) == (f"non-finite state at step {cut + 1} "
+                                  f"(t={int(sch.timesteps[S - cut - 2])}) in chain 3 "
+                                  "under rule geoguide (s=2.5, cutoff=1.0)")
 
     def test_duplicate_rules_do_not_alias(self, bench):
         _, sch, den, clf = bench
