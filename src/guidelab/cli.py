@@ -6,11 +6,17 @@ with dotted section prefixes (see ``DEFAULTS``).  --seed N replaces
 sampling.seed, and sets train.seed only where the config file leaves it
 unset.  --threads must be at least 1 and changes nothing: sampling is one
 serial loop, as its steps are short numpy calls that hold the interpreter
-lock.  Every command reads and checks its config before it creates its
-output directory, so a config error leaves no --out behind.  Every command
-writes a manifest (config echo plus SHA-256 content hashes) to its output
-directory; rerunning with the same config reproduces the outputs byte for
-byte.
+lock.
+
+Every command takes one path.  ``RUNNERS`` names its runner and config
+defaults; ``main`` loads the config over those defaults and calls
+``runner(cfg, make_out)``.  The runner reads and checks its config, and gets
+its output directory only through ``make_out``, after its config is checked,
+so a config error leaves no --out behind.  It returns (ok, the files it
+wrote, the text to print).  ``main`` alone then writes an experiment's text
+as summary.txt and the manifest (config echo plus SHA-256 content hashes of
+those files), prints the text and exits 0 if ok, else 1.  Rerunning with the
+same config reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 model/schedule mismatch,
 4 numerical error (a non-finite sampler state, guidance gradient or training
@@ -18,6 +24,7 @@ loss), 1 other (among them an OS error, such as an --out that is a file).
 """
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -298,56 +305,41 @@ def _run_env(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each runs as the experiment presets below do (see RUNNERS).
 # ---------------------------------------------------------------------------
 
-def cmd_gen_data(args):
-    cfg = load_cfg(args)
+def run_gen_data(cfg, make_out):
     desc, n, seed = cfg.descriptor(), cfg.get_int("data.n"), cfg.get_int("data.seed")
-    out = out_dir(args)
+    out = make_out()
     ds = data_mod.generate(desc, n, seed)
     path = out / "dataset.glab"
     data_mod.save(ds, path)
-    write_manifest(out, cfg, [path])
-    print(f"wrote {path} ({len(ds.points)} points, D={ds.points.shape[1]})")
-    return 0
+    return True, [path], f"wrote {path} ({len(ds.points)} points, D={ds.points.shape[1]})\n"
 
 
-def _train(args, which):
-    cfg = load_cfg(args)
+def run_train(which, cfg, make_out):
     ds = cfg.dataset()
     base = cfg.base_schedule()
     hyper = models_mod.Hyperparams(epochs=cfg.get_int("train.epochs"),
                                    batch_size=cfg.get_int("train.batch_size"),
                                    lr=cfg.get_float("train.lr"))
     seed = cfg.get_int("train.seed")
-    out = out_dir(args)
+    out = make_out()
     train = models_mod.train_denoiser if which == "denoiser" else models_mod.train_classifier
     model, report = train(ds, base, hyper, seed=seed)
     path = out / f"{which}.gmod"
     models_mod.save_model(model, path)
     loss_csv = out / f"{which}_loss.csv"
     _write_table(loss_csv, ["epoch", "loss"], enumerate(report.epoch_losses))
-    write_manifest(out, cfg, [path, loss_csv])
-    print(f"wrote {path} (final loss {report.final_loss:.6g}, "
-          f"{report.wall_time:.1f}s)")
-    return 0
+    return True, [path, loss_csv], (f"wrote {path} (final loss {report.final_loss:.6g}, "
+                                    f"{report.wall_time:.1f}s)\n")
 
 
-def cmd_train_denoiser(args):
-    return _train(args, "denoiser")
-
-
-def cmd_train_classifier(args):
-    return _train(args, "classifier")
-
-
-def cmd_sample(args):
-    cfg = load_cfg(args)
+def run_sample(cfg, make_out):
     store = "full" if cfg.get_int("sampling.store_full") else "thinned"
     rule = cfg.rule()
     env = _run_env(cfg)
-    out = out_dir(args)
+    out = make_out()
     batch = env.sample(rule, store=store)
     samples_path = out / "samples.glab"
     data_mod.save(data_mod.LabeledDataset(points=batch.samples, labels=batch.targets,
@@ -355,13 +347,11 @@ def cmd_sample(args):
                   samples_path)
     traj_path = out / "trajectories.csv"
     sampler_mod.export_trajectories_csv(batch, traj_path, dataset=env.ds)
-    write_manifest(out, cfg, [samples_path, traj_path])
-    print(f"wrote {samples_path} ({env.n} samples, rule={rule.kind}, s={rule.scale})")
-    return 0
+    return True, [samples_path, traj_path], (f"wrote {samples_path} ({env.n} samples, "
+                                             f"rule={rule.kind}, s={rule.scale})\n")
 
 
-def cmd_eval(args):
-    cfg = load_cfg(args)
+def run_eval(cfg, make_out):
     gen_path = cfg.get("eval.generated")
     if not gen_path:
         raise ConfigError("eval.generated must point to a samples file")
@@ -377,16 +367,15 @@ def cmd_eval(args):
                           "that the class-fidelity oracle needs")
     oracle = models_mod.AnalyticClassifier(desc, base)
     k = _eval_k(cfg, len(generated.points), len(reference.points))
-    out = out_dir(args)
+    out = make_out()
     report = _evaluate(generated.points, generated.labels, reference.points,
                        oracle, k, config=cfg.get("guidance.kind"))
     csv_path = out / "metrics.csv"
     metrics_mod.write_metrics_csv([report], csv_path)
     txt_path = out / "metrics.txt"
-    txt_path.write_text(report.text_block())
-    write_manifest(out, cfg, [csv_path, txt_path])
-    print(report.text_block(), end="")
-    return 0
+    text = report.text_block()
+    txt_path.write_text(text)
+    return True, [csv_path, txt_path], text
 
 
 def _load_finite(cfg, key):
@@ -439,7 +428,7 @@ GEOMETRY_SCHEDULE = {"schedule.type": "linear_alphabar", "schedule.respace": "25
 
 def _check(lines, name, ok, detail):
     status = "PASS" if ok else "FAIL"
-    lines.append(f"[{status}] {name}: {detail}")
+    lines.append(f"[{status}] {name}: {detail}\n")
     return ok
 
 
@@ -473,7 +462,8 @@ def preset_norm_curves(cfg, make_out):
     adm_ratio = results["adm_g"][1]["ratio"]
     ok &= _check(summary, "adm_g norm decay", adm_ratio < 0.2,
                  f"last/first decile ratio {adm_ratio:.4f} (target < 0.2)")
-    return ok, summary, ["norms_adm_g.csv", "norms_geoguide.csv", "norm_curves.svg"]
+    return ok, [out / "norms_adm_g.csv", out / "norms_geoguide.csv",
+                out / "norm_curves.svg"], "".join(summary)
 
 
 def preset_distance_law(cfg, make_out):
@@ -496,7 +486,7 @@ def preset_distance_law(cfg, make_out):
     ok = _check(summary, "distance law", fit["aggregate_median"] <= 0.15,
                 f"median relative error {fit['aggregate_median']:.4f} "
                 f"(target <= 0.15 where 1-abar >= 0.1)")
-    return ok, summary, ["distance_law.csv", "distance_law.svg"]
+    return ok, [out / "distance_law.csv", out / "distance_law.svg"], "".join(summary)
 
 
 def preset_cutoff(cfg, make_out):
@@ -524,7 +514,7 @@ def preset_cutoff(cfg, make_out):
     summary = []
     ok = _check(summary, "cut-off direction", drop_geo > drop_adm,
                 f"geoguide drop {drop_geo:.4f} vs adm_g drop {drop_adm:.4f}")
-    return ok, summary, ["cutoff.csv", "cutoff.svg"]
+    return ok, [out / "cutoff.csv", out / "cutoff.svg"], "".join(summary)
 
 
 def preset_scale_sweep(cfg, make_out):
@@ -544,7 +534,7 @@ def preset_scale_sweep(cfg, make_out):
         arms[kind] = rows
         _write_table(out / f"sweep_{kind}.csv", ["s", *metrics_mod.METRICS_CSV_HEADER],
                      ((s, *rep.csv_row()) for s, rep in rows))
-        files.append(f"sweep_{kind}.csv")
+        files.append(out / f"sweep_{kind}.csv")
     for field, fname in (("class_accuracy", "sweep_fidelity.svg"),
                          ("recall", "sweep_recall.svg"),
                          ("frechet", "sweep_frechet.svg")):
@@ -554,7 +544,7 @@ def preset_scale_sweep(cfg, make_out):
             plot.add([s for s, _ in rows], [getattr(r, field) for _, r in rows],
                      label=kind)
         plot.write(out / fname)
-        files.append(fname)
+        files.append(out / fname)
 
     summary = []
     geo = arms["geoguide"]
@@ -581,10 +571,10 @@ def preset_scale_sweep(cfg, make_out):
         f"geoguide frechet         {base_f!r}\n"
         f"geoguide_scaled frechet  {scaled_f!r}\n"
         f"direction: {'base better' if base_f <= scaled_f else 'scaled better'}\n")
-    files.append(cmp_path.name)
+    files.append(cmp_path)
     _check(summary, "scaled-variant report emitted", True,
            f"geoguide {base_f:.4f} vs scaled {scaled_f:.4f} at s={svals[idx]}")
-    return ok, summary, files
+    return ok, files, "".join(summary)
 
 
 def preset_respace_study(cfg, make_out):
@@ -626,31 +616,27 @@ def preset_respace_study(cfg, make_out):
     rel = abs(f[1000] - f[250]) / f[250]
     ok &= _check(summary, "1000 steps close to 250", rel <= 0.25,
                  f"|f(1000) - f(250)| / f(250) = {rel:.3f} (target <= 0.25)")
-    return ok, summary, ["respace.csv", "respace.svg"]
+    return ok, [out / "respace.csv", out / "respace.svg"], "".join(summary)
 
 
-# preset -> (runner, config defaults).  runner(cfg, make_out) reads and checks
-# its config first, and only then calls make_out() for the output directory.
-PRESET_RUNNERS = {
-    "norm_curves": (preset_norm_curves, dict(GEOMETRY_SCHEDULE, **{"sampling.n_chains": "64"})),
-    "distance_law": (preset_distance_law, {"schedule.respace": "250"}),
-    "cutoff": (preset_cutoff, dict(GEOMETRY_SCHEDULE, **{"sampling.n_chains": "512"})),
-    "scale_sweep": (preset_scale_sweep, {"schedule.respace": "250",
-                                         "sampling.n_chains": "1024"}),
-    "respace_study": (preset_respace_study, {"guidance.s": "2.0",
-                                             "sampling.n_chains": "4096"}),
+# command -> (runner, config defaults).  runner(cfg, make_out) reads and
+# checks its config first, only then calls make_out() for the output
+# directory, and returns (ok, the files it wrote, the text to print).
+RUNNERS = {
+    "gen-data": (run_gen_data, {}),
+    "train-denoiser": (functools.partial(run_train, "denoiser"), {}),
+    "train-classifier": (functools.partial(run_train, "classifier"), {}),
+    "sample": (run_sample, {}),
+    "eval": (run_eval, {}),
+    "experiment norm_curves": (preset_norm_curves,
+                               {**GEOMETRY_SCHEDULE, "sampling.n_chains": "64"}),
+    "experiment distance_law": (preset_distance_law, {"schedule.respace": "250"}),
+    "experiment cutoff": (preset_cutoff, {**GEOMETRY_SCHEDULE, "sampling.n_chains": "512"}),
+    "experiment scale_sweep": (preset_scale_sweep,
+                               {"schedule.respace": "250", "sampling.n_chains": "1024"}),
+    "experiment respace_study": (preset_respace_study,
+                                 {"guidance.s": "2.0", "sampling.n_chains": "4096"}),
 }
-
-
-def cmd_experiment(args):
-    runner, preset_defaults = PRESET_RUNNERS[args.preset]
-    cfg = load_cfg(args, extra=preset_defaults)
-    ok, summary, files = runner(cfg, lambda: out_dir(args))
-    out = out_dir(args)
-    (out / "summary.txt").write_text("\n".join(summary) + "\n")
-    write_manifest(out, cfg, [out / f for f in files] + [out / "summary.txt"])
-    print("\n".join(summary))
-    return 0 if ok else 1
 
 
 def main(argv=None):
@@ -661,21 +647,28 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen-data").set_defaults(func=cmd_gen_data)
-    sub.add_parser("train-denoiser").set_defaults(func=cmd_train_denoiser)
-    sub.add_parser("train-classifier").set_defaults(func=cmd_train_classifier)
-    sub.add_parser("sample").set_defaults(func=cmd_sample)
-    sub.add_parser("eval").set_defaults(func=cmd_eval)
-    exp = sub.add_parser("experiment")
-    exp.add_argument("preset", choices=PRESET_RUNNERS)
-    exp.set_defaults(func=cmd_experiment)
+    for name in RUNNERS:
+        if " " not in name:
+            sub.add_parser(name)
+    sub.add_parser("experiment").add_argument(
+        "preset", choices=[name.split()[1] for name in RUNNERS if " " in name])
     args = parser.parse_args(argv)
+    experiment = args.command == "experiment"
+    runner, defaults = RUNNERS[f"experiment {args.preset}" if experiment else args.command]
     if args.threads < 1:
         print(f"config error: --threads must be at least 1, got {args.threads}",
               file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        cfg = load_cfg(args, extra=defaults)
+        ok, files, text = runner(cfg, lambda: out_dir(args))
+        out = out_dir(args)
+        if experiment:
+            (out / "summary.txt").write_text(text)
+            files = [*files, out / "summary.txt"]
+        write_manifest(out, cfg, files)
+        print(text, end="")
+        return 0 if ok else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -163,7 +163,8 @@ def generate(descriptor: ManifoldDescriptor, n: int, seed: int) -> LabeledDatase
     return LabeledDataset(points=points, labels=labels, descriptor=descriptor, seed=seed)
 
 
-def _u32(b: bytes) -> int:
+def _uint_le(b: bytes) -> int:
+    """The unsigned little-endian integer in ``b``, of any width."""
     return int.from_bytes(b, "little")
 
 
@@ -193,21 +194,21 @@ def load(path) -> LabeledDataset:
         raise TruncatedFileError(f"{path}: file too short to be a dataset container")
     if raw[:4] != MAGIC:
         raise DataFormatError(f"{path}: bad magic bytes")
-    version = _u32(raw[4:6])
+    version = _uint_le(raw[4:6])
     if version != FORMAT_VERSION:
         raise VersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
     off = 6
     if len(raw) < off + 8 * 4 + 4:
         raise TruncatedFileError(f"{path}: header cut short at {len(raw)} bytes")
-    n = _u32(raw[off:off + 8]); off += 8
-    d = _u32(raw[off:off + 8]); off += 8
+    n = _uint_le(raw[off:off + 8]); off += 8
+    d = _uint_le(raw[off:off + 8]); off += 8
     off += 8  # class count, derivable from labels/descriptor
     seed = int.from_bytes(raw[off:off + 8], "little", signed=True); off += 8
-    desc_len = _u32(raw[off:off + 4]); off += 4
+    desc_len = _uint_le(raw[off:off + 4]); off += 4
     expected = off + desc_len + 8 * n + 8 * n * d + 4
     if len(raw) != expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    body, stored_crc = raw[:-4], _u32(raw[-4:])
+    body, stored_crc = raw[:-4], _uint_le(raw[-4:])
     if (zlib.crc32(body) & 0xFFFFFFFF) != stored_crc:
         raise ChecksumError(f"{path}: CRC32 mismatch")
     descriptor = None

@@ -79,10 +79,13 @@ def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
     unscaled: the caller applies s.
 
     ``position`` is the 1-based index into the sampling schedule;
-    ``step_index`` counts executed reverse steps from 0 (t = T downward), and
-    only the benchmark's call counter (bench/spans.py) reads it.
+    ``step_index`` counts executed reverse steps from 0 (t = T downward).
+    A ValueError names the kind and the step where the rule does not act.
     Accepts a single point (D,) or a batch (N, D); y may be scalar or per-row.
     """
+    if rule.step_key(step_index, total_steps) is None:
+        raise ValueError(f"rule {rule.kind} (s={rule.scale}, cutoff={rule.cutoff_fraction}) "
+                         f"does not act at step {step_index} of {total_steps}")
     x_t = np.asarray(x_t, dtype=np.float64)
     t_label = int(schedule.timesteps[position - 1])
     if rule.kind == "adm_g":

@@ -246,6 +246,13 @@ def time_embedding(t, dim: int = 64, max_period: float = 10000.0):
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 
 
+def _net_input(x, t, t_embed_dim):
+    """The network input: each row of x beside the embedding of its timestep
+    label (t scalar or one label per row)."""
+    emb = time_embedding(np.broadcast_to(np.asarray(t, float), (len(x),)), t_embed_dim)
+    return np.concatenate([x, emb], axis=1)
+
+
 def _silu(a):
     s = 1.0 / (1.0 + np.exp(-a))
     return a * s, s
@@ -319,22 +326,17 @@ class _LearnedBase:
         self.t_embed_dim = t_embed_dim
         self.base_fingerprint = schedule.base_fingerprint
 
-    def _input(self, x, t):
-        emb = time_embedding(np.broadcast_to(np.asarray(t, float), (len(x),)),
-                             self.t_embed_dim)
-        return np.concatenate([x, emb], axis=1)
-
 
 class LearnedDenoiser(_LearnedBase):
     def predict_eps(self, x, t):
         xb, back = _rows(x, self.dim)
-        out, _ = self.mlp.forward(self._input(xb, t))
+        out, _ = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
         return back(out)
 
     def eps_vjp(self, x, t, u):
         """Gradient of u . eps_theta(x, t) w.r.t. x (for gradient checks)."""
         xb = np.asarray(x, dtype=np.float64)[None]
-        out, cache = self.mlp.forward(self._input(xb, t))
+        out, cache = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
         _, g_in = self.mlp.backward(cache, np.asarray(u, dtype=np.float64)[None])
         return g_in[0, :self.dim]
 
@@ -346,13 +348,13 @@ class LearnedClassifier(_LearnedBase):
 
     def class_logprobs(self, x, t):
         xb, back = _rows(x, self.dim)
-        logits, _ = self.mlp.forward(self._input(xb, t))
+        logits, _ = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
         return back(_log_softmax(logits))
 
     def class_grad(self, x, t, y):
         xb, back = _rows(x, self.dim)
         yb = _labels(y, len(xb), self.n_classes)
-        logits, cache = self.mlp.forward(self._input(xb, t))
+        logits, cache = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
         logp, g = _grad_weights(logits, yb)
         return back(logp), back(self.mlp.backward(cache, g)[1][:, :self.dim])
 
@@ -362,7 +364,7 @@ class LearnedClassifier(_LearnedBase):
         rescaling keeps the input gradient's direction."""
         xb, back = _rows(x, self.dim)
         yb = _labels(y, len(xb), self.n_classes)
-        logits, cache = self.mlp.forward(self._input(xb, t))
+        logits, cache = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
         g_in = self.mlp.backward(cache, _direction_weights(logits, yb))[1]
         return back(_unit(g_in[:, :self.dim]))
 
@@ -443,8 +445,7 @@ def train_denoiser(dataset, schedule: NoiseSchedule, hyper: Hyperparams = None,
         x0 = dataset.points[idx]
         t = rng.integers(1, schedule.T + 1, size=len(idx))
         noised = q_sample(x0, t, schedule, rng)
-        inp = np.concatenate([noised.x_t, time_embedding(t, hyper.t_embed_dim)], axis=1)
-        out, cache = mlp.forward(inp)
+        out, cache = mlp.forward(_net_input(noised.x_t, t, hyper.t_embed_dim))
         resid = out - noised.eps
         loss = float(np.mean(resid * resid))
         grads, _ = mlp.backward(cache, 2.0 * resid / resid.size)
@@ -468,15 +469,10 @@ def train_classifier(dataset, schedule: NoiseSchedule, hyper: Hyperparams = None
         y = dataset.labels[idx]
         t = rng.integers(1, schedule.T + 1, size=len(idx))
         xt = q_sample(x0, t, schedule, rng).x_t
-        inp = np.concatenate([xt, time_embedding(t, hyper.t_embed_dim)], axis=1)
-        logits, cache = mlp.forward(inp)
-        lz = _logsumexp(logits, axis=1)
-        rows = np.arange(len(idx))
-        loss = float(np.mean(lz - logits[rows, y]))
-        g = np.exp(logits - lz[:, None])
-        g[rows, y] -= 1.0
-        grads, _ = mlp.backward(cache, g / len(idx))
-        return loss, grads
+        logits, cache = mlp.forward(_net_input(xt, t, hyper.t_embed_dim))
+        logp, w = _grad_weights(logits, y)
+        grads, _ = mlp.backward(cache, -w / len(idx))
+        return float(-np.mean(logp)), grads
 
     mlp, report = _train_loop(dataset, schedule, hyper, seed, C, batch_fn)
     return LearnedClassifier(mlp, schedule, D, hyper.t_embed_dim, C), report

@@ -70,14 +70,19 @@ def test_sampler_names_the_recorder_reads():
 
 
 @pytest.mark.parametrize("workload", bench_run.WORKLOADS)
-def test_bench_command_lines_parse(workload, monkeypatch):
-    # each subcommand only records its arguments, so no command runs
-    called = []
-    for name in [n for n in vars(guidelab.cli) if n.startswith("cmd_")]:
-        monkeypatch.setattr(guidelab.cli, name,
-                            lambda args, name=name: called.append((name, args)) or 0)
+def test_bench_command_lines_parse(workload, monkeypatch, tmp_path):
+    # the config load only records its arguments and each runner returns at
+    # once, so no command runs; main writes only the empty manifests
+    cli = guidelab.cli
+    called, ran = [], []
+    monkeypatch.setattr(cli, "load_cfg",
+                        lambda args, extra=None: called.append(args) or cli.RunConfig(extra))
+    for name, (_, defaults) in list(cli.RUNNERS.items()):
+        monkeypatch.setitem(cli.RUNNERS, name, (
+            lambda cfg, make_out, name=name: ran.append(name) or (True, [], ""), defaults))
+    monkeypatch.chdir(tmp_path)  # the benchmark's --out paths are relative
     spec = bench_run.command_spec(workload, 0, bench_run.THREADS_N)
     for argv in spec["prepare"] + [spec["argv"]]:
-        assert guidelab.cli.main(argv) == 0
-    assert len(called) == len(spec["prepare"]) + 1
-    assert called[-1][1].threads == bench_run.THREADS_N
+        assert cli.main(argv) == 0
+    assert len(called) == len(ran) == len(spec["prepare"]) + 1
+    assert called[-1].threads == bench_run.THREADS_N

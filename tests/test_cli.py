@@ -1,6 +1,7 @@
 """CLI: config parsing, subcommand wiring, manifests, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -74,9 +75,9 @@ class TestConfigParsing:
         cfg = tmp_path / "c.txt"
         cfg.write_text("sampling.seed = 4\ndata.seed = 3\n" + lines)
         loaded = []
-        monkeypatch.setattr(cli, "cmd_gen_data",
-                            lambda args: loaded.append(cli.load_cfg(args)) or 0)
-        assert run(["--config", cfg, "--seed", 9, "gen-data"]) == 0
+        monkeypatch.setitem(cli.RUNNERS, "gen-data",
+                            (lambda cfg, make_out: loaded.append(cfg) or (True, [], ""), {}))
+        assert run(["--config", cfg, "--out", tmp_path, "--seed", 9, "gen-data"]) == 0
         assert [loaded[0].get_int(key) for key in ("sampling.seed", "train.seed",
                                                    "data.seed")] == [9, train_seed, 3]
 
@@ -187,6 +188,48 @@ class TestGenData:
         monkeypatch.setenv("GUIDELAB_OUT", str(target))
         assert run(["--config", small_cfg, "gen-data"]) == 0
         assert (target / "dataset.glab").exists()
+
+
+# argv, config lines beyond the small base, exit code; the presets at this
+# size: norm_curves passes, distance_law at D = 2 fails its law
+ONE_PATH_CASES = {
+    "gen-data": (["gen-data"], "", 0),
+    "train-denoiser": (["train-denoiser"], "train.epochs = 1\n", 0),
+    "train-classifier": (["train-classifier"], "train.epochs = 1\n", 0),
+    "sample": (["sample"], "guidance.kind = geoguide\nguidance.s = 2.5\n", 0),
+    "sample_full": (["sample"], "sampling.store_full = 1\n", 0),
+    "eval": (["eval"], "", 0),
+    "norm_curves": (["experiment", "norm_curves"], "", 0),
+    "distance_law_fails": (["experiment", "distance_law"], "data.dim = 2\n", 1),
+}
+
+
+def _manifest_outputs(path):
+    """{file name: sha256} of a manifest's [outputs] section."""
+    lines = path.read_text().split("[outputs]\n", 1)[1].splitlines()
+    return dict(line.split(" sha256=") for line in lines)
+
+
+@pytest.mark.parametrize("case", ONE_PATH_CASES)
+def test_one_command_path(tmp_path, capsys, case):
+    # main alone writes the manifest: it lists every other file the command
+    # created, each with the sha256 of its bytes, also for a [FAIL] preset
+    argv, lines, code = ONE_PATH_CASES[case]
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("data.n = 200\ndata.dim = 4\nschedule.T = 20\nschedule.respace = 10\n"
+                   "sampling.n_chains = 4\n"
+                   f"eval.generated = {tmp_path / 'gen' / 'dataset.glab'}\n" + lines)
+    assert run(["--config", cfg, "--out", tmp_path / "gen", "gen-data"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, *argv]) == code
+    created = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir() if path.name != "manifest.txt"}
+    assert created and _manifest_outputs(out / "manifest.txt") == created
+    if argv[0] == "experiment":
+        summary = (out / "summary.txt").read_text()
+        assert capsys.readouterr().out == summary
+        assert summary.count("[FAIL]") == code
 
 
 class TestSampleAndEval:
@@ -745,7 +788,7 @@ class TestExperimentPresets:
                         "experiment", "cutoff"]) == 0
             manifests.append((out / "manifest.txt").read_bytes())
         assert manifests[0] == manifests[1]
-        _, defaults = cli.PRESET_RUNNERS["cutoff"]
+        _, defaults = cli.RUNNERS["experiment cutoff"]
         env = cli._run_env(cli.RunConfig(dict(defaults, **{"sampling.n_chains": "300"})))
         lines = ["rule,s,cutoff_fraction,class_fidelity"]
         for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO)):

@@ -175,6 +175,19 @@ class TestAdjustment:
                                 int(ys[i]), sch, 0, 50)
                 np.testing.assert_allclose(ab[i], ai, rtol=1e-12)
 
+    @pytest.mark.parametrize("rule, step", [
+        (GuidanceRule("none", 2.0), 0),
+        (GuidanceRule("geoguide", 1.0, cutoff_fraction=0.3), 15),
+        (GuidanceRule("adm_g", 1.0, cutoff_fraction=0.3), 49)],
+        ids=["none", "geoguide_at_cutoff", "adm_g_past_cutoff"])
+    def test_inactive_rule_is_refused(self, setup, rule, step):
+        # no A_t where step_key says the rule does not act, not even a zero one
+        sch, clf = setup
+        assert rule.step_key(step, 50) is None
+        x = rng_stream(0, 1).standard_normal(8)
+        with pytest.raises(ValueError, match=rf"rule {rule.kind} .* at step {step} of 50"):
+            adjustment(rule, clf, x, 20, 0, sch, step, 50)
+
     def test_nonfinite_gradient_aborts(self, setup):
         sch, clf = setup
         x = np.full(8, np.nan)

@@ -386,7 +386,9 @@ class TestTraining:
         sch = gs.build_linear_beta(50, 1e-4, 0.02)
         hyper = gm.Hyperparams(hidden=(16, 16), t_embed_dim=8, epochs=5, lr=1e80,
                                grad_clip=1e300)
-        with pytest.raises(gm.TrainingError):
+        # lr = 1e80 blows the weights up on purpose, so numpy warns on the way
+        with (pytest.warns(RuntimeWarning, match="overflow|invalid value"),
+              pytest.raises(gm.TrainingError)):
             gm.train_denoiser(ds, sch, hyper, seed=0)
 
     def test_classifier_needs_two_classes(self, single_gaussian_8, linb_50):
