@@ -16,13 +16,16 @@ import os
 import numpy as np
 
 # Entries of one GEMM output block: 4 MiB of float64.  Such small blocks keep
-# memory bounded.  The k-NN blocks (metrics) run under threads(1), since with
-# more BLAS threads their many small GEMMs cost more CPU time than they save
-# in wall time.  The trajectory distance blocks (sampler._nearest_distance)
-# run at the default BLAS thread count, since there pinning cost time: the
-# 64-chain x 51-state trace against 8000 points in D = 64 took 0.10-0.11 s
-# wall / 0.20-0.22 s CPU unpinned and 0.13 s / 0.26 s under threads(1) (2
-# cores, OpenBLAS 0.3.31, medians of 7 rounds), with equal results.
+# memory bounded.  The k-NN (metrics) runs under threads(1), since with more
+# BLAS threads its many small GEMMs cost more CPU time than they save in wall
+# time.  So does metrics.frechet_distance: in some fresh processes one
+# 64 x 64 eigh took 44-48 ms at OpenBLAS's default 2 threads, against
+# 0.5-0.65 ms pinned (2 cores, OpenBLAS 0.3.31), with equal results.  The
+# trajectory distance blocks (sampler._nearest_distance) run at the default
+# BLAS thread count, since there pinning cost time: the 64-chain x 51-state
+# trace against 8000 points in D = 64 took 0.10-0.11 s wall / 0.20-0.22 s
+# CPU unpinned and 0.13 s / 0.26 s under threads(1) (2 cores, OpenBLAS
+# 0.3.31, medians of 7 rounds), with equal results.
 BLOCK_ENTRIES = 1 << 19
 
 

@@ -359,6 +359,12 @@ def run_eval(cfg, make_out):
     ref_key = "eval.reference" if cfg.get("eval.reference") else "data.path"
     ref_path = cfg.get(ref_key)
     reference = _load_finite(cfg, ref_key) if ref_path else cfg.dataset()
+    dims = generated.points.shape[1], reference.points.shape[1]
+    if dims[0] != dims[1]:
+        ref_name = (f"{ref_key} ({ref_path})" if ref_path
+                    else "the reference generated from data.*")
+        raise data_mod.DataFormatError(f"eval.generated ({gen_path}) holds {dims[0]}-D points "
+                                       f"but {ref_name} holds {dims[1]}-D points")
     base = cfg.base_schedule()
     desc = generated.descriptor or reference.descriptor
     if desc is None:

@@ -1,21 +1,53 @@
 """Sample-quality and diagnostics metrics.
 
 Fréchet distance is computed on raw coordinates (the desk-scale analog of
-FID; not comparable to feature-space FID numbers).  Precision/recall use the
-standard k-NN manifold estimate, computed over row blocks of squared
-distances (``_blas.rows_per_block``), so memory stays bounded at any set size
-(about 12.4 MB traced at 4096 vs 8000 points in D = 64), with BLAS held to
-one thread inside (``_blas.threads``).  Each block is one GEMM of augmented
-operands, rows [p, ||p||^2, 1] against columns [-2q, 1, ||q||^2]^T, built once
-per point set.  The cross pass compares squared distances with
+FID; not comparable to feature-space FID numbers), with BLAS held to one
+thread (``_blas.threads``).  class_fidelity stands in for a fidelity score:
+the fraction of samples a zero-noise oracle classifier assigns to their
+target class.
+
+Precision/recall use the standard k-NN manifold estimate.  Its squared
+distances are GEMMs of augmented operands, rows [p, ||p||^2, 1] against
+columns [-2q, 1, ||q||^2]^T, in tiles of at most ``_blas.BLOCK_ENTRIES``
+entries under ``_blas.threads(1)``, and only the tiles that can matter are
+computed:
+
+* Groups.  PIVOTS reference points are chosen by farthest-point sampling
+  from row 0.  Each set is permuted once so that the points nearest one
+  pivot c form a contiguous group, which keeps c, its covering radius rho
+  (the largest ||x - c||) and its scale N (the largest norm of x and c).
+* Order.  A radius pass keeps each row's k smallest d2 so far; it runs each
+  group against its own group first, then against the others by pivot
+  distance.
+* Skip rule.  For groups A and B, every p in A and q in B have
+  ||p - q|| >= ||c_A - c_B|| - rho_A - rho_B.  A GEMM entry is within
+  g (||p|| + ||q||)^2 of the exact d2, g = 4 (D + 2) u: twice the rounding
+  bound of a length-(D + 2) dot product whose ||p||^2 is itself rounded,
+  in any summation order.  The pivot distances and radii come from the same
+  GEMM form, and a square root moves each by at most sqrt(g) (||x|| +
+  ||c||).  So with w = sqrt(g) (N_A + N_B) plus an underflow term, gap =
+  ||c_A - c_B|| - rho_A - rho_B - 3 w, as computed, is at most the exact
+  bound, and each computed d2 of the tile is at least gap^2 - w^2 when
+  gap > 0.  A tile is skipped only when that floor exceeds the largest
+  threshold the tile could decide: its rows' current k-th d2 in a radius
+  pass (a larger entry cannot change the k smallest), max(t_r, t_g) in the
+  cross pass (no test d2 <= t in it can hold).  A NaN bound or threshold
+  never skips, so non-finite or overlapping data get the dense work and the
+  dense result.
+
+At 4096 generated points against the 8000-point reference (eight
+components at least 7.6 apart, k-NN radii about 0.12), 16.3-16.5 M of the
+113.5 M pairs of the dense kernel are computed.  Against that kernel,
+precision and recall were equal at data seeds 1000-1031, 99 % of the radii
+were bit-identical and the rest within 9e-12 relative.  The peak stays near
+12.5 MB traced.  The cross pass compares squared distances with
 ``_sq_threshold`` of the radii, which gives the verdict of comparing their
-clamped square roots without taking one.  class_fidelity stands
-in for a fidelity score: the fraction of samples a zero-noise oracle
-classifier assigns to their target class.
+clamped square roots without taking one.
 """
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +57,10 @@ METRICS_CSV_HEADER = ["frechet", "precision", "recall", "class_accuracy",
                       "n_generated", "n_reference", "config"]
 COV_REGULARIZER = 1e-10
 MIN_NOISE = 0.1  # distance_law_fit pools the steps with 1 - abar_t >= MIN_NOISE
+# Reference points that the k-NN passes group the points about (module docstring)
+PIVOTS = 16
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -79,32 +115,33 @@ def frechet_distance(generated, reference) -> float:
     d = g.shape[1]
     mu_g, mu_r = g.mean(axis=0), r.mean(axis=0)
     eye = COV_REGULARIZER * np.eye(d)
-    c_g = np.cov(g, rowvar=False).reshape(d, d) + eye
-    c_r = np.cov(r, rowvar=False).reshape(d, d) + eye
-    root_g = _sqrtm_psd(c_g)
-    inner = root_g @ c_r @ root_g
-    cross = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)))
+    with _blas.threads(1):
+        c_g = np.cov(g, rowvar=False).reshape(d, d) + eye
+        c_r = np.cov(r, rowvar=False).reshape(d, d) + eye
+        root_g = _sqrtm_psd(c_g)
+        inner = root_g @ c_r @ root_g
+        cross = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)))
     diff = mu_g - mu_r
     val = float(diff @ diff + np.trace(c_g) + np.trace(c_r) - 2.0 * cross)
     return max(val, 0.0)
 
 
-def _row_operand(p, pp):
+def _row_operand(p):
     """[p, ||p||^2, 1] (n, D + 2): with ``_column_operand`` of a set q, the
     product of a block of these rows is ||p||^2 - 2 p.q + ||q||^2 in one GEMM."""
     rows = np.empty((len(p), p.shape[1] + 2))
     rows[:, :-2] = p
-    rows[:, -2] = pp
+    rows[:, -2] = np.sum(p * p, axis=1)
     rows[:, -1] = 1.0
     return rows
 
 
-def _column_operand(p, pp):
-    """[-2p, 1, ||p||^2]^T (D + 2, n), contiguous."""
-    cols = np.empty((p.shape[1] + 2, len(p)))
-    np.multiply(p.T, -2.0, out=cols[:-2])
+def _column_operand(rows):
+    """[-2p, 1, ||p||^2]^T (D + 2, n), contiguous, from the row operand of p."""
+    cols = np.empty(rows.shape[::-1])
+    np.multiply(rows[:, :-2].T, -2.0, out=cols[:-2])
     cols[-2] = 1.0
-    cols[-1] = pp
+    cols[-1] = rows[:, -2]
     return cols
 
 
@@ -135,21 +172,126 @@ def _check_k(n, k):
         raise ValueError("each set needs more than k points")
 
 
-def _radius(rows, cols, k):
-    """kth_nn_radius of the set whose operands are ``rows`` and ``cols``."""
-    out = np.empty(len(rows))
-    # one output block for the pass: a fresh one per GEMM would be allocated
-    # while the last is still held, two 4 MiB blocks at a time
-    block = np.empty((min(len(rows), _blas.rows_per_block(len(rows))), len(rows)))
-    with _blas.threads(1):
-        for lo in range(0, len(rows), len(block)):
-            d2 = np.matmul(rows[lo:lo + len(block)], cols, out=block[:len(rows) - lo])
-            i = np.arange(len(d2))
-            d2[i, lo + i] = np.inf
-            d2.partition(k - 1, axis=1)
-            # an exact duplicate's zero distance can round below 0
-            out[lo:lo + len(d2)] = np.sqrt(np.maximum(d2[:, k - 1], 0.0))
-    return out
+class _Pivots(NamedTuple):
+    """At most PIVOTS points of a reference set, chosen by farthest-point
+    sampling from its row 0 on the GEMM squared distances.  A row holding a
+    NaN is never chosen after row 0."""
+    cols: np.ndarray   # _column_operand of the pivots
+    dist: np.ndarray   # (P, P) distances between them, from the GEMM
+    norm: np.ndarray   # ||c|| of each pivot
+
+
+def _pivots(rows):
+    """The _Pivots of the set whose row operand is ``rows``."""
+    chosen = [0]
+    near = np.full(len(rows), np.inf)  # squared distance to the nearest pivot
+    while True:
+        # fmax drops a NaN row's distance to 0, so it is never chosen
+        np.fmin(near, np.fmax(rows @ _column_operand(rows[chosen[-1:]])[:, 0], 0.0), out=near)
+        j = int(np.argmax(near))
+        if len(chosen) == PIVOTS or not near[j] > 0.0:  # or all are pivots' duplicates
+            break
+        chosen.append(j)
+    cols = _column_operand(rows[chosen])
+    dist = np.sqrt(np.maximum(rows[chosen] @ cols, 0.0))
+    return _Pivots(cols, dist, np.sqrt(rows[chosen, -2]))
+
+
+class _Groups(NamedTuple):
+    """A point set permuted so that the points whose nearest pivot is the
+    same form one contiguous group."""
+    order: np.ndarray  # row i of ``rows`` is row order[i] of the set
+    rows: np.ndarray   # _row_operand of the permuted set
+    edges: np.ndarray  # group a is rows edges[a]:edges[a + 1]
+    pivot: np.ndarray  # index of each group's pivot
+    reach: np.ndarray  # covering radius of each group about its pivot
+    scale: np.ndarray  # max ||x|| over each group and its pivot
+
+
+def _groups(rows, pivots):
+    """The set whose row operand is ``rows``, grouped about ``pivots``.
+    Empty groups are left out; a row holding a NaN joins the first pivot's
+    group."""
+    d2 = rows @ pivots.cols
+    label = np.argmin(d2, axis=1)
+    order = np.argsort(label, kind="stable")
+    label = label[order]
+    counts = np.bincount(label, minlength=len(pivots.norm))
+    pivot = np.flatnonzero(counts)
+    edges = np.concatenate(([0], np.cumsum(counts[pivot])))
+    # maximum.reduceat keeps a NaN, which then blocks every skip of the group
+    reach = np.sqrt(np.maximum(np.maximum.reduceat(d2[order, label], edges[:-1]), 0.0))
+    rows = rows[order]
+    scale = np.maximum(np.sqrt(np.maximum.reduceat(rows[:, -2], edges[:-1])),
+                       pivots.norm[pivot])
+    return _Groups(order, rows, edges, pivot, reach, scale)
+
+
+def _floors(s, t, pivots):
+    """(groups of s, groups of t): a lower bound on every squared distance
+    that a GEMM of their operands computes between the two groups, -inf
+    where none is known (see the module docstring)."""
+    dim = s.rows.shape[1] - 2
+    w = (np.sqrt(4 * (dim + 2) * _U) * (s.scale[:, None] + t.scale[None, :])
+         + np.sqrt((dim + 2) * _TINY))
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = (pivots.dist[np.ix_(s.pivot, t.pivot)] - s.reach[:, None]
+               - t.reach[None, :] - 3.0 * w)
+        return np.where(gap > 0.0, gap * gap - w * w, -np.inf)  # NaN gap: -inf
+
+
+def _chunks(lo, hi, n_columns):
+    """Row ranges of rows lo:hi whose GEMM against n_columns columns stays
+    within one block of ``_blas.BLOCK_ENTRIES`` entries."""
+    step = _blas.rows_per_block(n_columns)
+    return [(r, min(r + step, hi)) for r in range(lo, hi, step)]
+
+
+def _tile(rows, cols, block):
+    """rows @ cols, written into the front of the flat buffer ``block``."""
+    return np.matmul(rows, cols, out=block[:len(rows) * cols.shape[1]].reshape(len(rows), -1))
+
+
+def _block(s, t):
+    """A flat buffer that holds the largest tile of s's groups against t's:
+    one for the pass, as a fresh output per GEMM would be allocated while
+    the last is still held."""
+    longest = np.diff(s.edges).max()
+    return np.empty(max(min(longest, _blas.rows_per_block(n)) * n for n in np.diff(t.edges)))
+
+
+def _radius(s, pivots, k):
+    """kth_nn_radius of the grouped set s, in its order.
+
+    Each group runs against its own group first and then against the others
+    by pivot distance, so each row's k-th smallest d2 so far is soon tight.
+    It starts as NaN, which sorts last as in the dense partition, so a row
+    with fewer than k non-NaN distances ends NaN there too.  Callers hold
+    BLAS to one thread.
+    """
+    cols = _column_operand(s.rows)
+    floors = _floors(s, s, pivots)
+    kth = np.full((len(s.rows), k), np.nan)
+    block = _block(s, s)
+    for a, (lo, hi) in enumerate(zip(s.edges[:-1], s.edges[1:])):
+        by_distance = np.argsort(pivots.dist[s.pivot[a], s.pivot], kind="stable")
+        for b in [a, *by_distance[by_distance != a]]:
+            c0, c1 = s.edges[b], s.edges[b + 1]
+            for r0, r1 in _chunks(lo, hi, c1 - c0):
+                # a NaN threshold compares False: the tile is computed
+                if floors[a, b] > kth[r0:r1, -1].max():
+                    continue
+                d2 = _tile(s.rows[r0:r1], cols[:, c0:c1], block)
+                if a == b:
+                    i = np.arange(r1 - r0)
+                    d2[i, r0 - lo + i] = np.inf
+                if d2.shape[1] > k:
+                    d2.partition(k - 1, axis=1)
+                merged = np.concatenate((kth[r0:r1], d2[:, :k]), axis=1)
+                merged.partition(k - 1, axis=1)
+                kth[r0:r1] = merged[:, :k]
+    # an exact duplicate's zero distance can round below 0
+    return np.sqrt(np.maximum(kth[:, -1], 0.0))
 
 
 def kth_nn_radius(points, k: int):
@@ -157,8 +299,14 @@ def kth_nn_radius(points, k: int):
     (a point's own zero distance does not count; duplicates do)."""
     p = np.asarray(points, dtype=np.float64)
     _check_k(len(p), k)
-    pp = np.sum(p * p, axis=1)
-    return _radius(_row_operand(p, pp), _column_operand(p, pp), k)
+    out = np.empty(len(p))
+    with _blas.threads(1):
+        rows = _row_operand(p)
+        pivots = _pivots(rows)
+        s = _groups(rows, pivots)
+        del rows
+        out[s.order] = _radius(s, pivots, k)
+    return out
 
 
 def knn_precision_recall(generated, reference, k: int = 3, reference_radius=None):
@@ -172,27 +320,39 @@ def knn_precision_recall(generated, reference, k: int = 3, reference_radius=None
     g = np.asarray(generated, dtype=np.float64)
     r = np.asarray(reference, dtype=np.float64)
     _check_k(min(len(g), len(r)), k)
-    rr = np.sum(r * r, axis=1)
-    r_cols = _column_operand(r, rr)
-    if reference_radius is None:
-        radius_r = _radius(_row_operand(r, rr), r_cols, k)
-    else:
-        radius_r = np.asarray(reference_radius, dtype=np.float64)
-        if radius_r.shape != (len(r),):
-            raise ValueError(f"reference_radius has shape {radius_r.shape}, "
+    if reference_radius is not None:
+        reference_radius = np.asarray(reference_radius, dtype=np.float64)
+        if reference_radius.shape != (len(r),):
+            raise ValueError(f"reference_radius has shape {reference_radius.shape}, "
                              f"expected ({len(r)},)")
-    gg = np.sum(g * g, axis=1)
-    g_rows = _row_operand(g, gg)
-    t_r = _sq_threshold(radius_r)
-    t_g = _sq_threshold(_radius(g_rows, _column_operand(g, gg), k))
-    hit_g = np.empty(len(g), dtype=bool)
-    hit_r = np.zeros(len(r), dtype=bool)
-    block = np.empty((min(len(g), _blas.rows_per_block(len(r))), len(r)))
+    # BLAS at one thread for all of it: the grouping GEMMs at 2 threads made
+    # the first call in a fresh process 0.12-0.38 s against 0.08-0.13 s
+    # pinned (2 cores, OpenBLAS 0.3.31)
     with _blas.threads(1):
-        for lo in range(0, len(g), len(block)):
-            d2 = np.matmul(g_rows[lo:lo + len(block)], r_cols, out=block[:len(g) - lo])
-            hit_g[lo:lo + len(d2)] = np.any(d2 <= t_r, axis=1)
-            hit_r |= np.any(d2 <= t_g[lo:lo + len(d2), None], axis=0)
+        rows = _row_operand(r)
+        pivots = _pivots(rows)
+        sr = _groups(rows, pivots)
+        del rows
+        t_r = _sq_threshold(_radius(sr, pivots, k) if reference_radius is None
+                            else reference_radius[sr.order])
+        sg = _groups(_row_operand(g), pivots)
+        t_g = _sq_threshold(_radius(sg, pivots, k))
+        # reference rows against generated columns: the larger set's operand
+        # is held once
+        g_cols = _column_operand(sg.rows)
+        floors = _floors(sr, sg, pivots)
+        t_g_max = np.maximum.reduceat(t_g, sg.edges[:-1])  # keeps a NaN
+        hit_r = np.zeros(len(r), dtype=bool)
+        hit_g = np.zeros(len(g), dtype=bool)
+        block = _block(sr, sg)
+        for a, (lo, hi) in enumerate(zip(sr.edges[:-1], sr.edges[1:])):
+            for b, (c0, c1) in enumerate(zip(sg.edges[:-1], sg.edges[1:])):
+                for r0, r1 in _chunks(lo, hi, c1 - c0):
+                    if floors[a, b] > np.maximum(t_r[r0:r1].max(), t_g_max[b]):
+                        continue
+                    d2 = _tile(sr.rows[r0:r1], g_cols[:, c0:c1], block)
+                    hit_r[r0:r1] |= np.any(d2 <= t_g[c0:c1], axis=1)
+                    hit_g[c0:c1] |= np.any(d2 <= t_r[r0:r1, None], axis=0)
     return float(np.mean(hit_g)), float(np.mean(hit_r))
 
 

@@ -327,6 +327,24 @@ class TestSampleAndEval:
         assert capsys.readouterr().err == (
             f"error: {key}: {bad}: row 7 holds a non-finite value\n")
 
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_eval_dimension_mismatch_is_format_error(self, tmp_path, capsys, reference):
+        # numpy's matmul error used to end the run, after --out was made
+        for name, dim in (("gen", 8), ("ref", 64)):
+            cfg = tmp_path / f"{name}.txt"
+            cfg.write_text(f"data.n = 50\ndata.dim = {dim}\n")
+            assert run(["--config", cfg, "--out", tmp_path / name, "gen-data"]) == 0
+        gen, ref = tmp_path / "gen" / "dataset.glab", tmp_path / "ref" / "dataset.glab"
+        ev_cfg = tmp_path / "ev.txt"
+        ev_cfg.write_text(f"eval.generated = {gen}\ndata.n = 100\n"
+                          + (f"eval.reference = {ref}\n" if reference else ""))
+        assert run(["--config", ev_cfg, "--out", tmp_path / "ev", "eval"]) == 1
+        ref_name = (f"eval.reference ({ref})" if reference
+                    else "the reference generated from data.*")
+        assert capsys.readouterr().err == (
+            f"error: eval.generated ({gen}) holds 8-D points but {ref_name} holds 64-D points\n")
+        assert not (tmp_path / "ev").exists()
+
     def test_blas_and_sampler_threads_byte_identical(self, tmp_path):
         # BLAS does the distance screen and the k-NN distances; neither its
         # thread count nor --threads may change a byte of the outputs

@@ -14,6 +14,7 @@ from guidelab import data as gd
 from guidelab import metrics as gmet
 from guidelab import models as gm
 from guidelab import schedule as gs
+from guidelab import _blas
 from guidelab._blas import rows_per_block
 from guidelab.forward import rng_stream
 
@@ -116,8 +117,21 @@ def _grid(n, seed, dim=3):
     return rng_stream(seed, 9).integers(-3, 4, size=(n, dim)).astype(np.float64)
 
 
+def _count_pairs(monkeypatch):
+    """A list that collects the entries of every distance tile computed."""
+    pairs = []
+    tile = gmet._tile
+
+    def counted(rows, cols, block):
+        pairs.append(len(rows) * cols.shape[1])
+        return tile(rows, cols, block)
+
+    monkeypatch.setattr(gmet, "_tile", counted)
+    return pairs
+
+
 class TestBlockedKnn:
-    """The row-blocked k-NN equals the dense kernel exactly."""
+    """The tiled k-NN equals the dense kernel exactly."""
 
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("n_gen, n_ref", [
@@ -163,16 +177,21 @@ class TestBlockedKnn:
         x = _grid(700, 4)
         assert gmet.knn_precision_recall(x, x, k) == _dense_precision_recall(x, x, k)
 
-    def test_gaussian_points_match_dense(self):
+    def test_gaussian_points_match_dense(self, monkeypatch):
         # real-valued data: a BLAS call may round a row's dot products
         # differently with other rows around it (micro-kernel edges), so the
         # radii agree to a few units in the last place; no such difference
-        # moves a point across a ball boundary here
+        # moves a point across a ball boundary here.  In one overlapping blob
+        # in D = 64 no tile can be skipped: every pair is computed.
+        pairs = _count_pairs(monkeypatch)
         rng = rng_stream(5, 0)
         g, r = rng.standard_normal((1500, 64)), rng.standard_normal((1000, 64)) + 0.3
         np.testing.assert_allclose(gmet.kth_nn_radius(r, 3), _dense_radius(r, 3),
                                    rtol=1e-13, atol=0)
+        assert sum(pairs) == len(r) ** 2
+        pairs.clear()
         assert gmet.knn_precision_recall(g, r, 3) == _dense_precision_recall(g, r, 3)
+        assert sum(pairs) == len(g) * len(r) + len(g) ** 2 + len(r) ** 2
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_mixture_points_match_dense(self, bench_descriptor, k):
@@ -208,6 +227,50 @@ class TestBlockedKnn:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestPrunedKnn:
+    """The k-NN passes skip a tile only where it can change no radius and no
+    verdict, so they equal the dense kernel wherever they skip."""
+
+    def test_pruning_at_bench_geometry(self, bench_descriptor, bench_dataset, monkeypatch):
+        # 8 components at least 7.6 apart, k-NN radii about 0.12: the pairs
+        # between components are skipped (16.5 M of 113.5 M pairs computed)
+        pairs = _count_pairs(monkeypatch)
+        g = gd.generate(bench_descriptor, 4096, seed=1000).points
+        r = bench_dataset.points
+        precision, recall = gmet.knn_precision_recall(g, r, 3)
+        assert precision > 0.9 and recall > 0.9
+        dense = len(g) * len(r) + len(g) ** 2 + len(r) ** 2
+        assert 0 < sum(pairs) <= 0.2 * dense
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nan_row_matches_dense(self, bench_descriptor, k):
+        # the NaN row's group is computed against every group; the NaN row
+        # has a NaN radius (inf at k = 1: only its masked self distance is
+        # not NaN), and lies in no ball
+        g = gd.generate(bench_descriptor, 1500, seed=3).points
+        r = gd.generate(bench_descriptor, 1000, seed=4).points
+        g[17, 5] = np.nan
+        r[5] = np.nan
+        with np.errstate(invalid="ignore"):
+            for points in (g, r):
+                radius, dense = gmet.kth_nn_radius(points, k), _dense_radius(points, k)
+                np.testing.assert_allclose(radius, dense, rtol=1e-9, atol=0)
+                assert not np.isfinite(radius[np.isnan(points).any(axis=1)]).any()
+            assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_small_blocks_grid_bit_identical(self, monkeypatch, k):
+        # 1000-entry blocks split every tile into row chunks; the grid's
+        # distances are exact, so any chunking gives the dense result
+        monkeypatch.setattr(_blas, "BLOCK_ENTRIES", 1000)
+        pairs = _count_pairs(monkeypatch)
+        g, r = _grid(1500, 7), _grid(1000, 8)
+        for points in (g, r):
+            np.testing.assert_array_equal(gmet.kth_nn_radius(points, k), _dense_radius(points, k))
+        assert max(pairs) <= 1000
+        assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
 
 
 _SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
