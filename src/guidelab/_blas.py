@@ -16,16 +16,17 @@ import os
 import numpy as np
 
 # Entries of one GEMM output block: 4 MiB of float64.  Such small blocks keep
-# memory bounded.  The k-NN (metrics) runs under threads(1), since with more
-# BLAS threads its many small GEMMs cost more CPU time than they save in wall
-# time.  So does metrics.frechet_distance: in some fresh processes one
-# 64 x 64 eigh took 44-48 ms at OpenBLAS's default 2 threads, against
-# 0.5-0.65 ms pinned (2 cores, OpenBLAS 0.3.31), with equal results.  The
-# trajectory distance blocks (sampler._nearest_distance) run at the default
-# BLAS thread count, since there pinning cost time: the 64-chain x 51-state
-# trace against 8000 points in D = 64 took 0.10-0.11 s wall / 0.20-0.22 s
-# CPU unpinned and 0.13 s / 0.26 s under threads(1) (2 cores, OpenBLAS
-# 0.3.31, medians of 7 rounds), with equal results.
+# memory bounded.  Every distance kernel runs under threads(1), since with
+# more BLAS threads their many small GEMMs cost more CPU time than they save
+# in wall time: the k-NN (metrics), and the trajectory and forward traces
+# (sampler._nearest_distance).  At OpenBLAS's default 2 threads the 64-chain
+# x 51-state trace against 8000 points in D = 64 took 0.14-0.17 s wall /
+# 0.27-0.32 s CPU on an idle host, 0.27-0.54 s beside one busy core, and
+# about 1 s in some fresh processes; pinned and pruned it takes 0.07-0.13 s
+# of both, idle or beside the busy core (2 cores, OpenBLAS 0.3.31), with
+# equal results.  metrics.frechet_distance runs under
+# threads(1) too: in some fresh processes one 64 x 64 eigh took 44-48 ms at
+# the default 2 threads, against 0.5-0.65 ms pinned, with equal results.
 BLOCK_ENTRIES = 1 << 19
 
 

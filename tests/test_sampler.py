@@ -534,6 +534,43 @@ def distance_problems(draw):
     return X, r, P
 
 
+def _count_pairs(monkeypatch):
+    """A list that collects the entries of every group tile the distance
+    kernel computes."""
+    pairs = []
+    tile = gsam._tile
+
+    def counted(rows, cols, block):
+        pairs.append(len(rows) * cols.shape[1])
+        return tile(rows, cols, block)
+
+    monkeypatch.setattr(gsam, "_tile", counted)
+    return pairs
+
+
+def _record_calls(monkeypatch):
+    """A list that collects (X, r, P, result) of every _nearest_distance call."""
+    calls = []
+    kernel = gsam._nearest_distance
+
+    def recorded(X, r, P):
+        out = kernel(X, r, P)
+        calls.append((X, r, P, out))
+        return out
+
+    monkeypatch.setattr(gsam, "_nearest_distance", recorded)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def bench_record(linb_1000):
+    """The sample_trace benchmark's record: 64 chains of geoguide s=2.5 over
+    1000 linear-beta steps, thinned to 51 stored states."""
+    desc = gd.eight_gaussians()
+    den, clf = gm.AnalyticDenoiser(desc, linb_1000), gm.AnalyticClassifier(desc, linb_1000)
+    return gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), linb_1000, 0, 64, seed=0)
+
+
 class TestNearestDistanceKernel:
     @settings(max_examples=300, deadline=None)
     @given(distance_problems())
@@ -612,6 +649,94 @@ class TestNearestDistanceKernel:
         tracemalloc.start()
         try:
             gsam.trace_manifold_distance(batch, bench_dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_pruning_at_bench_geometry(self, bench_record, bench_dataset, monkeypatch):
+        # about 30 % of the 26.1 M pairs are computed (29.5-30.9 % on seeds 0 and 3)
+        pairs = _count_pairs(monkeypatch)
+        d_hat = gsam.trace_manifold_distance(bench_record, bench_dataset)
+        M, K, _ = bench_record.stored_x.shape
+        assert 0 < sum(pairs) <= 0.4 * M * K * len(bench_dataset.points)
+        r = np.sqrt(bench_record.stored_alpha_bars)
+        for j in (0, 21, 63):
+            np.testing.assert_array_equal(
+                d_hat[j], exhaustive_distance(bench_record.stored_x[j], r,
+                                              bench_dataset.points))
+
+    def test_forward_pruning_at_bench_geometry(self, bench_dataset, linb_1000, monkeypatch):
+        # the distance_law preset's size: 200 draws x 50 steps; noised
+        # dataset points compute about 40 % of the pairs (40.0-40.3 % on
+        # seeds 0, 3 and 11)
+        pairs = _count_pairs(monkeypatch)
+        calls = _record_calls(monkeypatch)
+        _, _, d_hat = gsam.forward_manifold_traces(bench_dataset, linb_1000, 200, seed=3)
+        assert 0 < sum(pairs) <= 0.45 * d_hat.size * len(bench_dataset.points)
+        for X, r, P, out in calls[::10]:
+            np.testing.assert_array_equal(out[:4], exhaustive_distance(X[:4], r[:4], P))
+
+
+class TestGroupingMemo:
+    """The grouped dataset is kept for the next call on the same points
+    array, and only for that array."""
+
+    def test_export_groups_once(self, bench, bench_dataset, tmp_path, monkeypatch):
+        _, sch, den, clf = bench
+        batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), sch, 0, 4, seed=1)
+        monkeypatch.setattr(gsam, "_grid_memo", None)
+        grouped = []
+        pivots = gsam._pivots
+
+        def counted(rows):
+            grouped.append(len(rows))
+            return pivots(rows)
+
+        monkeypatch.setattr(gsam, "_pivots", counted)
+        gsam.export_trajectories_csv(batch, tmp_path / "traj.csv", bench_dataset)
+        gsam.forward_manifold_traces(bench_dataset, sch, 3, seed=0)
+        assert grouped == [len(bench_dataset.points)]
+
+    def test_equal_shapes_different_values(self, bench, bench_descriptor):
+        _, sch, den, clf = bench
+        batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), sch, 0, 2, seed=5)
+        r = np.sqrt(batch.stored_alpha_bars)
+        for seed in (1, 2, 1):
+            ds = gd.generate(bench_descriptor, 3000, seed=seed)
+            d_hat = gsam.trace_manifold_distance(batch, ds)
+            for j in range(2):
+                np.testing.assert_array_equal(
+                    d_hat[j], exhaustive_distance(batch.stored_x[j], r, ds.points))
+
+    def test_swapped_points(self, bench, bench_descriptor):
+        _, sch, den, clf = bench
+        batch = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 1, seed=0)
+        ds = gd.generate(bench_descriptor, 3000, seed=1)
+        gsam.trace_manifold_distance(batch, ds)
+        object.__setattr__(ds, "points", gd.generate(bench_descriptor, 3000, seed=2).points)
+        np.testing.assert_array_equal(
+            gsam.trace_manifold_distance(batch, ds)[0],
+            exhaustive_distance(batch.stored_x[0], np.sqrt(batch.stored_alpha_bars),
+                                ds.points))
+
+    def test_nan_state_and_dataset_rows(self, bench_record, bench_dataset):
+        X = bench_record.stored_x[:2].reshape(-1, 64).copy()
+        r = np.tile(np.sqrt(bench_record.stored_alpha_bars), 2)
+        X[7, 3] = np.nan
+        P = bench_dataset.points.copy()
+        P[17, 5] = np.nan
+        with np.errstate(invalid="ignore"):
+            for points in (bench_dataset.points, P):
+                np.testing.assert_array_equal(gsam._nearest_distance(X, r, points),
+                                              exhaustive_distance(X, r, points))
+
+    def test_grouping_memory_bounded(self, bench_record, bench_dataset, monkeypatch):
+        # the grouping's operands and the one row block of a chain
+        monkeypatch.setattr(gsam, "_grid_memo", None)
+        tracemalloc.start()
+        try:
+            gsam.trace_manifold_distance(bench_record.chain(0), bench_dataset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
