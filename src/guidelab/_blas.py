@@ -18,8 +18,8 @@ import numpy as np
 # Entries of one GEMM output block: 4 MiB of float64.  Such small blocks keep
 # memory bounded.  Every distance kernel runs under threads(1), since with
 # more BLAS threads their many small GEMMs cost more CPU time than they save
-# in wall time: the k-NN (metrics), and the trajectory and forward traces
-# (sampler._nearest_distance).  At OpenBLAS's default 2 threads the 64-chain
+# in wall time: the k-NN and the nearest-point search of the trajectory and
+# forward traces (both in metrics).  At OpenBLAS's default 2 threads the 64-chain
 # x 51-state trace against 8000 points in D = 64 took 0.14-0.17 s wall /
 # 0.27-0.32 s CPU on an idle host, 0.27-0.54 s beside one busy core, and
 # about 1 s in some fresh processes; pinned and pruned it takes 0.07-0.13 s

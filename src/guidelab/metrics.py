@@ -43,6 +43,11 @@ were bit-identical and the rest within 9e-12 relative.  The peak stays near
 12.5 MB traced.  The cross pass compares squared distances with
 ``_sq_threshold`` of the radii, which gives the verdict of comparing their
 clamped square roots without taking one.
+
+The sampler's manifold-distance traces ask the same nearest-point question
+through ``nearest_distance``, on the same groups, operands, tiles and BLAS
+pin; it rechecks its screened argmin with the exact norm, so it equals the
+exhaustive scan bit for bit.
 """
 
 import csv
@@ -59,8 +64,10 @@ COV_REGULARIZER = 1e-10
 MIN_NOISE = 0.1  # distance_law_fit pools the steps with 1 - abar_t >= MIN_NOISE
 # Reference points that the k-NN passes group the points about (module docstring)
 PIVOTS = 16
-_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_EPS = np.finfo(np.float64).eps
+_U = _EPS / 2  # unit roundoff
 _TINY = np.finfo(np.float64).tiny
+_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -126,13 +133,15 @@ def frechet_distance(generated, reference) -> float:
     return max(val, 0.0)
 
 
-def _row_operand(p):
-    """[p, ||p||^2, 1] (n, D + 2): with ``_column_operand`` of a set q, the
-    product of a block of these rows is ||p||^2 - 2 p.q + ||q||^2 in one GEMM."""
+def _row_operand(p, scale=None):
+    """[r p, ||p||^2, r^2] (n, D + 2), with r the per-row ``scale`` (1 when
+    None): with ``_column_operand`` of a set q, the product of a block of
+    these rows is ||r q - p||^2 = ||p||^2 - 2 r p.q + r^2 ||q||^2 in one GEMM."""
+    r = np.ones(len(p)) if scale is None else scale
     rows = np.empty((len(p), p.shape[1] + 2))
-    rows[:, :-2] = p
+    np.multiply(p, r[:, None], out=rows[:, :-2])
     rows[:, -2] = np.sum(p * p, axis=1)
-    rows[:, -1] = 1.0
+    rows[:, -1] = r * r
     return rows
 
 
@@ -354,6 +363,128 @@ def knn_precision_recall(generated, reference, k: int = 3, reference_radius=None
                     hit_r[r0:r1] |= np.any(d2 <= t_g[c0:c1], axis=1)
                     hit_g[c0:c1] |= np.any(d2 <= t_r[r0:r1, None], axis=0)
     return float(np.mean(hit_g)), float(np.mean(hit_r))
+
+
+# (points, pivots, groups without rows, column operand) of the last
+# nearest_distance call; swapped whole, so thread-safe
+_grouping_memo = None
+
+
+def _grouping(P):
+    """(pivots, groups without their row operand, the groups' column operand)
+    of the dataset P, kept for the next call with the same array object."""
+    global _grouping_memo
+    memo = _grouping_memo
+    if memo is None or memo[0] is not P:
+        rows = _row_operand(P)
+        pivots = _pivots(rows)
+        groups = _groups(rows, pivots)
+        del rows
+        memo = (P, pivots, groups._replace(rows=None), _column_operand(groups.rows))
+        _grouping_memo = memo
+    return memo[1:]
+
+
+def nearest_distance(X, r, P):
+    """min_i ||r_j p_i - x_j|| for each row x_j of X (n, D), with its own
+    scale r_j, over the rows p_i of P (N, D).
+
+    The result equals the exhaustive scan
+    ``np.min(np.linalg.norm(r_j * P - x_j, axis=1))`` bit for bit, for any
+    BLAS blocking.  BLAS runs at one thread throughout (``_blas.threads``).
+
+    Groups.  P is grouped as in the module docstring: group b, with pivot
+    c_b and covering radius rho_b, is a slice of the permuted column operand.
+    The grouping and that operand (N (D + 2) floats) are kept for the next
+    call with the same ``P`` object, compared with ``is``, so the per-chain
+    traces of one export and the per-step forward traces group the dataset
+    once.  P must not be changed in place between two calls.
+
+    Screen.  Row operands [r x, ||x||^2, r^2] make each GEMM entry the
+    squared distance ||r p - x||^2.  With unit roundoff u = eps/2 and
+    S = ||x||^2 + r^2 max_i ||p_i||^2, any summation order keeps an entry
+    within (3D + 7) u S of the exact squared distance, and the exhaustive
+    scan's own squared norm (before its monotone sqrt) within (2D + 7) u S.
+
+    Skip rule.  A pivot is a point of P, so the row's smallest pivot
+    distance U = min_b ||r c_b - x|| bounds its minimum from above, and every
+    point of group b lies at least ||r c_b - x|| - r rho_b from x.  Let
+    w = sqrt(32 (D + 2) (eps S + tiny)), the recheck cut below as a
+    distance.  Four roundings part these computed values from the exact
+    ones: the group's pivot distance and U, each a square root of a GEMM
+    entry (within sqrt((3D + 7) u S)); r rho_b, within r times the module
+    docstring's sqrt(g) (||p|| + ||c||) + sqrt((D + 2) tiny); and the excess
+    of the scan's argmin over the exact minimum, within sqrt((2D + 7) eps S).
+    Each is at most w / sqrt(2).  So a (row, group) pair is skipped only
+    when ||r c_b - x|| - r rho_b - 2w > U + w: then no point of the group
+    can be an argmin of the scan.  A NaN bound never skips, and w is inf
+    where 4S overflows.  Against the 8000-point dataset, the 64-chain x
+    51-state trace of the ``sample`` export computes 29.5-30.9 % of its
+    26.1 M pairs (seeds 0 and 3), and the 200-draw x 50-step
+    ``distance_law`` traces 40.0-40.3 % (seeds 0, 3 and 11).
+
+    Exact recheck.  The scan's argmin then screens within (10D + 28) u S of
+    the row's smallest computed entry.  The scan's exact norm is taken for
+    every computed point within ``32 (D + 2) (eps S + tiny)`` of it: more
+    than four times that bound, with ``tiny`` covering underflow.  Most
+    rows recheck one point; a row whose cut is not finite (non-finite
+    input) rechecks every point.
+    """
+    n, D = X.shape
+    out = np.empty(n)
+    rows_per_block = _blas.rows_per_block(len(P))
+    with _blas.threads(1):
+        pivots, groups, cols = _grouping(P)
+        pivot_cols = pivots.cols[:, groups.pivot]
+        pp_max = cols[-1].max()  # the largest ||p||^2
+        spans = list(zip(groups.edges[:-1].tolist(), groups.edges[1:].tolist()))
+        # the tiles of one row block share one output buffer
+        block = np.empty(min(n, rows_per_block) * len(P))
+        for lo in range(0, n, rows_per_block):
+            x, rb = X[lo:lo + rows_per_block], r[lo:lo + rows_per_block]
+            # overflow or non-finite input leaves a non-finite bound or cut,
+            # which skips nothing and rechecks every point
+            with np.errstate(invalid="ignore", over="ignore"):
+                rows = _row_operand(x, rb)
+                size = rows[:, -2] + rows[:, -1] * pp_max
+                cut = 32 * (D + 2) * (_EPS * size + _TINY)
+                w = np.where(size <= _MAX / 4, np.sqrt(cut), np.inf)[:, None]
+                pivot = np.sqrt(np.maximum(rows @ pivot_cols, 0.0))
+                skip = (pivot - rb[:, None] * groups.reach - 2 * w
+                        > pivot.min(axis=1, keepdims=True) + w)
+                best = np.full(len(x), np.inf)
+                tiles, used = [], 0
+                for b, (c0, c1) in enumerate(spans):
+                    idx = np.flatnonzero(~skip[:, b])
+                    if len(idx):
+                        d2 = _tile(rows[idx], cols[:, c0:c1], block[used:])
+                        low = d2.min(axis=1)
+                        best[idx] = np.minimum(best[idx], low)
+                        tiles.append((idx, c0, d2, low))
+                        used += d2.size
+                cut += best
+            full = ~np.isfinite(cut)
+            cut[full] = np.nan  # compares False: these rows take the full scan
+            pairs = []  # (rows, points) to recheck: each row's entries within its cut
+            for idx, c0, d2, low in tiles:
+                near = np.flatnonzero(low <= cut[idx])
+                i, c = np.nonzero(d2[near] <= cut[idx[near], None])
+                pairs.append((idx[near[i]], groups.order[c0 + c]))
+            d = np.full(len(x), np.inf)
+            _recheck(d, *map(np.concatenate, zip(*pairs)), x, rb, P)
+            for j in np.flatnonzero(full):
+                d[j] = np.min(np.linalg.norm(rb[j] * P - x[j], axis=1))
+            out[lo:lo + len(x)] = d
+    return out
+
+
+def _recheck(d, j, i, x, rb, P):
+    """d[j] = min(d[j], the scan's exact norm ||rb_j p_i - x_j||) for each
+    pair (j, i), in chunks of ``_blas.BLOCK_ENTRIES`` entries."""
+    step = _blas.rows_per_block(P.shape[1])
+    for s in range(0, len(j), step):
+        js, ps = j[s:s + step], i[s:s + step]
+        np.minimum.at(d, js, np.linalg.norm(rb[js, None] * P[ps] - x[js], axis=1))
 
 
 def class_fidelity(generated, targets, oracle_classifier) -> float:

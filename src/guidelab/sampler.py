@@ -14,20 +14,19 @@ unguided step (after a cut-off, or under kind none) takes no adjustment.
 A rule's record is one ``SampleBatch``: chain j is row j of every per-chain
 array, and each block writes its own rows in place.  ``store`` names the
 arrays a call keeps, and the work behind an array it does not keep is
-skipped.
+skipped.  The traces of the record and of the forward process measure
+distances with ``metrics.nearest_distance``.
 """
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from . import _blas
 from .errors import NumericalError
 from .forward import q_sample, rng_stream
 from .guidance import GuidanceError, GuidanceRule, adjustment, guided_reverse_step
-from .metrics import _column_operand, _groups, _pivots, _row_operand, _tile
+from .metrics import nearest_distance
 from .models import mu_from_eps
 from .schedule import NoiseSchedule
 
@@ -139,9 +138,12 @@ def sample(denoiser, classifier, rule, schedule: NoiseSchedule, y, n_chains: int
         stored_alpha_bars=np.append(alpha_bars[1:], 1.0)[stored],
         stored_x=np.empty((n_chains, len(stored), denoiser.dim))) for r in rules)
 
-    for lo in range(0, n_chains, BLOCK):
-        _run_block(denoiser, classifier, rules, schedule, batches, lo,
-                   min(lo + BLOCK, n_chains), seed)
+    # an overflow surfaces as a non-finite guidance vector or state, which
+    # the block names with its chain, not as a numpy warning before that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_chains, BLOCK):
+            _run_block(denoiser, classifier, rules, schedule, batches, lo,
+                       min(lo + BLOCK, n_chains), seed)
     return batches if isinstance(rule, tuple) else batches[0]
 
 
@@ -220,154 +222,16 @@ def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
         groups = sorted(split, key=lambda group: group[1][0])
 
 
-_EPS = np.finfo(np.float64).eps
-_TINY = np.finfo(np.float64).tiny
-_MAX = np.finfo(np.float64).max
-
-
-class _Grid(NamedTuple):
-    """A dataset grouped about its pivots for ``_nearest_distance``."""
-    order: np.ndarray       # column i of ``cols`` is point order[i]
-    cols: np.ndarray        # metrics' column operand [-2p, 1, ||p||^2]^T, permuted
-    edges: np.ndarray       # group b is columns edges[b]:edges[b + 1]
-    pivot_cols: np.ndarray  # the column operand of each group's pivot
-    reach: np.ndarray       # covering radius of each group about its pivot
-    pp_max: float           # the largest ||p||^2, as the column operand holds it
-
-
-_grid_memo = None  # (points, _Grid) of the last call; swapped whole, so thread-safe
-
-
-def _grid(P):
-    """The _Grid of P, kept for the next call with the same array object."""
-    global _grid_memo
-    memo = _grid_memo
-    if memo is not None and memo[0] is P:
-        return memo[1]
-    rows = _row_operand(P)
-    pivots = _pivots(rows)
-    groups = _groups(rows, pivots)
-    del rows
-    grid = _Grid(groups.order, _column_operand(groups.rows), groups.edges,
-                 pivots.cols[:, groups.pivot], groups.reach, groups.rows[:, -2].max())
-    _grid_memo = (P, grid)
-    return grid
-
-
-def _nearest_distance(X, r, P):
-    """min_i ||r_j p_i - x_j|| for each row x_j of X (n, D), with its own
-    scale r_j, over the rows p_i of P (N, D).
-
-    The result equals the exhaustive scan
-    ``np.min(np.linalg.norm(r_j * P - x_j, axis=1))`` bit for bit, for any
-    BLAS blocking.  BLAS runs at one thread throughout (``_blas.threads``).
-
-    Groups.  P is grouped about at most ``metrics.PIVOTS`` of its own points
-    by ``metrics._pivots`` and ``_groups``: group b is a contiguous slice of
-    the permuted column operand [-2p, 1, ||p||^2]^T, with its pivot c_b and
-    covering radius rho_b.  The grouping and that operand (N (D + 2) floats)
-    are kept for the next call with the same ``P`` object, compared with
-    ``is``, so the per-chain traces of one export and the per-step traces
-    of ``forward_manifold_traces`` group the dataset once.  P must not be
-    changed in place between two calls.
-
-    Screen.  Row operands [r x, ||x||^2, r^2] make each GEMM entry the
-    squared distance ||r p - x||^2.  With unit roundoff u = eps/2 and
-    S = ||x||^2 + r^2 max_i ||p_i||^2, any summation order keeps an entry
-    within (3D + 7) u S of the exact squared distance, and the exhaustive
-    scan's own squared norm (before its monotone sqrt) within (2D + 7) u S.
-
-    Skip rule.  A pivot is a point of P, so the row's smallest pivot
-    distance U = min_b ||r c_b - x|| bounds its minimum from above, and every
-    point of group b lies at least ||r c_b - x|| - r rho_b from x.  Let
-    w = sqrt(32 (D + 2) (eps S + tiny)), the recheck cut below as a
-    distance.  Four roundings part these computed values from the exact
-    ones: the group's pivot distance and U, each a square root of a GEMM
-    entry (within sqrt((3D + 7) u S)); r rho_b, within r times metrics'
-    sqrt(g) (||p|| + ||c||) + sqrt((D + 2) tiny); and the excess of the
-    scan's argmin over the exact minimum, within sqrt((2D + 7) eps S).  Each
-    is at most w / sqrt(2).  So a (row, group) pair is skipped only when
-    ||r c_b - x|| - r rho_b - 2w > U + w: then no point of the group can be
-    an argmin of the scan.  A NaN bound never skips, and w is inf where 4S
-    overflows.  Against the 8000-point dataset, the 64-chain x 51-state
-    trace of the ``sample`` export computes 29.5-30.9 % of its 26.1 M pairs
-    (seeds 0 and 3), and the 200-draw x 50-step ``distance_law`` traces
-    40.0-40.3 % (seeds 0, 3 and 11).
-
-    Exact recheck.  The scan's argmin then screens within (10D + 28) u S of
-    the row's smallest computed entry.  The scan's exact norm is taken for
-    every computed point within ``32 (D + 2) (eps S + tiny)`` of it: more
-    than four times that bound, with ``tiny`` covering underflow.  Most
-    rows recheck one point; a row whose cut is not finite (non-finite
-    input) rechecks every point.
-    """
-    n, D = X.shape
-    out = np.empty(n)
-    rows_per_block = _blas.rows_per_block(len(P))
-    with _blas.threads(1):
-        grid = _grid(P)
-        groups = list(zip(grid.edges[:-1].tolist(), grid.edges[1:].tolist()))
-        # the tiles of one row block share one output buffer
-        block = np.empty(min(n, rows_per_block) * len(P))
-        for lo in range(0, n, rows_per_block):
-            x, rb = X[lo:lo + rows_per_block], r[lo:lo + rows_per_block]
-            rows = np.empty((len(x), D + 2))
-            np.multiply(x, rb[:, None], out=rows[:, :-2])
-            rows[:, -2] = np.einsum("ij,ij->i", x, x)
-            rows[:, -1] = rb * rb
-            # overflow or non-finite input leaves a non-finite bound or cut,
-            # which skips nothing and rechecks every point
-            with np.errstate(invalid="ignore", over="ignore"):
-                size = rows[:, -2] + rows[:, -1] * grid.pp_max
-                cut = 32 * (D + 2) * (_EPS * size + _TINY)
-                w = np.where(size <= _MAX / 4, np.sqrt(cut), np.inf)[:, None]
-                pivot = np.sqrt(np.maximum(rows @ grid.pivot_cols, 0.0))
-                skip = (pivot - rb[:, None] * grid.reach - 2 * w
-                        > pivot.min(axis=1, keepdims=True) + w)
-                best = np.full(len(x), np.inf)
-                tiles, used = [], 0
-                for b, (c0, c1) in enumerate(groups):
-                    idx = np.flatnonzero(~skip[:, b])
-                    if len(idx):
-                        d2 = _tile(rows[idx], grid.cols[:, c0:c1], block[used:])
-                        low = d2.min(axis=1)
-                        best[idx] = np.minimum(best[idx], low)
-                        tiles.append((idx, c0, d2, low))
-                        used += d2.size
-                cut += best
-            full = ~np.isfinite(cut)
-            cut[full] = np.nan  # compares False: these rows take the full scan
-            pairs = []  # (rows, points) to recheck: each row's entries within its cut
-            for idx, c0, d2, low in tiles:
-                near = np.flatnonzero(low <= cut[idx])
-                i, c = np.nonzero(d2[near] <= cut[idx[near], None])
-                pairs.append((idx[near[i]], grid.order[c0 + c]))
-            d = np.full(len(x), np.inf)
-            _recheck(d, *map(np.concatenate, zip(*pairs)), x, rb, P)
-            for j in np.flatnonzero(full):
-                d[j] = np.min(np.linalg.norm(rb[j] * P - x[j], axis=1))
-            out[lo:lo + len(x)] = d
-    return out
-
-
-def _recheck(d, j, i, x, rb, P):
-    """d[j] = min(d[j], the scan's exact norm ||rb_j p_i - x_j||) for each
-    pair (j, i), in chunks of ``_blas.BLOCK_ENTRIES`` entries."""
-    step = _blas.rows_per_block(P.shape[1])
-    for s in range(0, len(j), step):
-        js, ps = j[s:s + step], i[s:s + step]
-        np.minimum.at(d, js, np.linalg.norm(rb[js, None] * P[ps] - x[js], axis=1))
-
-
 def trace_manifold_distance(trajectory: SampleBatch, dataset):
     """d_hat (chains, K): at each stored step, min_i ||x_t - sqrt(abar_t) x_i||
-    over the dataset (exact, see ``_nearest_distance``)."""
+    over the dataset, equal to the exhaustive scan bit for bit
+    (``metrics.nearest_distance``)."""
     pts = dataset.points
     if len(pts) == 0:
         raise ValueError("dataset is empty")
     n, K, D = trajectory.stored_x.shape
     r = np.tile(np.sqrt(trajectory.stored_alpha_bars), n)
-    return _nearest_distance(trajectory.stored_x.reshape(n * K, D), r, pts).reshape(n, K)
+    return nearest_distance(trajectory.stored_x.reshape(n * K, D), r, pts).reshape(n, K)
 
 
 def forward_manifold_traces(dataset, schedule: NoiseSchedule, n_draws: int, seed: int):
@@ -385,7 +249,7 @@ def forward_manifold_traces(dataset, schedule: NoiseSchedule, n_draws: int, seed
     d_hat = np.empty((n_draws, len(positions)))
     for k, pos in enumerate(positions.tolist()):
         xt = q_sample(x0, pos, schedule, rng).x_t
-        d_hat[:, k] = _nearest_distance(xt, np.full(n_draws, np.sqrt(alpha_bars[k])), pts)
+        d_hat[:, k] = nearest_distance(xt, np.full(n_draws, np.sqrt(alpha_bars[k])), pts)
     return schedule.timesteps[positions - 1], alpha_bars, d_hat
 
 

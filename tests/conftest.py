@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from guidelab import _blas
 from guidelab import data as gdata
+from guidelab import metrics as gmetrics
 from guidelab import schedule as gschedule
 
 
@@ -42,3 +44,29 @@ def small_descriptor():
                                     weights=np.array([0.5, 0.5]),
                                     means=means,
                                     variances=np.array([1.0, 1.0]))
+
+
+class TilePairs(list):
+    """The entries of each distance tile computed, in call order; ``threads``
+    holds the BLAS thread count inside each (None where it cannot be read)."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+
+@pytest.fixture()
+def tile_pairs(monkeypatch):
+    """Counts the pairs of every distance tile: the k-NN's and the
+    nearest-point search's all go through ``metrics._tile``."""
+    pairs = TilePairs()
+    tile = gmetrics._tile
+    get_threads = _blas._openblas()[0] if _blas._openblas() else lambda: None
+
+    def counted(rows, cols, block):
+        pairs.append(len(rows) * cols.shape[1])
+        pairs.threads.append(get_threads())
+        return tile(rows, cols, block)
+
+    monkeypatch.setattr(gmetrics, "_tile", counted)
+    return pairs

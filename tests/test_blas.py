@@ -62,22 +62,14 @@ def traced():
     return batch, ds, sch
 
 
-def test_traces_leave_count_unchanged(traced, monkeypatch):
+def test_traces_leave_count_unchanged(traced, tile_pairs):
     batch, ds, sch = traced
-    inside = []
-    tile = gsam._tile
-
-    def seen(rows, cols, block):
-        inside.append(get_threads())
-        return tile(rows, cols, block)
-
-    monkeypatch.setattr(gsam, "_tile", seen)
     with _blas.threads(2):
         gsam.trace_manifold_distance(batch, ds)
         assert get_threads() == 2
         gsam.forward_manifold_traces(ds, sch, 4, seed=0)
         assert get_threads() == 2
-    assert inside and set(inside) == {1}
+    assert tile_pairs.threads and set(tile_pairs.threads) == {1}
 
 
 def test_trace_restores_count_on_error(traced, monkeypatch):
@@ -86,7 +78,7 @@ def test_trace_restores_count_on_error(traced, monkeypatch):
     def failing(rows, cols, block):
         raise RuntimeError("inside the pin")
 
-    monkeypatch.setattr(gsam, "_tile", failing)
+    monkeypatch.setattr(gmet, "_tile", failing)
     with _blas.threads(2):
         for trace in (lambda: gsam.trace_manifold_distance(batch, ds),
                       lambda: gsam.forward_manifold_traces(ds, sch, 4, seed=0)):

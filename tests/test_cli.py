@@ -779,6 +779,22 @@ class TestNumericalErrors:
             "numerical error: non-finite classifier gradient at t=50 in chain 261 "
             "(class 5)\n")
 
+    @pytest.mark.parametrize("kind, scale, message", [
+        ("adm_g", "1e308", "numerical error: non-finite classifier gradient at t=19 "
+                           "in chain 0 (class 0)\n"),
+        ("geoguide", "1e300", "numerical error: non-finite state at step 1 (t=19) in "
+                              "chain 0 under rule geoguide (s=1e+300, cutoff=1.0)\n"),
+    ], ids=["adm_g", "geoguide"])
+    def test_real_overflow_is_one_line(self, tmp_path, capsys, kind, scale, message):
+        # a scale this large overflows the models' own arithmetic: the
+        # sampler's finiteness checks report it, with no numpy warning first
+        # (a warning is an error under this suite's filterwarnings)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"schedule.T = 20\nsampling.n_chains = 3\nguidance.kind = {kind}\n"
+                       f"guidance.s = {scale}\n")
+        assert run(["--config", cfg, "--out", tmp_path / "out", "sample"]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == message
+
     def test_non_finite_training_loss(self, tmp_path, monkeypatch, capsys):
         forward = gm.MLP.forward
 

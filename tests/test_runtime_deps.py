@@ -44,3 +44,25 @@ def test_numpy_is_the_only_declared_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def _private_imports(path):
+    """(module, name) of every underscore-prefixed name that ``path`` takes
+    from another guidelab module; a private module itself, such as ``_blas``
+    in ``from . import _blas``, may be imported."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level:
+            module = "guidelab." + module if module else "guidelab"
+        if module.split(".")[0] != "guidelab" or module == "guidelab":
+            continue
+        yield from ((module, alias.name) for alias in node.names
+                    if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    taken = sorted(_private_imports(path))
+    assert not taken, f"{path.name} imports private names {taken}"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from guidelab import _blas
 from guidelab import data as gd
+from guidelab import metrics as gmet
 from guidelab import models as gm
 from guidelab import sampler as gsam
 from guidelab import schedule as gs
@@ -534,31 +535,18 @@ def distance_problems(draw):
     return X, r, P
 
 
-def _count_pairs(monkeypatch):
-    """A list that collects the entries of every group tile the distance
-    kernel computes."""
-    pairs = []
-    tile = gsam._tile
-
-    def counted(rows, cols, block):
-        pairs.append(len(rows) * cols.shape[1])
-        return tile(rows, cols, block)
-
-    monkeypatch.setattr(gsam, "_tile", counted)
-    return pairs
-
-
 def _record_calls(monkeypatch):
-    """A list that collects (X, r, P, result) of every _nearest_distance call."""
+    """A list that collects (X, r, P, result) of every nearest_distance call
+    the sampler's traces make."""
     calls = []
-    kernel = gsam._nearest_distance
+    kernel = gsam.nearest_distance
 
     def recorded(X, r, P):
         out = kernel(X, r, P)
         calls.append((X, r, P, out))
         return out
 
-    monkeypatch.setattr(gsam, "_nearest_distance", recorded)
+    monkeypatch.setattr(gsam, "nearest_distance", recorded)
     return calls
 
 
@@ -576,13 +564,13 @@ class TestNearestDistanceKernel:
     @given(distance_problems())
     def test_equals_exhaustive_scan(self, problem):
         X, r, P = problem
-        assert np.array_equal(gsam._nearest_distance(X, r, P), exhaustive_distance(X, r, P))
+        assert np.array_equal(gmet.nearest_distance(X, r, P), exhaustive_distance(X, r, P))
 
     def test_state_on_a_dataset_point(self, bench_dataset):
         P = bench_dataset.points[:500]
         r = np.sqrt(np.array([0.3, 0.7, 1.0]))
         X = r[:, None] * P[[7, 123, 499]]
-        d = gsam._nearest_distance(X, r, P)
+        d = gmet.nearest_distance(X, r, P)
         assert np.all(d == 0.0)
         # the GEMM form alone cancels to rounding noise, not to zero
         screen = (np.sum(X * X, axis=1)[:, None] - 2 * r[:, None] * (X @ P.T)
@@ -599,28 +587,28 @@ class TestNearestDistanceKernel:
             + 1e-10 * rng.standard_normal((30, 16))
         # a block of 4 rows, so several blocks run
         monkeypatch.setattr(_blas, "BLOCK_ENTRIES", 4 * len(P))
-        np.testing.assert_array_equal(gsam._nearest_distance(X, r, P),
+        np.testing.assert_array_equal(gmet.nearest_distance(X, r, P),
                                       exhaustive_distance(X, r, P))
 
     def test_alpha_bar_one(self, bench_dataset):
         P = bench_dataset.points
         X = np.random.default_rng(2).standard_normal((5, 64)) * 3
         r = np.ones(5)
-        np.testing.assert_array_equal(gsam._nearest_distance(X, r, P),
+        np.testing.assert_array_equal(gmet.nearest_distance(X, r, P),
                                       exhaustive_distance(X, r, P))
 
     def test_one_point_dataset(self):
         P = np.full((1, 64), 0.25)
         X = np.random.default_rng(3).standard_normal((9, 64))
         r = np.sqrt(np.linspace(0.1, 1.0, 9))
-        d = gsam._nearest_distance(X, r, P)
+        d = gmet.nearest_distance(X, r, P)
         np.testing.assert_array_equal(d, np.linalg.norm(r[:, None] * P - X, axis=1))
 
     def test_non_finite_state_propagates(self):
         P = np.eye(3)
         X = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.5, 0.0, 0.0]])
         r = np.ones(3)
-        np.testing.assert_array_equal(gsam._nearest_distance(X, r, P),
+        np.testing.assert_array_equal(gmet.nearest_distance(X, r, P),
                                       exhaustive_distance(X, r, P))
 
     def test_forward_traces_match_exhaustive_scan(self, linb_1000):
@@ -654,26 +642,25 @@ class TestNearestDistanceKernel:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_pruning_at_bench_geometry(self, bench_record, bench_dataset, monkeypatch):
+    def test_pruning_at_bench_geometry(self, bench_record, bench_dataset, tile_pairs):
         # about 30 % of the 26.1 M pairs are computed (29.5-30.9 % on seeds 0 and 3)
-        pairs = _count_pairs(monkeypatch)
         d_hat = gsam.trace_manifold_distance(bench_record, bench_dataset)
         M, K, _ = bench_record.stored_x.shape
-        assert 0 < sum(pairs) <= 0.4 * M * K * len(bench_dataset.points)
+        assert 0 < sum(tile_pairs) <= 0.4 * M * K * len(bench_dataset.points)
         r = np.sqrt(bench_record.stored_alpha_bars)
         for j in (0, 21, 63):
             np.testing.assert_array_equal(
                 d_hat[j], exhaustive_distance(bench_record.stored_x[j], r,
                                               bench_dataset.points))
 
-    def test_forward_pruning_at_bench_geometry(self, bench_dataset, linb_1000, monkeypatch):
+    def test_forward_pruning_at_bench_geometry(self, bench_dataset, linb_1000, tile_pairs,
+                                               monkeypatch):
         # the distance_law preset's size: 200 draws x 50 steps; noised
         # dataset points compute about 40 % of the pairs (40.0-40.3 % on
         # seeds 0, 3 and 11)
-        pairs = _count_pairs(monkeypatch)
         calls = _record_calls(monkeypatch)
         _, _, d_hat = gsam.forward_manifold_traces(bench_dataset, linb_1000, 200, seed=3)
-        assert 0 < sum(pairs) <= 0.45 * d_hat.size * len(bench_dataset.points)
+        assert 0 < sum(tile_pairs) <= 0.45 * d_hat.size * len(bench_dataset.points)
         for X, r, P, out in calls[::10]:
             np.testing.assert_array_equal(out[:4], exhaustive_distance(X[:4], r[:4], P))
 
@@ -685,15 +672,15 @@ class TestGroupingMemo:
     def test_export_groups_once(self, bench, bench_dataset, tmp_path, monkeypatch):
         _, sch, den, clf = bench
         batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), sch, 0, 4, seed=1)
-        monkeypatch.setattr(gsam, "_grid_memo", None)
+        monkeypatch.setattr(gmet, "_grouping_memo", None)
         grouped = []
-        pivots = gsam._pivots
+        pivots = gmet._pivots
 
         def counted(rows):
             grouped.append(len(rows))
             return pivots(rows)
 
-        monkeypatch.setattr(gsam, "_pivots", counted)
+        monkeypatch.setattr(gmet, "_pivots", counted)
         gsam.export_trajectories_csv(batch, tmp_path / "traj.csv", bench_dataset)
         gsam.forward_manifold_traces(bench_dataset, sch, 3, seed=0)
         assert grouped == [len(bench_dataset.points)]
@@ -728,12 +715,12 @@ class TestGroupingMemo:
         P[17, 5] = np.nan
         with np.errstate(invalid="ignore"):
             for points in (bench_dataset.points, P):
-                np.testing.assert_array_equal(gsam._nearest_distance(X, r, points),
+                np.testing.assert_array_equal(gmet.nearest_distance(X, r, points),
                                               exhaustive_distance(X, r, points))
 
     def test_grouping_memory_bounded(self, bench_record, bench_dataset, monkeypatch):
         # the grouping's operands and the one row block of a chain
-        monkeypatch.setattr(gsam, "_grid_memo", None)
+        monkeypatch.setattr(gmet, "_grouping_memo", None)
         tracemalloc.start()
         try:
             gsam.trace_manifold_distance(bench_record.chain(0), bench_dataset)
