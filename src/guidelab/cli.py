@@ -355,14 +355,15 @@ def run_eval(cfg, make_out):
     gen_path = cfg.get("eval.generated")
     if not gen_path:
         raise ConfigError("eval.generated must point to a samples file")
-    generated = _load_finite(cfg, "eval.generated")
+    generated = data_mod.load(_input_file(cfg, "eval.generated"))
+    _check_points(generated.points, f"eval.generated: {gen_path}")
     ref_key = "eval.reference" if cfg.get("eval.reference") else "data.path"
     ref_path = cfg.get(ref_key)
-    reference = _load_finite(cfg, ref_key) if ref_path else cfg.dataset()
+    reference = data_mod.load(_input_file(cfg, ref_key)) if ref_path else cfg.dataset()
+    ref_name = f"{ref_key} ({ref_path})" if ref_path else "the reference generated from data.*"
+    _check_points(reference.points, f"{ref_key}: {ref_path}" if ref_path else ref_name)
     dims = generated.points.shape[1], reference.points.shape[1]
     if dims[0] != dims[1]:
-        ref_name = (f"{ref_key} ({ref_path})" if ref_path
-                    else "the reference generated from data.*")
         raise data_mod.DataFormatError(f"eval.generated ({gen_path}) holds {dims[0]}-D points "
                                        f"but {ref_name} holds {dims[1]}-D points")
     base = cfg.base_schedule()
@@ -384,16 +385,16 @@ def run_eval(cfg, make_out):
     return True, [csv_path, txt_path], text
 
 
-def _load_finite(cfg, key):
-    """The dataset in the file that config ``key`` names; a DataFormatError
-    naming the key, the path and the first row with a non-finite value."""
-    path = _input_file(cfg, key)
-    dataset = data_mod.load(path)
-    bad = ~np.isfinite(dataset.points).all(axis=1)
+def _check_points(points, where):
+    """A DataFormatError naming ``where`` and the first row of ``points`` that
+    is not finite or lies farther than ``metrics.MAX_NORM`` from the origin."""
+    with np.errstate(over="ignore"):  # a squared norm past the float range is inf
+        bad = ~(np.einsum("ij,ij->i", points, points) <= metrics_mod.MAX_NORM ** 2)
     if bad.any():
-        raise data_mod.DataFormatError(f"{key}: {path}: row {int(np.argmax(bad))} holds "
-                                       "a non-finite value")
-    return dataset
+        i = int(np.argmax(bad))
+        why = ("holds a non-finite value" if not np.isfinite(points[i]).all() else
+               f"lies farther than {metrics_mod.MAX_NORM:.3g} from the origin")
+        raise data_mod.DataFormatError(f"{where}: row {i} {why}")
 
 
 def _eval_k(cfg, n_generated, n_reference):
@@ -406,9 +407,8 @@ def _eval_k(cfg, n_generated, n_reference):
     return k
 
 
-def _evaluate(samples, targets, reference, oracle, k=3, config="", reference_radius=None):
-    precision, recall = metrics_mod.knn_precision_recall(
-        samples, reference, k, reference_radius=reference_radius)
+def _evaluate(samples, targets, reference, oracle, k=3, config=""):
+    precision, recall = metrics_mod.knn_precision_recall(samples, reference, k)
     return metrics_mod.MetricsReport(
         frechet=metrics_mod.frechet_distance(samples, reference),
         precision=precision, recall=recall,
@@ -528,14 +528,13 @@ def preset_scale_sweep(cfg, make_out):
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
     k = _eval_k(cfg, env.n, len(env.ds.points))
     out = make_out()
-    radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     files = []
     arms = {}
     for kind in ("adm_g", "geoguide", "geoguide_scaled"):
         batches = env.sample(tuple(GuidanceRule(kind, s) for s in SWEEP_GRID),
                              store="samples")
         rows = [(s, _evaluate(batch.samples, batch.targets, env.ds.points, oracle, k,
-                              config=f"{kind} s={s}", reference_radius=radius))
+                              config=f"{kind} s={s}"))
                 for s, batch in zip(SWEEP_GRID, batches)]
         arms[kind] = rows
         _write_table(out / f"sweep_{kind}.csv", ["s", *metrics_mod.METRICS_CSV_HEADER],
@@ -592,7 +591,6 @@ def preset_respace_study(cfg, make_out):
         raise ConfigError(f"schedule.T = {env.base.T}: respace_study respaces it to "
                           f"{RESPACE_STEPS} steps, so it needs at least {max(RESPACE_STEPS)}")
     out = make_out()
-    radius = metrics_mod.kth_nn_radius(env.ds.points, k)
     kinds = ("geoguide", "geoguide_scaled")
     reports = {}
     for steps in RESPACE_STEPS:
@@ -601,7 +599,7 @@ def preset_respace_study(cfg, make_out):
         for kind, batch in zip(kinds, batches):
             reports[(kind, steps)] = _evaluate(
                 batch.samples, batch.targets, env.ds.points, oracle, k,
-                config=f"{kind} steps={steps}", reference_radius=radius)
+                config=f"{kind} steps={steps}")
     rows = [(kind, steps, reports[(kind, steps)]) for kind in kinds
             for steps in RESPACE_STEPS]
     _write_table(out / "respace.csv", ["rule", "steps", *metrics_mod.METRICS_CSV_HEADER],

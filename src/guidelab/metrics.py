@@ -35,19 +35,30 @@ computed:
   never skips, so non-finite or overlapping data get the dense work and the
   dense result.
 
+One memo.  ``_grouping`` keeps the reference's grouping and its radii for
+each k for the next call on the same array, so a sweep groups it and computes
+its radii once.  It keeps the column operand (4.2 MiB for 8000 points in
+D = 64); a pass rebuilds a group's rows from it bit for bit (1 ms in all).
+
 At 4096 generated points against the 8000-point reference (eight
 components at least 7.6 apart, k-NN radii about 0.12), 16.3-16.5 M of the
 113.5 M pairs of the dense kernel are computed.  Against that kernel,
 precision and recall were equal at data seeds 1000-1031, 99 % of the radii
-were bit-identical and the rest within 9e-12 relative.  The peak stays near
-12.5 MB traced.  The cross pass compares squared distances with
-``_sq_threshold`` of the radii, which gives the verdict of comparing their
-clamped square roots without taking one.
+were bit-identical and the rest within 9e-12 relative.  The traced peak is
+10.1 MiB.  The cross pass compares squared distances with ``_sq_threshold``
+of the radii, which gives the verdict of comparing their clamped square
+roots without taking one.
 
 The sampler's manifold-distance traces ask the same nearest-point question
-through ``nearest_distance``, on the same groups, operands, tiles and BLAS
+through ``nearest_distance``, on the same memo, operands, tiles and BLAS
 pin; it rechecks its screened argmin with the exact norm, so it equals the
 exhaustive scan bit for bit.
+
+MAX_NORM.  For norms at most R = 2^254 and n >= 2 points, a covariance's
+norm is at most its trace, n R^2 / (n - 1) <= 2 R^2, so each partial sum in
+C_g^(1/2) C_r C_g^(1/2) is at most 4 R^4 = 2^1018, and a k-NN GEMM entry at
+most 4 R^2.  Not tight: scaling the eight-Gaussian draw, the Fréchet
+distance overflowed between 1e76 and 1e77, the k-NN between 1e150 and 1e155.
 """
 
 import csv
@@ -64,6 +75,7 @@ COV_REGULARIZER = 1e-10
 MIN_NOISE = 0.1  # distance_law_fit pools the steps with 1 - abar_t >= MIN_NOISE
 # Reference points that the k-NN passes group the points about (module docstring)
 PIVOTS = 16
+MAX_NORM = 2.0 ** 254  # largest point norm the metrics take (module docstring)
 _EPS = np.finfo(np.float64).eps
 _U = _EPS / 2  # unit roundoff
 _TINY = np.finfo(np.float64).tiny
@@ -154,6 +166,15 @@ def _column_operand(rows):
     return cols
 
 
+def _unit_rows(cols):
+    """The row operand [p, ||p||^2, 1] of ``cols``: -2p halves back to p."""
+    rows = np.empty(cols.shape[::-1])
+    np.multiply(cols[:-2].T, -0.5, out=rows[:, :-2])
+    rows[:, -2] = cols[-1]
+    rows[:, -1] = cols[-2]
+    return rows
+
+
 def _sq_threshold(radius):
     """The largest float64 t with sqrt(t) <= r, for each radius r (NaN where
     no t has it: r negative or NaN).
@@ -209,18 +230,20 @@ def _pivots(rows):
 class _Groups(NamedTuple):
     """A point set permuted so that the points whose nearest pivot is the
     same form one contiguous group."""
-    order: np.ndarray  # row i of ``rows`` is row order[i] of the set
-    rows: np.ndarray   # _row_operand of the permuted set
-    edges: np.ndarray  # group a is rows edges[a]:edges[a + 1]
+    order: np.ndarray  # point i of the groups is point order[i] of the set
+    edges: np.ndarray  # group a is points edges[a]:edges[a + 1]
     pivot: np.ndarray  # index of each group's pivot
     reach: np.ndarray  # covering radius of each group about its pivot
     scale: np.ndarray  # max ||x|| over each group and its pivot
 
 
-def _groups(rows, pivots):
-    """The set whose row operand is ``rows``, grouped about ``pivots``.
-    Empty groups are left out; a row holding a NaN joins the first pivot's
-    group."""
+def _groups(p, pivots=None):
+    """(pivots, groups, column operand) of the point set p grouped about
+    ``pivots``, by default its own.  Empty groups are left out; a row
+    holding a NaN joins the first pivot's group."""
+    rows = _row_operand(p)
+    if pivots is None:
+        pivots = _pivots(rows)
     d2 = rows @ pivots.cols
     label = np.argmin(d2, axis=1)
     order = np.argsort(label, kind="stable")
@@ -233,14 +256,14 @@ def _groups(rows, pivots):
     rows = rows[order]
     scale = np.maximum(np.sqrt(np.maximum.reduceat(rows[:, -2], edges[:-1])),
                        pivots.norm[pivot])
-    return _Groups(order, rows, edges, pivot, reach, scale)
+    return pivots, _Groups(order, edges, pivot, reach, scale), _column_operand(rows)
 
 
 def _floors(s, t, pivots):
     """(groups of s, groups of t): a lower bound on every squared distance
     that a GEMM of their operands computes between the two groups, -inf
     where none is known (see the module docstring)."""
-    dim = s.rows.shape[1] - 2
+    dim = len(pivots.cols) - 2
     w = (np.sqrt(4 * (dim + 2) * _U) * (s.scale[:, None] + t.scale[None, :])
          + np.sqrt((dim + 2) * _TINY))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -269,8 +292,8 @@ def _block(s, t):
     return np.empty(max(min(longest, _blas.rows_per_block(n)) * n for n in np.diff(t.edges)))
 
 
-def _radius(s, pivots, k):
-    """kth_nn_radius of the grouped set s, in its order.
+def _radius(s, cols, pivots, k):
+    """kth_nn_radius of the grouped set s with column operand cols, in order.
 
     Each group runs against its own group first and then against the others
     by pivot distance, so each row's k-th smallest d2 so far is soon tight.
@@ -278,11 +301,11 @@ def _radius(s, pivots, k):
     with fewer than k non-NaN distances ends NaN there too.  Callers hold
     BLAS to one thread.
     """
-    cols = _column_operand(s.rows)
     floors = _floors(s, s, pivots)
-    kth = np.full((len(s.rows), k), np.nan)
+    kth = np.full((len(s.order), k), np.nan)
     block = _block(s, s)
     for a, (lo, hi) in enumerate(zip(s.edges[:-1], s.edges[1:])):
+        rows = _unit_rows(cols[:, lo:hi])
         by_distance = np.argsort(pivots.dist[s.pivot[a], s.pivot], kind="stable")
         for b in [a, *by_distance[by_distance != a]]:
             c0, c1 = s.edges[b], s.edges[b + 1]
@@ -290,7 +313,7 @@ def _radius(s, pivots, k):
                 # a NaN threshold compares False: the tile is computed
                 if floors[a, b] > kth[r0:r1, -1].max():
                     continue
-                d2 = _tile(s.rows[r0:r1], cols[:, c0:c1], block)
+                d2 = _tile(rows[r0 - lo:r1 - lo], cols[:, c0:c1], block)
                 if a == b:
                     i = np.arange(r1 - r0)
                     d2[i, r0 - lo + i] = np.inf
@@ -303,6 +326,23 @@ def _radius(s, pivots, k):
     return np.sqrt(np.maximum(kth[:, -1], 0.0))
 
 
+# (points, pivots, groups, column operand, {k: radii}) of the last reference
+_grouping_memo = None
+
+
+def _grouping(P, k=None):
+    """(pivots, groups, column operand, k-th-NN radii or None) of the
+    reference set P, which must not change in place while kept."""
+    global _grouping_memo
+    if _grouping_memo is None or _grouping_memo[0] is not P:
+        _grouping_memo = None  # freed before the next is built
+        _grouping_memo = (P, *_groups(P), {})
+    _, pivots, groups, cols, radii = _grouping_memo
+    if k is not None and k not in radii:
+        radii[k] = _radius(groups, cols, pivots, k)
+    return pivots, groups, cols, radii.get(k)
+
+
 def kth_nn_radius(points, k: int):
     """Distance from each point to its k-th nearest other point of ``points``
     (a point's own zero distance does not count; duplicates do)."""
@@ -310,79 +350,45 @@ def kth_nn_radius(points, k: int):
     _check_k(len(p), k)
     out = np.empty(len(p))
     with _blas.threads(1):
-        rows = _row_operand(p)
-        pivots = _pivots(rows)
-        s = _groups(rows, pivots)
-        del rows
-        out[s.order] = _radius(s, pivots, k)
+        _, groups, _, radius = _grouping(p, k)
+        out[groups.order] = radius
     return out
 
 
-def knn_precision_recall(generated, reference, k: int = 3, reference_radius=None):
+def knn_precision_recall(generated, reference, k: int = 3):
     """Manifold-estimate precision/recall (Kynkäänniemi et al. 2019).
 
     precision: fraction of generated points inside the union of reference
-    k-NN balls; recall: the same with the roles swapped.  ``reference_radius``
-    may carry ``kth_nn_radius(reference, k)`` when it is already known, as in
-    a sweep against one reference; by default it is computed here.
+    k-NN balls; recall: the same with the roles swapped.  The reference's
+    grouping and radii are kept for the next call (module docstring).
     """
     g = np.asarray(generated, dtype=np.float64)
     r = np.asarray(reference, dtype=np.float64)
     _check_k(min(len(g), len(r)), k)
-    if reference_radius is not None:
-        reference_radius = np.asarray(reference_radius, dtype=np.float64)
-        if reference_radius.shape != (len(r),):
-            raise ValueError(f"reference_radius has shape {reference_radius.shape}, "
-                             f"expected ({len(r)},)")
     # BLAS at one thread for all of it: the grouping GEMMs at 2 threads made
     # the first call in a fresh process 0.12-0.38 s against 0.08-0.13 s
     # pinned (2 cores, OpenBLAS 0.3.31)
     with _blas.threads(1):
-        rows = _row_operand(r)
-        pivots = _pivots(rows)
-        sr = _groups(rows, pivots)
-        del rows
-        t_r = _sq_threshold(_radius(sr, pivots, k) if reference_radius is None
-                            else reference_radius[sr.order])
-        sg = _groups(_row_operand(g), pivots)
-        t_g = _sq_threshold(_radius(sg, pivots, k))
-        # reference rows against generated columns: the larger set's operand
-        # is held once
-        g_cols = _column_operand(sg.rows)
+        pivots, sr, r_cols, radius = _grouping(r, k)
+        t_r = _sq_threshold(radius)
+        _, sg, g_cols = _groups(g, pivots)
+        t_g = _sq_threshold(_radius(sg, g_cols, pivots, k))
+        # reference rows, rebuilt one group at a time, against generated columns
         floors = _floors(sr, sg, pivots)
         t_g_max = np.maximum.reduceat(t_g, sg.edges[:-1])  # keeps a NaN
         hit_r = np.zeros(len(r), dtype=bool)
         hit_g = np.zeros(len(g), dtype=bool)
         block = _block(sr, sg)
         for a, (lo, hi) in enumerate(zip(sr.edges[:-1], sr.edges[1:])):
+            rows = _unit_rows(r_cols[:, lo:hi])
             for b, (c0, c1) in enumerate(zip(sg.edges[:-1], sg.edges[1:])):
                 for r0, r1 in _chunks(lo, hi, c1 - c0):
                     if floors[a, b] > np.maximum(t_r[r0:r1].max(), t_g_max[b]):
                         continue
-                    d2 = _tile(sr.rows[r0:r1], g_cols[:, c0:c1], block)
+                    d2 = _tile(rows[r0 - lo:r1 - lo], g_cols[:, c0:c1], block)
                     hit_r[r0:r1] |= np.any(d2 <= t_g[c0:c1], axis=1)
                     hit_g[c0:c1] |= np.any(d2 <= t_r[r0:r1, None], axis=0)
     return float(np.mean(hit_g)), float(np.mean(hit_r))
-
-
-# (points, pivots, groups without rows, column operand) of the last
-# nearest_distance call; swapped whole, so thread-safe
-_grouping_memo = None
-
-
-def _grouping(P):
-    """(pivots, groups without their row operand, the groups' column operand)
-    of the dataset P, kept for the next call with the same array object."""
-    global _grouping_memo
-    memo = _grouping_memo
-    if memo is None or memo[0] is not P:
-        rows = _row_operand(P)
-        pivots = _pivots(rows)
-        groups = _groups(rows, pivots)
-        del rows
-        memo = (P, pivots, groups._replace(rows=None), _column_operand(groups.rows))
-        _grouping_memo = memo
-    return memo[1:]
 
 
 def nearest_distance(X, r, P):
@@ -393,12 +399,9 @@ def nearest_distance(X, r, P):
     ``np.min(np.linalg.norm(r_j * P - x_j, axis=1))`` bit for bit, for any
     BLAS blocking.  BLAS runs at one thread throughout (``_blas.threads``).
 
-    Groups.  P is grouped as in the module docstring: group b, with pivot
-    c_b and covering radius rho_b, is a slice of the permuted column operand.
-    The grouping and that operand (N (D + 2) floats) are kept for the next
-    call with the same ``P`` object, compared with ``is``, so the per-chain
-    traces of one export and the per-step forward traces group the dataset
-    once.  P must not be changed in place between two calls.
+    Groups.  P is grouped once in the module docstring's memo, shared with
+    the k-NN: group b, with pivot c_b and covering radius rho_b, is a slice
+    of the kept column operand.
 
     Screen.  Row operands [r x, ||x||^2, r^2] make each GEMM entry the
     squared distance ||r p - x||^2.  With unit roundoff u = eps/2 and
@@ -433,8 +436,9 @@ def nearest_distance(X, r, P):
     n, D = X.shape
     out = np.empty(n)
     rows_per_block = _blas.rows_per_block(len(P))
-    with _blas.threads(1):
-        pivots, groups, cols = _grouping(P)
+    # non-finite or overflowing input skips nothing and takes the full scan
+    with _blas.threads(1), np.errstate(invalid="ignore", over="ignore"):
+        pivots, groups, cols, _ = _grouping(P)
         pivot_cols = pivots.cols[:, groups.pivot]
         pp_max = cols[-1].max()  # the largest ||p||^2
         spans = list(zip(groups.edges[:-1].tolist(), groups.edges[1:].tolist()))
@@ -442,27 +446,24 @@ def nearest_distance(X, r, P):
         block = np.empty(min(n, rows_per_block) * len(P))
         for lo in range(0, n, rows_per_block):
             x, rb = X[lo:lo + rows_per_block], r[lo:lo + rows_per_block]
-            # overflow or non-finite input leaves a non-finite bound or cut,
-            # which skips nothing and rechecks every point
-            with np.errstate(invalid="ignore", over="ignore"):
-                rows = _row_operand(x, rb)
-                size = rows[:, -2] + rows[:, -1] * pp_max
-                cut = 32 * (D + 2) * (_EPS * size + _TINY)
-                w = np.where(size <= _MAX / 4, np.sqrt(cut), np.inf)[:, None]
-                pivot = np.sqrt(np.maximum(rows @ pivot_cols, 0.0))
-                skip = (pivot - rb[:, None] * groups.reach - 2 * w
-                        > pivot.min(axis=1, keepdims=True) + w)
-                best = np.full(len(x), np.inf)
-                tiles, used = [], 0
-                for b, (c0, c1) in enumerate(spans):
-                    idx = np.flatnonzero(~skip[:, b])
-                    if len(idx):
-                        d2 = _tile(rows[idx], cols[:, c0:c1], block[used:])
-                        low = d2.min(axis=1)
-                        best[idx] = np.minimum(best[idx], low)
-                        tiles.append((idx, c0, d2, low))
-                        used += d2.size
-                cut += best
+            rows = _row_operand(x, rb)
+            size = rows[:, -2] + rows[:, -1] * pp_max
+            cut = 32 * (D + 2) * (_EPS * size + _TINY)
+            w = np.where(size <= _MAX / 4, np.sqrt(cut), np.inf)[:, None]
+            pivot = np.sqrt(np.maximum(rows @ pivot_cols, 0.0))
+            skip = (pivot - rb[:, None] * groups.reach - 2 * w
+                    > pivot.min(axis=1, keepdims=True) + w)
+            best = np.full(len(x), np.inf)
+            tiles, used = [], 0
+            for b, (c0, c1) in enumerate(spans):
+                idx = np.flatnonzero(~skip[:, b])
+                if len(idx):
+                    d2 = _tile(rows[idx], cols[:, c0:c1], block[used:])
+                    low = d2.min(axis=1)
+                    best[idx] = np.minimum(best[idx], low)
+                    tiles.append((idx, c0, d2, low))
+                    used += d2.size
+            cut += best
             full = ~np.isfinite(cut)
             cut[full] = np.nan  # compares False: these rows take the full scan
             pairs = []  # (rows, points) to recheck: each row's entries within its cut

@@ -153,7 +153,7 @@ class _AnalyticBase:
         self._abar = {int(lbl): float(ab)
                       for lbl, ab in zip(schedule.timesteps, schedule.alpha_bars)}
         self._log_w = np.log(descriptor.weights)
-        self._memo = None  # (t, table) of the last step; swapped whole, so thread-safe
+        self._memo = None  # (t, table) of the last step
 
     def _alpha_bar(self, t: int) -> float:
         if t == 0:

@@ -46,6 +46,13 @@ def small_descriptor():
                                     variances=np.array([1.0, 1.0]))
 
 
+@pytest.fixture(autouse=True)
+def cold_grouping_memo(monkeypatch):
+    """Each test starts with no grouped reference set kept by ``metrics``, so
+    no tile-pair count depends on the order the tests run in."""
+    monkeypatch.setattr(gmetrics, "_grouping_memo", None)
+
+
 class TilePairs(list):
     """The entries of each distance tile computed, in call order; ``threads``
     holds the BLAS thread count inside each (None where it cannot be read)."""

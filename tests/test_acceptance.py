@@ -138,13 +138,11 @@ def test_criterion_7_tradeoff_monotonicity(desc, linb_250, linb_models, referenc
     den, clf = linb_models
     n = 1024
     ys = np.arange(n) % 8
-    radius = gmet.kth_nn_radius(reference, 3)
     recall, fidelity = [], []
     rules = tuple(GuidanceRule("geoguide", s) for s in cli.SWEEP_GRID)
     batches = gsam.sample(den, clf, rules, linb_250, ys, n, seed=0, store="samples")
     for batch in batches:
-        _, r = gmet.knn_precision_recall(batch.samples, reference, k=3,
-                                         reference_radius=radius)
+        _, r = gmet.knn_precision_recall(batch.samples, reference, k=3)
         recall.append(r)
         fidelity.append(gmet.class_fidelity(batch.samples, batch.targets, clf))
     rho = float(spearmanr(cli.SWEEP_GRID, recall).statistic)

@@ -297,7 +297,7 @@ class TestSampleAndEval:
 
     @pytest.mark.parametrize("preset", ["scale_sweep", "respace_study"])
     def test_preset_eval_k_too_large_is_config_error(self, tmp_path, capsys, preset):
-        # checked before the reference radii, not only in the evaluation
+        # checked before sampling, not only in the evaluation
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("data.n = 3\nsampling.n_chains = 8\n")
         assert run(["--config", cfg, "--out", tmp_path, "experiment", preset]) == cli.EXIT_CONFIG
@@ -326,6 +326,33 @@ class TestSampleAndEval:
         assert run(["--config", ev_cfg, "--out", tmp_path / "ev", "eval"]) == 1
         assert capsys.readouterr().err == (
             f"error: {key}: {bad}: row 7 holds a non-finite value\n")
+
+    @pytest.mark.parametrize("key", ["eval.generated", "eval.reference", "data.radius"])
+    def test_eval_overflowing_cloud_is_format_error(self, tmp_path, capsys, key):
+        # the eight-Gaussian draw times 1e200 used to print five numpy
+        # warnings and end "error: Eigenvalues did not converge", after
+        # --out was made
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 50\n")
+        assert run(["--config", cfg, "--out", tmp_path / "ds", "gen-data"]) == 0
+        plain = tmp_path / "ds" / "dataset.glab"
+        ds = gd.load(plain)
+        big = tmp_path / "big.glab"
+        gd.save(gd.LabeledDataset(points=ds.points * 1e200, labels=ds.labels,
+                                  descriptor=ds.descriptor, seed=ds.seed), big)
+        lines = {"eval.generated": f"eval.generated = {big}\ndata.n = 100\n",
+                 "eval.reference": f"eval.generated = {plain}\neval.reference = {big}\n",
+                 "data.radius": f"eval.generated = {plain}\ndata.n = 100\n"
+                                "data.radius = 1e200\n"}
+        where = {"eval.generated": f"eval.generated: {big}",
+                 "eval.reference": f"eval.reference: {big}",
+                 "data.radius": "the reference generated from data.*"}
+        ev_cfg = tmp_path / "ev.txt"
+        ev_cfg.write_text(lines[key])
+        assert run(["--config", ev_cfg, "--out", tmp_path / "ev", "eval"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where[key]}: row 0 lies farther than 2.89e+76 from the origin\n")
+        assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("reference", [False, True])
     def test_eval_dimension_mismatch_is_format_error(self, tmp_path, capsys, reference):

@@ -176,8 +176,9 @@ class TestBlockedKnn:
                                    rtol=1e-13, atol=0)
         assert sum(tile_pairs) == len(r) ** 2
         tile_pairs.clear()
+        # the reference's radii are those kept from the call above
         assert gmet.knn_precision_recall(g, r, 3) == _dense_precision_recall(g, r, 3)
-        assert sum(tile_pairs) == len(g) * len(r) + len(g) ** 2 + len(r) ** 2
+        assert sum(tile_pairs) == len(g) * len(r) + len(g) ** 2
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_mixture_points_match_dense(self, bench_descriptor, k):
@@ -192,14 +193,6 @@ class TestBlockedKnn:
             np.testing.assert_allclose(gmet.kth_nn_radius(points, k),
                                        _dense_radius(points, k), rtol=1e-9, atol=0)
         assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
-
-    def test_reference_radius_reused(self):
-        g, r = _grid(600, 5), _grid(900, 6)
-        radius = gmet.kth_nn_radius(r, 3)
-        assert (gmet.knn_precision_recall(g, r, 3, reference_radius=radius)
-                == gmet.knn_precision_recall(g, r, 3))
-        with pytest.raises(ValueError, match="reference_radius"):
-            gmet.knn_precision_recall(g, r, 3, reference_radius=radius[:-1])
 
     def test_peak_memory_bounded(self):
         # the dense kernel peaked at about 977 MB here (8000 x 8000 and
@@ -257,6 +250,80 @@ class TestPrunedKnn:
         assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
 
 
+class TestReferenceMemo:
+    """A reference set is grouped once per array object: the grouping and
+    its radii for each k are kept for the next call on that array, whichever
+    of the k-NN and the nearest-point search makes it."""
+
+    @pytest.fixture()
+    def grouped(self, monkeypatch):
+        """The size of each set grouped: ``_pivots`` runs once a grouping."""
+        sizes = []
+        pivots = gmet._pivots
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return pivots(rows)
+
+        monkeypatch.setattr(gmet, "_pivots", counted)
+        return sizes
+
+    @staticmethod
+    def _cold(fn, *args):
+        gmet._grouping_memo = None
+        return fn(*args)
+
+    def test_sweep_groups_reference_once(self, bench_descriptor, grouped, monkeypatch):
+        r = gd.generate(bench_descriptor, 1000, seed=4).points
+        gens = [gd.generate(bench_descriptor, 300, seed=s).points for s in (5, 6, 7)]
+        radii = []
+        radius = gmet._radius
+
+        def counted(s, cols, pivots, k):
+            radii.append((len(s.order), k))
+            return radius(s, cols, pivots, k)
+
+        monkeypatch.setattr(gmet, "_radius", counted)
+        sweep = [(g, k, gmet.knn_precision_recall(g, r, k)) for k in (3, 1, 3) for g in gens]
+        assert grouped == [len(r)]
+        assert [c for c in radii if c[0] == len(r)] == [(len(r), 3), (len(r), 1)]
+        assert len(radii) == 2 + len(sweep)  # the generated set's radii on every call
+        for g, k, result in sweep:
+            assert result == self._cold(gmet.knn_precision_recall, g, r, k)
+
+    def test_kth_nn_radius_reads_the_memo(self, bench_descriptor, grouped):
+        r = gd.generate(bench_descriptor, 1000, seed=4).points
+        g = gd.generate(bench_descriptor, 300, seed=5).points
+        kept = gmet.knn_precision_recall(g, r, 3)
+        radius = gmet.kth_nn_radius(r, 3)
+        assert grouped == [len(r)]
+        np.testing.assert_array_equal(radius, self._cold(gmet.kth_nn_radius, r, 3))
+        assert gmet.knn_precision_recall(g, r, 3) == kept
+
+    def test_traces_and_knn_share_one_grouping(self, bench_descriptor, grouped):
+        P = gd.generate(bench_descriptor, 1000, seed=4).points
+        g = gd.generate(bench_descriptor, 300, seed=5).points
+        X = g[:20] * 0.9 + 0.1 * rng_stream(9, 0).standard_normal((20, 64))
+        r = np.full(20, 0.9)
+        d = gmet.nearest_distance(X, r, P)
+        precision_recall = gmet.knn_precision_recall(g, P, 3)
+        np.testing.assert_array_equal(gmet.nearest_distance(X, r, P), d)
+        assert grouped == [len(P)]
+        assert precision_recall == self._cold(gmet.knn_precision_recall, g, P, 3)
+        np.testing.assert_array_equal(self._cold(gmet.nearest_distance, X, r, P), d)
+
+    def test_equal_shape_other_array_grouped_again(self, bench_descriptor, grouped):
+        r1 = gd.generate(bench_descriptor, 1000, seed=4).points
+        r2 = gd.generate(bench_descriptor, 1000, seed=8).points
+        g = gd.generate(bench_descriptor, 300, seed=5).points
+        results = [gmet.knn_precision_recall(g, r, 3) for r in (r1, r2, r1, r1.copy())]
+        assert grouped == [len(r1)] * 4
+        assert results[0] == results[2] == results[3]
+        assert results[1] == self._cold(gmet.knn_precision_recall, g, r2, 3)
+        np.testing.assert_array_equal(gmet.kth_nn_radius(r2, 1),
+                                      self._cold(gmet.kth_nn_radius, r2.copy(), 1))
+
+
 _SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
 
 
@@ -269,7 +336,7 @@ class TestSquaredThreshold:
         st.floats(min_value=5e-324, max_value=_SMALLEST_NORMAL, exclude_max=True),
         st.floats(min_value=0.5, max_value=2.0),
         st.floats(min_value=1e150, allow_infinity=True),
-        st.floats())  # also negative and NaN: a caller's reference_radius
+        st.floats())  # also negative and NaN
 
     @settings(max_examples=300, deadline=None)
     @given(rs=st.lists(radii, min_size=1, max_size=8), other=st.floats())

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, cycle, repeat
 
@@ -610,6 +611,20 @@ class TestNearestDistanceKernel:
         r = np.ones(3)
         np.testing.assert_array_equal(gmet.nearest_distance(X, r, P),
                                       exhaustive_distance(X, r, P))
+
+    def test_overflowing_dataset_warns_nothing(self, linb_1000, monkeypatch):
+        # ||p||^2 overflows at 1e200: the grouping GEMMs, the screen and the
+        # full scan all meet inf, which the kernel expects and does not report
+        ds = gd.generate(gd.eight_gaussians(), 500, seed=1)
+        big = gd.LabeledDataset(points=ds.points * 1e200, labels=ds.labels,
+                                descriptor=ds.descriptor)
+        calls = _record_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gsam.forward_manifold_traces(big, gs.respace(linb_1000, 50), n_draws=4, seed=3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for X, r, P, out in calls:
+                np.testing.assert_array_equal(out, exhaustive_distance(X, r, P))
 
     def test_forward_traces_match_exhaustive_scan(self, linb_1000):
         ds = gd.generate(gd.eight_gaussians(), 2000, seed=1)
