@@ -2,17 +2,18 @@
 
 Subcommands: gen-data, train-denoiser, train-classifier, sample, eval,
 experiment <preset>.  Runs are configured by a flat key = value text file
-with dotted section prefixes (see ``DEFAULTS``).  --seed N replaces
+with dotted section prefixes (see ``KEYS``).  --seed N replaces
 sampling.seed, and sets train.seed only where the config file leaves it
 unset.  --threads must be at least 1 and changes nothing: sampling is one
 serial loop, as its steps are short numpy calls that hold the interpreter
 lock.
 
 Every command takes one path.  ``RUNNERS`` names its runner and config
-defaults; ``main`` loads the config over those defaults and calls
-``runner(cfg, make_out)``.  The runner reads and checks its config, and gets
-its output directory only through ``make_out``, after its config is checked,
-so a config error leaves no --out behind.  It returns (ok, the files it
+defaults; ``main`` loads the config over those defaults, which checks every
+key against its ``KEYS`` row, and calls ``runner(cfg, make_out)``.  The
+runner checks only conditions across keys and input files, and gets its
+output directory only through ``make_out``, after those checks, so a config
+error leaves no --out behind.  It returns (ok, the files it
 wrote, the text to print).  ``main`` alone then writes an experiment's text
 as summary.txt and the manifest (config echo plus SHA-256 content hashes of
 those files), prints the text and exits 0 if ok, else 1.  Rerunning with the
@@ -47,57 +48,49 @@ EXIT_CONFIG = 2
 EXIT_MISMATCH = 3
 EXIT_NUMERICAL = 4
 
-DEFAULTS = {
-    "data.dim": "64",
-    "data.radius": "10.0",
-    "data.sigma": "0.5",
-    "data.ambient_jitter": "0.01",
-    "data.n": "8000",
-    "data.seed": "1",
-    "data.path": "",
-    "schedule.type": "linear_beta",
-    "schedule.T": "1000",
-    "schedule.beta_start": "1e-4",
-    "schedule.beta_end": "0.02",
-    "schedule.gamma_mode": "lower",
-    "schedule.respace": "0",           # 0 = no respacing
-    "models.denoiser": "analytic",     # "analytic" or a checkpoint path
-    "models.classifier": "analytic",
-    "guidance.kind": "none",
-    "guidance.s": "0.0",
-    "guidance.cutoff": "1.0",
-    "guidance.geoguide_T": "0",        # 0 = executed sampling steps
-    "sampling.n_chains": "64",
-    "sampling.target": "cycle",        # class index, or "cycle" over classes
-    "sampling.seed": "0",
-    "sampling.store_full": "0",
-    "train.epochs": "200",
-    "train.batch_size": "256",
-    "train.lr": "1e-3",
-    "train.seed": "0",
-    "eval.k": "3",
-    "eval.generated": "",
-    "eval.reference": "",
-}
+INF = math.inf
 
 
-# Inclusive (low, high) bounds of the numeric keys that have them.  Every
-# get_int/get_float read checks them, and that the value is finite.
-RANGES = {
-    "data.dim": (2, math.inf),
-    "data.n": (1, math.inf),
-    "data.seed": (0, math.inf),
-    "schedule.T": (2, math.inf),
-    "guidance.s": (0.0, math.inf),
-    "guidance.cutoff": (0.0, 1.0),
-    "guidance.geoguide_T": (0, math.inf),
-    "sampling.n_chains": (1, math.inf),
-    "sampling.seed": (0, math.inf),
-    "sampling.store_full": (0, 1),
-    "train.epochs": (1, math.inf),
-    "train.batch_size": (1, math.inf),
-    "train.seed": (0, math.inf),
-    "eval.k": (1, math.inf),
+class Key(NamedTuple):
+    """A config key's row in ``KEYS``: its default text, the inclusive (low,
+    high) bounds of a number (an integer if ``low`` is an int) and the values
+    it may take instead.  A key with neither is free text, such as a path."""
+    default: str
+    bounds: tuple = None
+    choices: tuple = ()
+
+
+KEYS = {
+    "data.dim": Key("64", (2, INF)),
+    "data.radius": Key("10.0", (-INF, INF)),
+    "data.sigma": Key("0.5", (-INF, INF)),
+    "data.ambient_jitter": Key("0.01", (-INF, INF)),
+    "data.n": Key("8000", (1, INF)),
+    "data.seed": Key("1", (0, INF)),
+    "data.path": Key(""),
+    "schedule.type": Key("linear_beta", choices=("linear_beta", "linear_alphabar")),
+    "schedule.T": Key("1000", (2, INF)),
+    "schedule.beta_start": Key("1e-4", (-INF, INF)),
+    "schedule.beta_end": Key("0.02", (-INF, INF)),
+    "schedule.gamma_mode": Key("lower", choices=schedule_mod.GAMMA_MODES),
+    "schedule.respace": Key("0", (0, INF)),             # 0 = no respacing
+    "models.denoiser": Key("analytic"),                 # "analytic" or a checkpoint path
+    "models.classifier": Key("analytic"),
+    "guidance.kind": Key("none", choices=GUIDANCE_KINDS),
+    "guidance.s": Key("0.0", (0.0, INF)),
+    "guidance.cutoff": Key("1.0", (0.0, 1.0)),
+    "guidance.geoguide_T": Key("0", (0, INF)),          # 0 = executed sampling steps
+    "sampling.n_chains": Key("64", (1, INF)),
+    "sampling.target": Key("cycle", (0, INF), ("cycle",)),  # a class, or cycle over them
+    "sampling.seed": Key("0", (0, INF)),
+    "sampling.store_full": Key("0", (0, 1)),
+    "train.epochs": Key("200", (1, INF)),
+    "train.batch_size": Key("256", (1, INF)),
+    "train.lr": Key("1e-3", (math.ulp(0.0), INF)),      # 0 trains nothing, < 0 uphill
+    "train.seed": Key("0", (0, INF)),
+    "eval.k": Key("3", (1, INF)),
+    "eval.generated": Key(""),
+    "eval.reference": Key(""),
 }
 
 
@@ -118,81 +111,79 @@ def parse_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         cfg[key] = value
     return cfg
 
 
-class RunConfig:
-    def __init__(self, overrides=None):
-        self.values = dict(DEFAULTS)
-        self.values.update(overrides or {})
+def _parse(key, text):
+    """``text`` as the value of config ``key``: one of its row's choices, a
+    number within its bounds, or, in a row with neither, the text itself; a
+    ConfigError naming the key if it is none of those."""
+    _, bounds, choices = KEYS[key]
+    if text in choices or not (bounds or choices):
+        return text
+    expected = [f"one of {choices}"] if choices else []
+    if bounds:
+        low, high = bounds
+        kind = int if isinstance(low, int) else float
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if low <= value <= high and abs(value) != INF:  # NaN fails too
+            return value
+        expected.append(f"{'an integer' if kind is int else 'a finite number'} "
+                        f"in [{low}, {high}]")
+    raise ConfigError(f"key {key!r}: expected {' or '.join(expected)}, got {text!r}")
 
-    def get(self, key):
+
+class RunConfig:
+    """A run's config: the text of each key, over its ``KEYS`` default, and
+    its value, parsed and checked against the key's row once, here.
+    ``cfg[key]`` is that value."""
+
+    def __init__(self, overrides=None):
+        self.text = {key: row.default for key, row in KEYS.items()}
+        self.text.update(overrides or {})
+        self.values = {key: _parse(key, text) for key, text in self.text.items()}
+
+    def __getitem__(self, key):
         return self.values[key]
 
-    def get_int(self, key):
-        try:
-            return self._in_range(key, int(self.values[key]))
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected integer, got {self.values[key]!r}")
-
-    def get_float(self, key):
-        try:
-            return self._in_range(key, float(self.values[key]))
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected number, got {self.values[key]!r}")
-
-    def _in_range(self, key, value):
-        low, high = RANGES.get(key, (-math.inf, math.inf))
-        if not (low <= value <= high and abs(value) != math.inf):  # NaN fails too
-            raise ConfigError(f"key {key!r}: expected a finite value in [{low}, {high}], "
-                              f"got {self.values[key]!r}")
-        return value
-
     def lines(self):
-        return [f"{k} = {v}" for k, v in sorted(self.values.items())]
+        return [f"{k} = {v}" for k, v in sorted(self.text.items())]
 
     # -- construction of the run's objects ---------------------------------
 
     def descriptor(self):
         try:
             return data_mod.eight_gaussians(
-                dim=self.get_int("data.dim"), radius=self.get_float("data.radius"),
-                sigma=self.get_float("data.sigma"),
-                ambient_jitter=self.get_float("data.ambient_jitter"))
+                dim=self["data.dim"], radius=self["data.radius"], sigma=self["data.sigma"],
+                ambient_jitter=self["data.ambient_jitter"])
         except data_mod.DescriptorError as exc:
             # a zero data.sigma or data.ambient_jitter gives a zero variance
             raise ConfigError(f"data.sigma and data.ambient_jitter: {exc}") from None
 
     def dataset(self):
-        if self.get("data.path"):
+        if self["data.path"]:
             return data_mod.load(_input_file(self, "data.path"))
-        return data_mod.generate(self.descriptor(), self.get_int("data.n"),
-                                 self.get_int("data.seed"))
+        return data_mod.generate(self.descriptor(), self["data.n"], self["data.seed"])
 
     def base_schedule(self):
-        kind = self.get("schedule.type")
-        T = self.get_int("schedule.T")
-        mode = self.get("schedule.gamma_mode")
-        if mode not in schedule_mod.GAMMA_MODES:
-            raise ConfigError(f"schedule.gamma_mode {mode!r} is not one of "
-                              f"{schedule_mod.GAMMA_MODES}")
-        if kind == "linear_beta":
-            start = self.get_float("schedule.beta_start")
-            end = self.get_float("schedule.beta_end")
-            if not 0.0 < start <= end < 1.0:
-                raise ConfigError(f"schedule.beta_start = {start!r}, schedule.beta_end = "
-                                  f"{end!r}: need 0 < beta_start <= beta_end < 1")
-            return schedule_mod.build_linear_beta(T, start, end, gamma_mode=mode)
-        if kind == "linear_alphabar":
+        T, mode = self["schedule.T"], self["schedule.gamma_mode"]
+        if self["schedule.type"] == "linear_alphabar":
             return schedule_mod.build_linear_alphabar(T, gamma_mode=mode)
-        raise ConfigError(f"schedule.type {kind!r} not recognized")
+        start, end = self["schedule.beta_start"], self["schedule.beta_end"]
+        if not 0.0 < start <= end < 1.0:
+            raise ConfigError(f"schedule.beta_start = {start!r}, schedule.beta_end = "
+                              f"{end!r}: need 0 < beta_start <= beta_end < 1")
+        return schedule_mod.build_linear_beta(T, start, end, gamma_mode=mode)
 
     def sampling_schedule(self, base=None):
         base = base or self.base_schedule()
-        n = self.get_int("schedule.respace")
+        n = self["schedule.respace"]
         if n == 0:
             return base
         if not 2 <= n <= base.T:
@@ -201,33 +192,24 @@ class RunConfig:
         return schedule_mod.respace(base, n)
 
     def models(self, base, descriptor):
-        den_spec = self.get("models.denoiser")
-        clf_spec = self.get("models.classifier")
-        den = (models_mod.AnalyticDenoiser(descriptor, base) if den_spec == "analytic"
+        den = (models_mod.AnalyticDenoiser(descriptor, base)
+               if self["models.denoiser"] == "analytic"
                else models_mod.load_model(_input_file(self, "models.denoiser"), base))
-        clf = (models_mod.AnalyticClassifier(descriptor, base) if clf_spec == "analytic"
+        clf = (models_mod.AnalyticClassifier(descriptor, base)
+               if self["models.classifier"] == "analytic"
                else models_mod.load_model(_input_file(self, "models.classifier"), base))
         return den, clf
 
     def rule(self):
-        kind = self.get("guidance.kind")
-        if kind not in GUIDANCE_KINDS:
-            raise ConfigError(f"guidance.kind {kind!r} is not one of {GUIDANCE_KINDS}")
-        override = self.get_int("guidance.geoguide_T")
-        return GuidanceRule(kind=kind,
-                            scale=self.get_float("guidance.s"),
-                            cutoff_fraction=self.get_float("guidance.cutoff"),
-                            t_override=override or None)
+        return GuidanceRule(kind=self["guidance.kind"], scale=self["guidance.s"],
+                            cutoff_fraction=self["guidance.cutoff"],
+                            t_override=self["guidance.geoguide_T"] or None)
 
     def targets(self, n_chains, n_classes):
-        spec = self.get("sampling.target")
-        if spec == "cycle":
+        y = self["sampling.target"]
+        if y == "cycle":
             return np.arange(n_chains) % n_classes
-        try:
-            y = int(spec)
-        except ValueError:
-            raise ConfigError(f"sampling.target: expected class index or 'cycle', got {spec!r}")
-        if not 0 <= y < n_classes:
+        if y >= n_classes:
             raise ConfigError(f"sampling.target: class {y} outside 0..{n_classes - 1}")
         return np.full(n_chains, y, dtype=np.int64)
 
@@ -235,7 +217,7 @@ class RunConfig:
 def _input_file(cfg, key):
     """The input file that config ``key`` names; a ConfigError naming the key
     and the path if there is no such file."""
-    path = cfg.get(key)
+    path = cfg[key]
     if not Path(path).is_file():
         raise ConfigError(f"{key}: no such file {path!r}")
     return path
@@ -299,8 +281,8 @@ def _run_env(cfg):
     base = cfg.base_schedule()
     sch = cfg.sampling_schedule(base)
     den, clf = cfg.models(base, ds.descriptor)
-    n = cfg.get_int("sampling.n_chains")
-    return RunEnv(ds, base, sch, den, clf, cfg.get_int("sampling.seed"), n,
+    n = cfg["sampling.n_chains"]
+    return RunEnv(ds, base, sch, den, clf, cfg["sampling.seed"], n,
                   cfg.targets(n, ds.n_classes))
 
 
@@ -309,7 +291,7 @@ def _run_env(cfg):
 # ---------------------------------------------------------------------------
 
 def run_gen_data(cfg, make_out):
-    desc, n, seed = cfg.descriptor(), cfg.get_int("data.n"), cfg.get_int("data.seed")
+    desc, n, seed = cfg.descriptor(), cfg["data.n"], cfg["data.seed"]
     out = make_out()
     ds = data_mod.generate(desc, n, seed)
     path = out / "dataset.glab"
@@ -320,13 +302,11 @@ def run_gen_data(cfg, make_out):
 def run_train(which, cfg, make_out):
     ds = cfg.dataset()
     base = cfg.base_schedule()
-    hyper = models_mod.Hyperparams(epochs=cfg.get_int("train.epochs"),
-                                   batch_size=cfg.get_int("train.batch_size"),
-                                   lr=cfg.get_float("train.lr"))
-    seed = cfg.get_int("train.seed")
+    hyper = models_mod.Hyperparams(epochs=cfg["train.epochs"], lr=cfg["train.lr"],
+                                   batch_size=cfg["train.batch_size"])
     out = make_out()
     train = models_mod.train_denoiser if which == "denoiser" else models_mod.train_classifier
-    model, report = train(ds, base, hyper, seed=seed)
+    model, report = train(ds, base, hyper, seed=cfg["train.seed"])
     path = out / f"{which}.gmod"
     models_mod.save_model(model, path)
     loss_csv = out / f"{which}_loss.csv"
@@ -336,7 +316,7 @@ def run_train(which, cfg, make_out):
 
 
 def run_sample(cfg, make_out):
-    store = "full" if cfg.get_int("sampling.store_full") else "thinned"
+    store = "full" if cfg["sampling.store_full"] else "thinned"
     rule = cfg.rule()
     env = _run_env(cfg)
     out = make_out()
@@ -352,13 +332,13 @@ def run_sample(cfg, make_out):
 
 
 def run_eval(cfg, make_out):
-    gen_path = cfg.get("eval.generated")
+    gen_path = cfg["eval.generated"]
     if not gen_path:
         raise ConfigError("eval.generated must point to a samples file")
     generated = data_mod.load(_input_file(cfg, "eval.generated"))
     _check_points(generated.points, f"eval.generated: {gen_path}")
-    ref_key = "eval.reference" if cfg.get("eval.reference") else "data.path"
-    ref_path = cfg.get(ref_key)
+    ref_key = "eval.reference" if cfg["eval.reference"] else "data.path"
+    ref_path = cfg[ref_key]
     reference = data_mod.load(_input_file(cfg, ref_key)) if ref_path else cfg.dataset()
     ref_name = f"{ref_key} ({ref_path})" if ref_path else "the reference generated from data.*"
     _check_points(reference.points, f"{ref_key}: {ref_path}" if ref_path else ref_name)
@@ -376,7 +356,7 @@ def run_eval(cfg, make_out):
     k = _eval_k(cfg, len(generated.points), len(reference.points))
     out = make_out()
     report = _evaluate(generated.points, generated.labels, reference.points,
-                       oracle, k, config=cfg.get("guidance.kind"))
+                       oracle, k, config=cfg["guidance.kind"])
     csv_path = out / "metrics.csv"
     metrics_mod.write_metrics_csv([report], csv_path)
     txt_path = out / "metrics.txt"
@@ -400,7 +380,7 @@ def _check_points(points, where):
 def _eval_k(cfg, n_generated, n_reference):
     """eval.k; a ConfigError naming it and both set sizes unless each set
     holds more than k points."""
-    k = cfg.get_int("eval.k")
+    k = cfg["eval.k"]
     if k >= min(n_generated, n_reference):
         raise ConfigError(f"eval.k = {k}: each set needs more than k points, got "
                           f"{n_generated} generated and {n_reference} reference")
@@ -475,11 +455,10 @@ def preset_norm_curves(cfg, make_out):
 def preset_distance_law(cfg, make_out):
     ds = cfg.dataset()
     sch = cfg.sampling_schedule()
-    seed = cfg.get_int("sampling.seed")
     out = make_out()
     D = ds.points.shape[1]
     ts, alpha_bars, d_hat = sampler_mod.forward_manifold_traces(ds, sch, n_draws=200,
-                                                                seed=seed)
+                                                                seed=cfg["sampling.seed"])
     fit = metrics_mod.distance_law_fit(ts, alpha_bars, d_hat, D)
     _write_table(out / "distance_law.csv", ["t", "median_rel_error", "n"],
                  ((row["t"], row["median_rel_error"], row["n"]) for row in fit["per_t"]))
@@ -585,7 +564,7 @@ def preset_scale_sweep(cfg, make_out):
 def preset_respace_study(cfg, make_out):
     env = _run_env(cfg)
     oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
-    s = cfg.get_float("guidance.s")
+    s = cfg["guidance.s"]
     k = _eval_k(cfg, env.n, len(env.ds.points))
     if env.base.T < max(RESPACE_STEPS):
         raise ConfigError(f"schedule.T = {env.base.T}: respace_study respaces it to "
@@ -623,9 +602,10 @@ def preset_respace_study(cfg, make_out):
     return ok, [out / "respace.csv", out / "respace.svg"], "".join(summary)
 
 
-# command -> (runner, config defaults).  runner(cfg, make_out) reads and
-# checks its config first, only then calls make_out() for the output
-# directory, and returns (ok, the files it wrote, the text to print).
+# command -> (runner, config defaults).  runner(cfg, make_out) checks the
+# conditions across keys and input files first, only then calls make_out()
+# for the output directory, and returns (ok, the files it wrote, the text to
+# print).
 RUNNERS = {
     "gen-data": (run_gen_data, {}),
     "train-denoiser": (functools.partial(run_train, "denoiser"), {}),

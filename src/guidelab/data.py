@@ -6,6 +6,7 @@ Gaussian mixture with per-class diagonal variances.
 """
 
 import json
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,6 +15,7 @@ import numpy as np
 
 MAGIC = b"GLAB"
 FORMAT_VERSION = 1
+HEADER_BYTES = len(MAGIC) + 2 + 8 * 4 + 4  # magic, version, n, d, classes, seed, descriptor length
 
 KINDS = ("gaussian_mixture",)
 
@@ -189,33 +191,34 @@ def save(dataset: LabeledDataset, path) -> None:
 
 
 def load(path) -> LabeledDataset:
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 2 + 4:
-        raise TruncatedFileError(f"{path}: file too short to be a dataset container")
-    if raw[:4] != MAGIC:
-        raise DataFormatError(f"{path}: bad magic bytes")
-    version = _uint_le(raw[4:6])
-    if version != FORMAT_VERSION:
-        raise VersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    off = 6
-    if len(raw) < off + 8 * 4 + 4:
-        raise TruncatedFileError(f"{path}: header cut short at {len(raw)} bytes")
-    n = _uint_le(raw[off:off + 8]); off += 8
-    d = _uint_le(raw[off:off + 8]); off += 8
-    off += 8  # class count, derivable from labels/descriptor
-    seed = int.from_bytes(raw[off:off + 8], "little", signed=True); off += 8
-    desc_len = _uint_le(raw[off:off + 4]); off += 4
-    expected = off + desc_len + 8 * n + 8 * n * d + 4
-    if len(raw) != expected:
-        raise TruncatedFileError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    body, stored_crc = raw[:-4], _uint_le(raw[-4:])
-    if (zlib.crc32(body) & 0xFFFFFFFF) != stored_crc:
+    """The dataset in the container at ``path``.  The points are read
+    straight into their array and the CRC is taken over the parts as read,
+    so loading holds one copy of the file, not the file and a copy."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(HEADER_BYTES)
+        if size < len(MAGIC) + 2 + 4:
+            raise TruncatedFileError(f"{path}: file too short to be a dataset container")
+        if head[:4] != MAGIC:
+            raise DataFormatError(f"{path}: bad magic bytes")
+        version = _uint_le(head[4:6])
+        if version != FORMAT_VERSION:
+            raise VersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+        if size < HEADER_BYTES:
+            raise TruncatedFileError(f"{path}: header cut short at {size} bytes")
+        n, d = _uint_le(head[6:14]), _uint_le(head[14:22])
+        # head[22:30] is the class count, derivable from labels/descriptor
+        seed = int.from_bytes(head[30:38], "little", signed=True)
+        desc_len = _uint_le(head[38:42])
+        expected = HEADER_BYTES + desc_len + 8 * n + 8 * n * d + 4
+        if size != expected:
+            raise TruncatedFileError(f"{path}: expected {expected} bytes, got {size}")
+        meta = f.read(desc_len + 8 * n)  # the descriptor and the labels
+        points = np.empty((n, d), dtype="<f8")
+        f.readinto(points)
+        stored_crc = _uint_le(f.read(4))  # a read cut short by a shrinking file fails the CRC
+    if (zlib.crc32(points, zlib.crc32(meta, zlib.crc32(head))) & 0xFFFFFFFF) != stored_crc:
         raise ChecksumError(f"{path}: CRC32 mismatch")
-    descriptor = None
-    if desc_len:
-        descriptor = ManifoldDescriptor.from_text(raw[off:off + desc_len].decode())
-    off += desc_len
-    labels = np.frombuffer(raw, dtype="<i8", count=n, offset=off).copy()
-    off += 8 * n
-    points = np.frombuffer(raw, dtype="<f8", count=n * d, offset=off).reshape(n, d).copy()
+    descriptor = ManifoldDescriptor.from_text(meta[:desc_len].decode()) if desc_len else None
+    labels = np.frombuffer(meta, dtype="<i8", count=n, offset=desc_len).copy()
     return LabeledDataset(points=points, labels=labels, descriptor=descriptor, seed=seed)

@@ -508,6 +508,17 @@ def save_model(model, path) -> None:
     Path(path).write_bytes(bytes(buf))
 
 
+def _claimed_size(raw, head_len):
+    """The bytes a checkpoint's header says it has: the header's own end, and
+    the payload its layer sizes need if the header reads as JSON."""
+    size = 10 + head_len + 4
+    try:
+        sizes = json.loads(raw[10:10 + head_len])["sizes"]
+        return size + 8 * sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    except (ValueError, LookupError, TypeError):
+        return size
+
+
 def load_model(path, schedule: NoiseSchedule):
     raw = Path(path).read_bytes()
     if len(raw) < 14:
@@ -517,9 +528,12 @@ def load_model(path, schedule: NoiseSchedule):
     version = int.from_bytes(raw[4:6], "little")
     if version != MODEL_VERSION:
         raise VersionError(f"{path}: model format version {version}, expected {MODEL_VERSION}")
-    if (zlib.crc32(raw[:-4]) & 0xFFFFFFFF) != int.from_bytes(raw[-4:], "little"):
-        raise ChecksumError(f"{path}: CRC32 mismatch")
     head_len = int.from_bytes(raw[6:10], "little")
+    # a memoryview, not a slice, so the file's bytes are never copied whole
+    if (zlib.crc32(memoryview(raw)[:-4]) & 0xFFFFFFFF) != int.from_bytes(raw[-4:], "little"):
+        if len(raw) < (expected := _claimed_size(raw, head_len)):
+            raise TruncatedFileError(f"{path}: expected {expected} bytes, got {len(raw)}")
+        raise ChecksumError(f"{path}: CRC32 mismatch")
     try:
         header = json.loads(raw[10:10 + head_len].decode())
     except ValueError as exc:
@@ -551,7 +565,7 @@ def load_model(path, schedule: NoiseSchedule):
         raise DataFormatError(f"{path}: layer sizes {sizes!r} do not lead, in positive "
                               f"integers, from {dim + 2 * (t_embed_dim // 2)} inputs to "
                               f"{n_out} outputs")
-    payload = raw[10 + head_len:-4]
+    payload = memoryview(raw)[10 + head_len:-4]
     n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
     if len(payload) != 8 * n_params:
         raise DataFormatError(f"{path}: {len(payload)} payload bytes, layer sizes "

@@ -1,9 +1,11 @@
 """CLI: config parsing, subcommand wiring, manifests, exit codes."""
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,8 +80,8 @@ class TestConfigParsing:
         monkeypatch.setitem(cli.RUNNERS, "gen-data",
                             (lambda cfg, make_out: loaded.append(cfg) or (True, [], ""), {}))
         assert run(["--config", cfg, "--out", tmp_path, "--seed", 9, "gen-data"]) == 0
-        assert [loaded[0].get_int(key) for key in ("sampling.seed", "train.seed",
-                                                   "data.seed")] == [9, train_seed, 3]
+        assert [loaded[0][key] for key in ("sampling.seed", "train.seed",
+                                           "data.seed")] == [9, train_seed, 3]
 
     def test_non_numeric_value(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
@@ -103,7 +105,10 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("argv, key, value", [
         (["gen-data"], "data.seed", "-1"),
+        (["gen-data"], "guidance.kind", "magic"),
         (["train-denoiser"], "train.seed", "-1"),
+        (["train-denoiser"], "train.lr", "-1"),
+        (["train-denoiser"], "train.lr", "0"),
         (["train-classifier"], "train.lr", "nan"),
         (["sample"], "sampling.store_full", "7"),
         (["eval"], "eval.k", "0"),
@@ -114,7 +119,8 @@ class TestConfigParsing:
         (["experiment", "respace_study"], "eval.k", "0"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
     def test_config_error_leaves_no_out(self, tmp_path, capsys, argv, key, value):
-        # each key is among the last its command reads
+        # each key is among the last its command reads, or one it never reads
+        # (every key is checked at load)
         cfg = tmp_path / "c.txt"
         cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\nschedule.respace = 10\n"
                        f"sampling.n_chains = 2\neval.generated = {tmp_path / 'gen' / 'dataset.glab'}\n")
@@ -151,6 +157,40 @@ class TestConfigParsing:
                     "sample"]) == cli.EXIT_CONFIG
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
+
+
+# values that no key but a free-text one may take unchecked
+HOSTILE = ["", "text", "nan", "inf", "-inf", "-1", "1e18"]
+
+
+class TestKeysTable:
+    @pytest.mark.parametrize("key", cli.KEYS)
+    def test_hostile_values(self, key):
+        # each value loads as one of the row's choices, a number within its
+        # bounds or free text, or is refused naming the key; nothing runs
+        _, bounds, choices = cli.KEYS[key]
+        for text in HOSTILE:
+            try:
+                value = cli.RunConfig({key: text})[key]
+            except cli.ConfigError as exc:
+                assert repr(key) in str(exc)
+                continue
+            if value in choices or not (bounds or choices):
+                assert value == text
+            else:
+                low, high = bounds
+                assert type(value) is type(low) and low <= value <= high, (text, value)
+                assert math.isfinite(value)
+
+    def test_one_table_of_keys(self):
+        # every key cli.py reads by name has a KEYS row, and every row is
+        # read, so a typo or a stale key fails here, not in a run
+        tree = ast.parse(Path(cli.__file__).read_text())
+        read = {node.slice.value for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id in ("cfg", "self") and isinstance(node.slice, ast.Constant)}
+        assert read <= set(cli.KEYS), read - set(cli.KEYS)
+        assert set(cli.KEYS) <= read, set(cli.KEYS) - read
 
 
 class TestGenData:
@@ -684,6 +724,19 @@ class TestCorruptContainers:
         with contextlib.redirect_stderr(err):
             code = run(["--config", cfg, "--out", tmp_path / "out", "sample"])
         assert code == 1 and err.getvalue().startswith("error: "), err.getvalue()
+
+
+def test_cut_short_checkpoint_is_one_line(tmp_path, capsys):
+    # a checkpoint cut 20 bytes short once read as a CRC mismatch
+    path = TestCorruptContainers._containers(tmp_path)["models.denoiser"]
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-20])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("data.n = 20\ndata.dim = 4\nschedule.T = 20\n"
+                   f"sampling.n_chains = 2\nmodels.denoiser = {path}\n")
+    assert run(["--config", cfg, "--out", tmp_path / "out", "sample"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: expected {len(raw)} bytes, got {len(raw) - 20}\n")
 
 
 # Every header field of a classifier checkpoint of each backend (D = 4, 8

@@ -1,5 +1,6 @@
 """Dataset generation, descriptors, and the binary container round-trip."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -159,6 +160,19 @@ class TestContainer:
         path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
         with pytest.raises(gd.VersionError):
             gd.load(path)
+
+    def test_load_holds_at_most_two_copies(self, tmp_path, bench_descriptor):
+        # a bytes slice for the CRC, and a copy of the points made while both
+        # were held, once peaked at three times the file
+        path = tmp_path / "big.glab"
+        gd.save(gd.generate(bench_descriptor, 4096, seed=0), path)
+        tracemalloc.start()
+        try:
+            gd.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * path.stat().st_size
 
     def test_bad_magic(self, tmp_path, bench_descriptor):
         ds = gd.generate(bench_descriptor, 50, seed=5)

@@ -496,6 +496,17 @@ class TestCheckpoints:
         back = gm.load_model(path, gs.respace(linb_50, 10))
         np.testing.assert_array_equal(back.predict_eps(probes, 3), den.predict_eps(probes, 3))
 
+    @pytest.mark.parametrize("cut", [20, "header"])
+    def test_truncated_checkpoint(self, linb_50, tmp_path, cut):
+        # a checkpoint cut short once read as a CRC mismatch
+        path = tmp_path / "t.gmod"
+        gm.save_model(self._small_denoiser(linb_50), path)
+        raw = path.read_bytes()
+        keep = len(raw) - 20 if cut == 20 else 30
+        path.write_bytes(raw[:keep])
+        with pytest.raises(gd.TruncatedFileError, match=f"got {keep}$"):
+            gm.load_model(path, linb_50)
+
     def test_corrupted_checkpoint(self, linb_50, tmp_path):
         from guidelab.data import ChecksumError
         den = self._small_denoiser(linb_50)
