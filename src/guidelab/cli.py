@@ -355,8 +355,9 @@ def run_eval(cfg, make_out):
     oracle = models_mod.AnalyticClassifier(desc, base)
     k = _eval_k(cfg, len(generated.points), len(reference.points))
     out = make_out()
-    report = _evaluate(generated.points, generated.labels, reference.points,
-                       oracle, k, config=cfg["guidance.kind"])
+    report = _evaluate(generated.points, generated.labels, reference.points, oracle,
+                       metrics_mod.knn_precision_recall(generated.points, reference.points, k),
+                       config=cfg["guidance.kind"])
     csv_path = out / "metrics.csv"
     metrics_mod.write_metrics_csv([report], csv_path)
     txt_path = out / "metrics.txt"
@@ -387,8 +388,8 @@ def _eval_k(cfg, n_generated, n_reference):
     return k
 
 
-def _evaluate(samples, targets, reference, oracle, k=3, config=""):
-    precision, recall = metrics_mod.knn_precision_recall(samples, reference, k)
+def _evaluate(samples, targets, reference, oracle, precision_recall, config=""):
+    precision, recall = precision_recall
     return metrics_mod.MetricsReport(
         frechet=metrics_mod.frechet_distance(samples, reference),
         precision=precision, recall=recall,
@@ -512,7 +513,8 @@ def preset_scale_sweep(cfg, make_out):
     for kind in ("adm_g", "geoguide", "geoguide_scaled"):
         batches = env.sample(tuple(GuidanceRule(kind, s) for s in SWEEP_GRID),
                              store="samples")
-        rows = [(s, _evaluate(batch.samples, batch.targets, env.ds.points, oracle, k,
+        rows = [(s, _evaluate(batch.samples, batch.targets, env.ds.points, oracle,
+                              env.ds.reference.precision_recall(batch.samples, k),
                               config=f"{kind} s={s}"))
                 for s, batch in zip(SWEEP_GRID, batches)]
         arms[kind] = rows
@@ -544,8 +546,8 @@ def preset_scale_sweep(cfg, make_out):
     ok &= _check(summary, "fidelity non-decreasing up to plateau", mono,
                  f"fidelity {['%.3f' % f for f in fidelity]}, plateau index {plateau}")
 
-    # scaled-variant comparison at the fidelity-tuned scale (Table-2 style
-    # direction report; recorded, not asserted)
+    # scaled-variant comparison at the grid point nearest TUNED_GEO, ties to the
+    # first: s = 2.0 on SWEEP_GRID (Table-2 style report; recorded, not asserted)
     idx = min(range(len(svals)), key=lambda i: abs(svals[i] - TUNED_GEO))
     base_f = geo[idx][1].frechet
     scaled_f = arms["geoguide_scaled"][idx][1].frechet
@@ -577,7 +579,8 @@ def preset_respace_study(cfg, make_out):
                              sch=schedule_mod.respace(env.base, steps), store="samples")
         for kind, batch in zip(kinds, batches):
             reports[(kind, steps)] = _evaluate(
-                batch.samples, batch.targets, env.ds.points, oracle, k,
+                batch.samples, batch.targets, env.ds.points, oracle,
+                env.ds.reference.precision_recall(batch.samples, k),
                 config=f"{kind} steps={steps}")
     rows = [(kind, steps, reports[(kind, steps)]) for kind in kinds
             for steps in RESPACE_STEPS]

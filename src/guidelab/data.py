@@ -5,6 +5,7 @@ can be built from the same object that produced the data.  The one kind is a
 Gaussian mixture with per-class diagonal variances.
 """
 
+import functools
 import json
 import os
 import zlib
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import metrics
 
 MAGIC = b"GLAB"
 FORMAT_VERSION = 1
@@ -149,6 +152,12 @@ class LabeledDataset:
         if self.descriptor is not None:
             return self.descriptor.n_classes
         return int(self.labels.max()) + 1
+
+    @functools.cached_property
+    def reference(self):
+        """The points grouped once (``metrics.Reference``), kept for the
+        dataset's life: it is frozen and nothing writes into its arrays."""
+        return metrics.Reference(self.points)
 
 
 def generate(descriptor: ManifoldDescriptor, n: int, seed: int) -> LabeledDataset:

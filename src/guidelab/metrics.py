@@ -35,10 +35,11 @@ computed:
   never skips, so non-finite or overlapping data get the dense work and the
   dense result.
 
-One memo.  ``_grouping`` keeps the reference's grouping and its radii for
-each k for the next call on the same array, so a sweep groups it and computes
-its radii once.  It keeps the column operand (4.2 MiB for 8000 points in
-D = 64); a pass rebuilds a group's rows from it bit for bit (1 ms in all).
+One Reference.  ``Reference(points)`` keeps a set's grouping and its radii
+for each k while its owner keeps it: ``knn_precision_recall``'s for its call,
+a dataset's for its life (``LabeledDataset.reference``).  It keeps the column
+operand (4.2 MiB for 8000 points in D = 64); a pass rebuilds a group's rows
+from it bit for bit (1 ms in all).
 
 At 4096 generated points against the 8000-point reference (eight
 components at least 7.6 apart, k-NN radii about 0.12), 16.3-16.5 M of the
@@ -50,9 +51,9 @@ of the radii, which gives the verdict of comparing their clamped square
 roots without taking one.
 
 The sampler's manifold-distance traces ask the same nearest-point question
-through ``nearest_distance``, on the same memo, operands, tiles and BLAS
-pin; it rechecks its screened argmin with the exact norm, so it equals the
-exhaustive scan bit for bit.
+through ``Reference.nearest``, on the same grouping, operands, tiles and
+BLAS pin; it rechecks its screened argmin with the exact norm, so it equals
+the exhaustive scan bit for bit.
 
 MAX_NORM.  For norms at most R = 2^254 and n >= 2 points, a covariance's
 norm is at most its trace, n R^2 / (n - 1) <= 2 R^2, so each partial sum in
@@ -195,13 +196,6 @@ def _sq_threshold(radius):
             t = np.where(down, np.nextafter(t, -np.inf), np.where(grow, up, t))
 
 
-def _check_k(n, k):
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n <= k:
-        raise ValueError("each set needs more than k points")
-
-
 class _Pivots(NamedTuple):
     """At most PIVOTS points of a reference set, chosen by farthest-point
     sampling from its row 0 on the GEMM squared distances.  A row holding a
@@ -293,7 +287,8 @@ def _block(s, t):
 
 
 def _radius(s, cols, pivots, k):
-    """kth_nn_radius of the grouped set s with column operand cols, in order.
+    """Each point's distance to its k-th nearest other point of the grouped
+    set s with column operand cols, in group order (duplicates count).
 
     Each group runs against its own group first and then against the others
     by pivot distance, so each row's k-th smallest d2 so far is soon tight.
@@ -326,157 +321,146 @@ def _radius(s, cols, pivots, k):
     return np.sqrt(np.maximum(kth[:, -1], 0.0))
 
 
-# (points, pivots, groups, column operand, {k: radii}) of the last reference
-_grouping_memo = None
+class Reference:
+    """A point set grouped once for the k-NN and nearest-point passes: its
+    pivots, groups and column operand, and its radii for each k asked for."""
 
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=np.float64)
+        if len(self.points) == 0:
+            raise ValueError("the reference set is empty")
+        # the grouping GEMMs at 2 threads made a fresh process's first k-NN
+        # 0.12-0.38 s against 0.08-0.13 s pinned (2 cores, OpenBLAS 0.3.31);
+        # non-finite or overflowing points get the dense work in every pass
+        with _blas.threads(1), np.errstate(invalid="ignore", over="ignore"):
+            self.pivots, self.groups, self.cols = _groups(self.points)
+        self._radii = {}  # k -> radii in group order
 
-def _grouping(P, k=None):
-    """(pivots, groups, column operand, k-th-NN radii or None) of the
-    reference set P, which must not change in place while kept."""
-    global _grouping_memo
-    if _grouping_memo is None or _grouping_memo[0] is not P:
-        _grouping_memo = None  # freed before the next is built
-        _grouping_memo = (P, *_groups(P), {})
-    _, pivots, groups, cols, radii = _grouping_memo
-    if k is not None and k not in radii:
-        radii[k] = _radius(groups, cols, pivots, k)
-    return pivots, groups, cols, radii.get(k)
+    def precision_recall(self, generated, k: int = 3):
+        """Manifold-estimate precision/recall (Kynkäänniemi et al. 2019):
+        the fraction of ``generated`` inside the union of this reference's
+        k-NN balls, and the same with the roles swapped."""
+        g = np.asarray(generated, dtype=np.float64)
+        pivots, sr, r_cols = self.pivots, self.groups, self.cols
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        if min(len(g), len(self.points)) <= k:
+            raise ValueError("each set needs more than k points")
+        with _blas.threads(1):
+            if k not in self._radii:
+                self._radii[k] = _radius(sr, r_cols, pivots, k)
+            t_r = _sq_threshold(self._radii[k])
+            _, sg, g_cols = _groups(g, pivots)
+            t_g = _sq_threshold(_radius(sg, g_cols, pivots, k))
+            # reference rows, rebuilt one group at a time, against generated columns
+            floors = _floors(sr, sg, pivots)
+            t_g_max = np.maximum.reduceat(t_g, sg.edges[:-1])  # keeps a NaN
+            hit_r = np.zeros(len(self.points), dtype=bool)
+            hit_g = np.zeros(len(g), dtype=bool)
+            block = _block(sr, sg)
+            for a, (lo, hi) in enumerate(zip(sr.edges[:-1], sr.edges[1:])):
+                rows = _unit_rows(r_cols[:, lo:hi])
+                for b, (c0, c1) in enumerate(zip(sg.edges[:-1], sg.edges[1:])):
+                    for r0, r1 in _chunks(lo, hi, c1 - c0):
+                        if floors[a, b] > np.maximum(t_r[r0:r1].max(), t_g_max[b]):
+                            continue
+                        d2 = _tile(rows[r0 - lo:r1 - lo], g_cols[:, c0:c1], block)
+                        hit_r[r0:r1] |= np.any(d2 <= t_g[c0:c1], axis=1)
+                        hit_g[c0:c1] |= np.any(d2 <= t_r[r0:r1, None], axis=0)
+        return float(np.mean(hit_g)), float(np.mean(hit_r))
 
+    def nearest(self, X, r):
+        """min_i ||r_j p_i - x_j|| for each row x_j of X (n, D), with its own
+        scale r_j, over the rows p_i of the reference points P (N, D).
 
-def kth_nn_radius(points, k: int):
-    """Distance from each point to its k-th nearest other point of ``points``
-    (a point's own zero distance does not count; duplicates do)."""
-    p = np.asarray(points, dtype=np.float64)
-    _check_k(len(p), k)
-    out = np.empty(len(p))
-    with _blas.threads(1):
-        _, groups, _, radius = _grouping(p, k)
-        out[groups.order] = radius
-    return out
+        The result equals the exhaustive scan
+        ``np.min(np.linalg.norm(r_j * P - x_j, axis=1))`` bit for bit, for any
+        BLAS blocking.  BLAS runs at one thread throughout (``_blas.threads``).
+
+        Groups.  Group b, with pivot c_b and covering radius rho_b, is a
+        slice of the kept column operand, as in the k-NN.
+
+        Screen.  Row operands [r x, ||x||^2, r^2] make each GEMM entry the
+        squared distance ||r p - x||^2.  With unit roundoff u = eps/2 and
+        S = ||x||^2 + r^2 max_i ||p_i||^2, any summation order keeps an entry
+        within (3D + 7) u S of the exact squared distance, and the exhaustive
+        scan's own squared norm (before its monotone sqrt) within (2D + 7) u S.
+
+        Skip rule.  A pivot is a point of P, so the row's smallest pivot
+        distance U = min_b ||r c_b - x|| bounds its minimum from above, and every
+        point of group b lies at least ||r c_b - x|| - r rho_b from x.  Let
+        w = sqrt(32 (D + 2) (eps S + tiny)), the recheck cut below as a
+        distance.  Four roundings part these computed values from the exact
+        ones: the group's pivot distance and U, each a square root of a GEMM
+        entry (within sqrt((3D + 7) u S)); r rho_b, within r times the module
+        docstring's sqrt(g) (||p|| + ||c||) + sqrt((D + 2) tiny); and the excess
+        of the scan's argmin over the exact minimum, within sqrt((2D + 7) eps S).
+        Each is at most w / sqrt(2).  So a (row, group) pair is skipped only
+        when ||r c_b - x|| - r rho_b - 2w > U + w: then no point of the group
+        can be an argmin of the scan.  A NaN bound never skips, and w is inf
+        where 4S overflows.  Against the 8000-point dataset, the 64-chain x
+        51-state trace of the ``sample`` export computes 29.5-30.9 % of its
+        26.1 M pairs (seeds 0 and 3), and the 200-draw x 50-step
+        ``distance_law`` traces 40.0-40.3 % (seeds 0, 3 and 11).
+
+        Exact recheck.  The scan's argmin then screens within (10D + 28) u S of
+        the row's smallest computed entry.  The scan's exact norm is taken for
+        every computed point within ``32 (D + 2) (eps S + tiny)`` of it: more
+        than four times that bound, with ``tiny`` covering underflow.  Most
+        rows recheck one point; a row whose cut is not finite (non-finite
+        input) rechecks every point.
+        """
+        P, groups, cols = self.points, self.groups, self.cols
+        n, D = X.shape
+        out = np.empty(n)
+        rows_per_block = _blas.rows_per_block(len(P))
+        # non-finite or overflowing input skips nothing and takes the full scan
+        with _blas.threads(1), np.errstate(invalid="ignore", over="ignore"):
+            pivot_cols = self.pivots.cols[:, groups.pivot]
+            pp_max = cols[-1].max()  # the largest ||p||^2
+            spans = list(zip(groups.edges[:-1].tolist(), groups.edges[1:].tolist()))
+            # the tiles of one row block share one output buffer
+            block = np.empty(min(n, rows_per_block) * len(P))
+            for lo in range(0, n, rows_per_block):
+                x, rb = X[lo:lo + rows_per_block], r[lo:lo + rows_per_block]
+                rows = _row_operand(x, rb)
+                size = rows[:, -2] + rows[:, -1] * pp_max
+                cut = 32 * (D + 2) * (_EPS * size + _TINY)
+                w = np.where(size <= _MAX / 4, np.sqrt(cut), np.inf)[:, None]
+                pivot = np.sqrt(np.maximum(rows @ pivot_cols, 0.0))
+                skip = (pivot - rb[:, None] * groups.reach - 2 * w
+                        > pivot.min(axis=1, keepdims=True) + w)
+                best = np.full(len(x), np.inf)
+                tiles, used = [], 0
+                for b, (c0, c1) in enumerate(spans):
+                    idx = np.flatnonzero(~skip[:, b])
+                    if len(idx):
+                        d2 = _tile(rows[idx], cols[:, c0:c1], block[used:])
+                        low = d2.min(axis=1)
+                        best[idx] = np.minimum(best[idx], low)
+                        tiles.append((idx, c0, d2, low))
+                        used += d2.size
+                cut += best
+                full = ~np.isfinite(cut)
+                cut[full] = np.nan  # compares False: these rows take the full scan
+                pairs = []  # (rows, points) to recheck: each row's entries within its cut
+                for idx, c0, d2, low in tiles:
+                    near = np.flatnonzero(low <= cut[idx])
+                    i, c = np.nonzero(d2[near] <= cut[idx[near], None])
+                    pairs.append((idx[near[i]], groups.order[c0 + c]))
+                d = np.full(len(x), np.inf)
+                _recheck(d, *map(np.concatenate, zip(*pairs)), x, rb, P)
+                for j in np.flatnonzero(full):
+                    d[j] = np.min(np.linalg.norm(rb[j] * P - x[j], axis=1))
+                out[lo:lo + len(x)] = d
+        return out
 
 
 def knn_precision_recall(generated, reference, k: int = 3):
-    """Manifold-estimate precision/recall (Kynkäänniemi et al. 2019).
-
-    precision: fraction of generated points inside the union of reference
-    k-NN balls; recall: the same with the roles swapped.  The reference's
-    grouping and radii are kept for the next call (module docstring).
-    """
-    g = np.asarray(generated, dtype=np.float64)
-    r = np.asarray(reference, dtype=np.float64)
-    _check_k(min(len(g), len(r)), k)
-    # BLAS at one thread for all of it: the grouping GEMMs at 2 threads made
-    # the first call in a fresh process 0.12-0.38 s against 0.08-0.13 s
-    # pinned (2 cores, OpenBLAS 0.3.31)
-    with _blas.threads(1):
-        pivots, sr, r_cols, radius = _grouping(r, k)
-        t_r = _sq_threshold(radius)
-        _, sg, g_cols = _groups(g, pivots)
-        t_g = _sq_threshold(_radius(sg, g_cols, pivots, k))
-        # reference rows, rebuilt one group at a time, against generated columns
-        floors = _floors(sr, sg, pivots)
-        t_g_max = np.maximum.reduceat(t_g, sg.edges[:-1])  # keeps a NaN
-        hit_r = np.zeros(len(r), dtype=bool)
-        hit_g = np.zeros(len(g), dtype=bool)
-        block = _block(sr, sg)
-        for a, (lo, hi) in enumerate(zip(sr.edges[:-1], sr.edges[1:])):
-            rows = _unit_rows(r_cols[:, lo:hi])
-            for b, (c0, c1) in enumerate(zip(sg.edges[:-1], sg.edges[1:])):
-                for r0, r1 in _chunks(lo, hi, c1 - c0):
-                    if floors[a, b] > np.maximum(t_r[r0:r1].max(), t_g_max[b]):
-                        continue
-                    d2 = _tile(rows[r0 - lo:r1 - lo], g_cols[:, c0:c1], block)
-                    hit_r[r0:r1] |= np.any(d2 <= t_g[c0:c1], axis=1)
-                    hit_g[c0:c1] |= np.any(d2 <= t_r[r0:r1, None], axis=0)
-    return float(np.mean(hit_g)), float(np.mean(hit_r))
-
-
-def nearest_distance(X, r, P):
-    """min_i ||r_j p_i - x_j|| for each row x_j of X (n, D), with its own
-    scale r_j, over the rows p_i of P (N, D).
-
-    The result equals the exhaustive scan
-    ``np.min(np.linalg.norm(r_j * P - x_j, axis=1))`` bit for bit, for any
-    BLAS blocking.  BLAS runs at one thread throughout (``_blas.threads``).
-
-    Groups.  P is grouped once in the module docstring's memo, shared with
-    the k-NN: group b, with pivot c_b and covering radius rho_b, is a slice
-    of the kept column operand.
-
-    Screen.  Row operands [r x, ||x||^2, r^2] make each GEMM entry the
-    squared distance ||r p - x||^2.  With unit roundoff u = eps/2 and
-    S = ||x||^2 + r^2 max_i ||p_i||^2, any summation order keeps an entry
-    within (3D + 7) u S of the exact squared distance, and the exhaustive
-    scan's own squared norm (before its monotone sqrt) within (2D + 7) u S.
-
-    Skip rule.  A pivot is a point of P, so the row's smallest pivot
-    distance U = min_b ||r c_b - x|| bounds its minimum from above, and every
-    point of group b lies at least ||r c_b - x|| - r rho_b from x.  Let
-    w = sqrt(32 (D + 2) (eps S + tiny)), the recheck cut below as a
-    distance.  Four roundings part these computed values from the exact
-    ones: the group's pivot distance and U, each a square root of a GEMM
-    entry (within sqrt((3D + 7) u S)); r rho_b, within r times the module
-    docstring's sqrt(g) (||p|| + ||c||) + sqrt((D + 2) tiny); and the excess
-    of the scan's argmin over the exact minimum, within sqrt((2D + 7) eps S).
-    Each is at most w / sqrt(2).  So a (row, group) pair is skipped only
-    when ||r c_b - x|| - r rho_b - 2w > U + w: then no point of the group
-    can be an argmin of the scan.  A NaN bound never skips, and w is inf
-    where 4S overflows.  Against the 8000-point dataset, the 64-chain x
-    51-state trace of the ``sample`` export computes 29.5-30.9 % of its
-    26.1 M pairs (seeds 0 and 3), and the 200-draw x 50-step
-    ``distance_law`` traces 40.0-40.3 % (seeds 0, 3 and 11).
-
-    Exact recheck.  The scan's argmin then screens within (10D + 28) u S of
-    the row's smallest computed entry.  The scan's exact norm is taken for
-    every computed point within ``32 (D + 2) (eps S + tiny)`` of it: more
-    than four times that bound, with ``tiny`` covering underflow.  Most
-    rows recheck one point; a row whose cut is not finite (non-finite
-    input) rechecks every point.
-    """
-    n, D = X.shape
-    out = np.empty(n)
-    rows_per_block = _blas.rows_per_block(len(P))
-    # non-finite or overflowing input skips nothing and takes the full scan
-    with _blas.threads(1), np.errstate(invalid="ignore", over="ignore"):
-        pivots, groups, cols, _ = _grouping(P)
-        pivot_cols = pivots.cols[:, groups.pivot]
-        pp_max = cols[-1].max()  # the largest ||p||^2
-        spans = list(zip(groups.edges[:-1].tolist(), groups.edges[1:].tolist()))
-        # the tiles of one row block share one output buffer
-        block = np.empty(min(n, rows_per_block) * len(P))
-        for lo in range(0, n, rows_per_block):
-            x, rb = X[lo:lo + rows_per_block], r[lo:lo + rows_per_block]
-            rows = _row_operand(x, rb)
-            size = rows[:, -2] + rows[:, -1] * pp_max
-            cut = 32 * (D + 2) * (_EPS * size + _TINY)
-            w = np.where(size <= _MAX / 4, np.sqrt(cut), np.inf)[:, None]
-            pivot = np.sqrt(np.maximum(rows @ pivot_cols, 0.0))
-            skip = (pivot - rb[:, None] * groups.reach - 2 * w
-                    > pivot.min(axis=1, keepdims=True) + w)
-            best = np.full(len(x), np.inf)
-            tiles, used = [], 0
-            for b, (c0, c1) in enumerate(spans):
-                idx = np.flatnonzero(~skip[:, b])
-                if len(idx):
-                    d2 = _tile(rows[idx], cols[:, c0:c1], block[used:])
-                    low = d2.min(axis=1)
-                    best[idx] = np.minimum(best[idx], low)
-                    tiles.append((idx, c0, d2, low))
-                    used += d2.size
-            cut += best
-            full = ~np.isfinite(cut)
-            cut[full] = np.nan  # compares False: these rows take the full scan
-            pairs = []  # (rows, points) to recheck: each row's entries within its cut
-            for idx, c0, d2, low in tiles:
-                near = np.flatnonzero(low <= cut[idx])
-                i, c = np.nonzero(d2[near] <= cut[idx[near], None])
-                pairs.append((idx[near[i]], groups.order[c0 + c]))
-            d = np.full(len(x), np.inf)
-            _recheck(d, *map(np.concatenate, zip(*pairs)), x, rb, P)
-            for j in np.flatnonzero(full):
-                d[j] = np.min(np.linalg.norm(rb[j] * P - x[j], axis=1))
-            out[lo:lo + len(x)] = d
-    return out
+    """``Reference(reference).precision_recall(generated, k)``: the reference
+    is grouped for this call alone and freed on return.  A caller that scores
+    several sets against one reference keeps one ``Reference``."""
+    return Reference(reference).precision_recall(generated, k)
 
 
 def _recheck(d, j, i, x, rb, P):

@@ -254,7 +254,8 @@ def _net_input(x, t, t_embed_dim):
 
 
 def _silu(a):
-    s = 1.0 / (1.0 + np.exp(-a))
+    with np.errstate(over="ignore"):  # exp(-a) = inf gives s = 0, its limit
+        s = 1.0 / (1.0 + np.exp(-a))
     return a * s, s
 
 
@@ -429,6 +430,11 @@ def _train_loop(dataset, schedule, hyper, seed, out_dim, batch_fn):
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)
+    # a finite loss can still diverge.  The bar is the first epoch's loss, not a
+    # running peak, which a converging run can pass on its way down
+    if losses[-1] > losses[0]:
+        raise TrainingError(f"training diverged: last epoch's loss {losses[-1]:.6g} is "
+                            f"above the first epoch's {losses[0]:.6g}")
     report = TrainReport(epoch_losses=np.array(losses), final_loss=losses[-1],
                          wall_time=time.perf_counter() - t0, seed=seed)
     return mlp, report

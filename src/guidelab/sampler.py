@@ -15,7 +15,7 @@ A rule's record is one ``SampleBatch``: chain j is row j of every per-chain
 array, and each block writes its own rows in place.  ``store`` names the
 arrays a call keeps, and the work behind an array it does not keep is
 skipped.  The traces of the record and of the forward process measure
-distances with ``metrics.nearest_distance``.
+distances with the dataset's ``metrics.Reference``, grouped once.
 """
 
 import math
@@ -26,7 +26,6 @@ import numpy as np
 from .errors import NumericalError
 from .forward import q_sample, rng_stream
 from .guidance import GuidanceError, GuidanceRule, adjustment, guided_reverse_step
-from .metrics import nearest_distance
 from .models import mu_from_eps
 from .schedule import NoiseSchedule
 
@@ -225,13 +224,10 @@ def _run_block(denoiser, classifier, rules, schedule, batches, lo, hi, seed):
 def trace_manifold_distance(trajectory: SampleBatch, dataset):
     """d_hat (chains, K): at each stored step, min_i ||x_t - sqrt(abar_t) x_i||
     over the dataset, equal to the exhaustive scan bit for bit
-    (``metrics.nearest_distance``)."""
-    pts = dataset.points
-    if len(pts) == 0:
-        raise ValueError("dataset is empty")
+    (``metrics.Reference.nearest``)."""
     n, K, D = trajectory.stored_x.shape
     r = np.tile(np.sqrt(trajectory.stored_alpha_bars), n)
-    return nearest_distance(trajectory.stored_x.reshape(n * K, D), r, pts).reshape(n, K)
+    return dataset.reference.nearest(trajectory.stored_x.reshape(n * K, D), r).reshape(n, K)
 
 
 def forward_manifold_traces(dataset, schedule: NoiseSchedule, n_draws: int, seed: int):
@@ -249,7 +245,7 @@ def forward_manifold_traces(dataset, schedule: NoiseSchedule, n_draws: int, seed
     d_hat = np.empty((n_draws, len(positions)))
     for k, pos in enumerate(positions.tolist()):
         xt = q_sample(x0, pos, schedule, rng).x_t
-        d_hat[:, k] = nearest_distance(xt, np.full(n_draws, np.sqrt(alpha_bars[k])), pts)
+        d_hat[:, k] = dataset.reference.nearest(xt, np.full(n_draws, np.sqrt(alpha_bars[k])))
     return schedule.timesteps[positions - 1], alpha_bars, d_hat
 
 

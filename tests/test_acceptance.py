@@ -141,8 +141,9 @@ def test_criterion_7_tradeoff_monotonicity(desc, linb_250, linb_models, referenc
     recall, fidelity = [], []
     rules = tuple(GuidanceRule("geoguide", s) for s in cli.SWEEP_GRID)
     batches = gsam.sample(den, clf, rules, linb_250, ys, n, seed=0, store="samples")
+    ref = gmet.Reference(reference)  # grouped once for the sweep
     for batch in batches:
-        _, r = gmet.knn_precision_recall(batch.samples, reference, k=3)
+        _, r = ref.precision_recall(batch.samples, k=3)
         recall.append(r)
         fidelity.append(gmet.class_fidelity(batch.samples, batch.targets, clf))
     rho = float(spearmanr(cli.SWEEP_GRID, recall).statistic)

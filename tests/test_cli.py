@@ -888,6 +888,21 @@ class TestNumericalErrors:
         assert run(["--config", cfg, "--out", tmp_path, "train-denoiser"]) == cli.EXIT_NUMERICAL
         assert "non-finite loss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["0.1", "1", "1e6"])
+    def test_diverging_training(self, tmp_path, capsys, lr):
+        # the loss stays finite as it grows (3 epochs end at 5.5e4, 2.4e13
+        # and 3.3e61 against 2.85 for the first); an overflow warning on the
+        # way would fail this test under the suite's filterwarnings
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("data.n = 200\ndata.dim = 4\nschedule.T = 20\ntrain.epochs = 3\n"
+                       f"train.lr = {lr}\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, "train-denoiser"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: training diverged: last epoch's loss ")
+        assert err.count("\n") == 1
+        assert not list(out.glob("*.gmod"))
+
 
 class TestExperimentPresets:
     def test_cutoff_preset_equals_single_rule_runs(self, tmp_path):

@@ -111,6 +111,16 @@ def _dense_precision_recall(g, r, k):
     return precision, recall
 
 
+def _kth_nn_radius(points, k):
+    """Distance from each point to its k-th nearest other point, from the
+    radius pass over a fresh ``Reference``'s grouping, in the points' order."""
+    ref = gmet.Reference(points)
+    out = np.empty(len(points))
+    with _blas.threads(1):
+        out[ref.groups.order] = gmet._radius(ref.groups, ref.cols, ref.pivots, k)
+    return out
+
+
 def _grid(n, seed, dim=3):
     """Integer points on a small grid: many duplicates and tied distances, and
     every distance is exact, whatever rows a BLAS call sees."""
@@ -130,8 +140,8 @@ class TestBlockedKnn:
     def test_grid_points_match_dense(self, n_gen, n_ref, k):
         assert n_gen % rows_per_block(n_ref) and n_ref % rows_per_block(n_ref)
         g, r = _grid(n_gen, 1), _grid(n_ref, 2)
-        np.testing.assert_array_equal(gmet.kth_nn_radius(r, k), _dense_radius(r, k))
-        np.testing.assert_array_equal(gmet.kth_nn_radius(g, k), _dense_radius(g, k))
+        np.testing.assert_array_equal(_kth_nn_radius(r, k), _dense_radius(r, k))
+        np.testing.assert_array_equal(_kth_nn_radius(g, k), _dense_radius(g, k))
         assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
 
     @pytest.mark.parametrize("k", [1, 5])
@@ -141,7 +151,7 @@ class TestBlockedKnn:
         base = _grid(400, 3, dim=8)
         g = np.concatenate([base, base[:150], base[:150]])
         r = np.concatenate([base[200:], base[200:260]])
-        radius = gmet.kth_nn_radius(g, k)
+        radius = _kth_nn_radius(g, k)
         np.testing.assert_array_equal(radius, _dense_radius(g, k))
         if k == 1:  # each of the 450 copies has an exact twin
             assert np.count_nonzero(radius == 0.0) >= 450
@@ -155,7 +165,7 @@ class TestBlockedKnn:
         # held not even the twin (self precision 0.805 and 0.946)
         x = rng_stream(7, dim).standard_normal((2000, dim))
         p = np.concatenate([x, x[:1000]])
-        assert not np.isnan(gmet.kth_nn_radius(p, 1)).any()
+        assert not np.isnan(_kth_nn_radius(p, 1)).any()
         precision, recall = gmet.knn_precision_recall(p, p, 1)
         assert precision >= 0.99 and recall >= 0.99
 
@@ -172,12 +182,16 @@ class TestBlockedKnn:
         # in D = 64 no tile can be skipped: every pair is computed.
         rng = rng_stream(5, 0)
         g, r = rng.standard_normal((1500, 64)), rng.standard_normal((1000, 64)) + 0.3
-        np.testing.assert_allclose(gmet.kth_nn_radius(r, 3), _dense_radius(r, 3),
+        np.testing.assert_allclose(_kth_nn_radius(r, 3), _dense_radius(r, 3),
                                    rtol=1e-13, atol=0)
         assert sum(tile_pairs) == len(r) ** 2
         tile_pairs.clear()
+        ref = gmet.Reference(r)
+        assert ref.precision_recall(g, 3) == _dense_precision_recall(g, r, 3)
+        assert sum(tile_pairs) == len(r) ** 2 + len(g) * len(r) + len(g) ** 2
+        tile_pairs.clear()
         # the reference's radii are those kept from the call above
-        assert gmet.knn_precision_recall(g, r, 3) == _dense_precision_recall(g, r, 3)
+        assert ref.precision_recall(g, 3) == _dense_precision_recall(g, r, 3)
         assert sum(tile_pairs) == len(g) * len(r) + len(g) ** 2
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -190,7 +204,7 @@ class TestBlockedKnn:
         g = gd.generate(bench_descriptor, 1500, seed=3).points
         r = gd.generate(bench_descriptor, 1000, seed=4).points
         for points in (g, r):
-            np.testing.assert_allclose(gmet.kth_nn_radius(points, k),
+            np.testing.assert_allclose(_kth_nn_radius(points, k),
                                        _dense_radius(points, k), rtol=1e-9, atol=0)
         assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
 
@@ -233,7 +247,7 @@ class TestPrunedKnn:
         r[5] = np.nan
         with np.errstate(invalid="ignore"):
             for points in (g, r):
-                radius, dense = gmet.kth_nn_radius(points, k), _dense_radius(points, k)
+                radius, dense = _kth_nn_radius(points, k), _dense_radius(points, k)
                 np.testing.assert_allclose(radius, dense, rtol=1e-9, atol=0)
                 assert not np.isfinite(radius[np.isnan(points).any(axis=1)]).any()
             assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
@@ -245,15 +259,15 @@ class TestPrunedKnn:
         monkeypatch.setattr(_blas, "BLOCK_ENTRIES", 1000)
         g, r = _grid(1500, 7), _grid(1000, 8)
         for points in (g, r):
-            np.testing.assert_array_equal(gmet.kth_nn_radius(points, k), _dense_radius(points, k))
+            np.testing.assert_array_equal(_kth_nn_radius(points, k), _dense_radius(points, k))
         assert max(tile_pairs) <= 1000
         assert gmet.knn_precision_recall(g, r, k) == _dense_precision_recall(g, r, k)
 
 
 class TestReferenceMemo:
-    """A reference set is grouped once per array object: the grouping and
-    its radii for each k are kept for the next call on that array, whichever
-    of the k-NN and the nearest-point search makes it."""
+    """A ``Reference`` groups its points once and keeps the grouping and its
+    radii for each k for as long as it is kept, whichever of the k-NN and the
+    nearest-point search asks; ``knn_precision_recall`` keeps none."""
 
     @pytest.fixture()
     def grouped(self, monkeypatch):
@@ -268,49 +282,51 @@ class TestReferenceMemo:
         monkeypatch.setattr(gmet, "_pivots", counted)
         return sizes
 
-    @staticmethod
-    def _cold(fn, *args):
-        gmet._grouping_memo = None
-        return fn(*args)
-
-    def test_sweep_groups_reference_once(self, bench_descriptor, grouped, monkeypatch):
-        r = gd.generate(bench_descriptor, 1000, seed=4).points
-        gens = [gd.generate(bench_descriptor, 300, seed=s).points for s in (5, 6, 7)]
-        radii = []
+    @pytest.fixture()
+    def radii(self, monkeypatch):
+        """(set size, k) of each radius pass: ``_radius`` runs once a pass."""
+        passes = []
         radius = gmet._radius
 
         def counted(s, cols, pivots, k):
-            radii.append((len(s.order), k))
+            passes.append((len(s.order), k))
             return radius(s, cols, pivots, k)
 
         monkeypatch.setattr(gmet, "_radius", counted)
-        sweep = [(g, k, gmet.knn_precision_recall(g, r, k)) for k in (3, 1, 3) for g in gens]
+        return passes
+
+    def test_sweep_groups_reference_once(self, bench_descriptor, grouped):
+        r = gd.generate(bench_descriptor, 1000, seed=4).points
+        gens = [gd.generate(bench_descriptor, 300, seed=s).points for s in (5, 6, 7)]
+        ref = gmet.Reference(r)
+        sweep = [(g, k, ref.precision_recall(g, k)) for k in (3, 1, 3) for g in gens]
         assert grouped == [len(r)]
+        for g, k, result in sweep:
+            assert result == gmet.knn_precision_recall(g, r, k)
+        # each call without a kept Reference groups the reference again
+        assert grouped == [len(r)] * (1 + len(sweep))
+
+    def test_radii_computed_once_per_k(self, bench_descriptor, radii):
+        r = gd.generate(bench_descriptor, 1000, seed=4).points
+        gens = [gd.generate(bench_descriptor, 300, seed=s).points for s in (5, 6)]
+        ref = gmet.Reference(r)
+        sweep = [ref.precision_recall(g, k) for k in (3, 1, 3) for g in gens]
         assert [c for c in radii if c[0] == len(r)] == [(len(r), 3), (len(r), 1)]
         assert len(radii) == 2 + len(sweep)  # the generated set's radii on every call
-        for g, k, result in sweep:
-            assert result == self._cold(gmet.knn_precision_recall, g, r, k)
-
-    def test_kth_nn_radius_reads_the_memo(self, bench_descriptor, grouped):
-        r = gd.generate(bench_descriptor, 1000, seed=4).points
-        g = gd.generate(bench_descriptor, 300, seed=5).points
-        kept = gmet.knn_precision_recall(g, r, 3)
-        radius = gmet.kth_nn_radius(r, 3)
-        assert grouped == [len(r)]
-        np.testing.assert_array_equal(radius, self._cold(gmet.kth_nn_radius, r, 3))
-        assert gmet.knn_precision_recall(g, r, 3) == kept
+        np.testing.assert_array_equal(ref._radii[3], _kth_nn_radius(r, 3)[ref.groups.order])
 
     def test_traces_and_knn_share_one_grouping(self, bench_descriptor, grouped):
         P = gd.generate(bench_descriptor, 1000, seed=4).points
         g = gd.generate(bench_descriptor, 300, seed=5).points
         X = g[:20] * 0.9 + 0.1 * rng_stream(9, 0).standard_normal((20, 64))
         r = np.full(20, 0.9)
-        d = gmet.nearest_distance(X, r, P)
-        precision_recall = gmet.knn_precision_recall(g, P, 3)
-        np.testing.assert_array_equal(gmet.nearest_distance(X, r, P), d)
+        ref = gmet.Reference(P)
+        d = ref.nearest(X, r)
+        precision_recall = ref.precision_recall(g, 3)
+        np.testing.assert_array_equal(ref.nearest(X, r), d)
         assert grouped == [len(P)]
-        assert precision_recall == self._cold(gmet.knn_precision_recall, g, P, 3)
-        np.testing.assert_array_equal(self._cold(gmet.nearest_distance, X, r, P), d)
+        assert precision_recall == gmet.knn_precision_recall(g, P, 3)
+        np.testing.assert_array_equal(gmet.Reference(P).nearest(X, r), d)
 
     def test_equal_shape_other_array_grouped_again(self, bench_descriptor, grouped):
         r1 = gd.generate(bench_descriptor, 1000, seed=4).points
@@ -319,9 +335,18 @@ class TestReferenceMemo:
         results = [gmet.knn_precision_recall(g, r, 3) for r in (r1, r2, r1, r1.copy())]
         assert grouped == [len(r1)] * 4
         assert results[0] == results[2] == results[3]
-        assert results[1] == self._cold(gmet.knn_precision_recall, g, r2, 3)
-        np.testing.assert_array_equal(gmet.kth_nn_radius(r2, 1),
-                                      self._cold(gmet.kth_nn_radius, r2.copy(), 1))
+        assert results[1] == gmet.Reference(r2).precision_recall(g, 3)
+
+    def test_knn_keeps_no_grouping(self, bench_descriptor, bench_dataset):
+        # the 8000-point reference's column operand alone is 4.2 MiB
+        g = gd.generate(bench_descriptor, 4096, seed=1000).points
+        tracemalloc.start()
+        try:
+            gmet.knn_precision_recall(g, bench_dataset.points, 3)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**18
 
 
 _SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)

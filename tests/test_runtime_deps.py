@@ -66,3 +66,13 @@ def _private_imports(path):
 def test_no_private_names_across_modules(path):
     taken = sorted(_private_imports(path))
     assert not taken, f"{path.name} imports private names {taken}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_state(path):
+    # module state rebinds a name under ``global``; what a call keeps
+    # belongs to an object its caller owns
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = sorted({name for node in ast.walk(tree) if isinstance(node, ast.Global)
+                    for name in node.names})
+    assert not names, f"{path.name} rebinds module names {names}"

@@ -1,6 +1,7 @@
 """Reverse sampling loop: determinism, respacing, the record, distance traces."""
 
 import csv
+import dataclasses
 import hashlib
 import sys
 import tracemalloc
@@ -537,18 +538,23 @@ def distance_problems(draw):
 
 
 def _record_calls(monkeypatch):
-    """A list that collects (X, r, P, result) of every nearest_distance call
-    the sampler's traces make."""
+    """A list that collects (X, r, P, result) of every ``Reference.nearest``
+    call the sampler's traces make, P being the reference's points."""
     calls = []
-    kernel = gsam.nearest_distance
+    kernel = gmet.Reference.nearest
 
-    def recorded(X, r, P):
-        out = kernel(X, r, P)
-        calls.append((X, r, P, out))
+    def recorded(ref, X, r):
+        out = kernel(ref, X, r)
+        calls.append((X, r, ref.points, out))
         return out
 
-    monkeypatch.setattr(gsam, "nearest_distance", recorded)
+    monkeypatch.setattr(gmet.Reference, "nearest", recorded)
     return calls
+
+
+def _nearest(X, r, P):
+    """min_i ||r_j p_i - x_j|| over the rows of P, through a fresh ``Reference``."""
+    return gmet.Reference(P).nearest(X, r)
 
 
 @pytest.fixture(scope="module")
@@ -565,13 +571,13 @@ class TestNearestDistanceKernel:
     @given(distance_problems())
     def test_equals_exhaustive_scan(self, problem):
         X, r, P = problem
-        assert np.array_equal(gmet.nearest_distance(X, r, P), exhaustive_distance(X, r, P))
+        assert np.array_equal(_nearest(X, r, P), exhaustive_distance(X, r, P))
 
     def test_state_on_a_dataset_point(self, bench_dataset):
         P = bench_dataset.points[:500]
         r = np.sqrt(np.array([0.3, 0.7, 1.0]))
         X = r[:, None] * P[[7, 123, 499]]
-        d = gmet.nearest_distance(X, r, P)
+        d = _nearest(X, r, P)
         assert np.all(d == 0.0)
         # the GEMM form alone cancels to rounding noise, not to zero
         screen = (np.sum(X * X, axis=1)[:, None] - 2 * r[:, None] * (X @ P.T)
@@ -588,28 +594,28 @@ class TestNearestDistanceKernel:
             + 1e-10 * rng.standard_normal((30, 16))
         # a block of 4 rows, so several blocks run
         monkeypatch.setattr(_blas, "BLOCK_ENTRIES", 4 * len(P))
-        np.testing.assert_array_equal(gmet.nearest_distance(X, r, P),
+        np.testing.assert_array_equal(_nearest(X, r, P),
                                       exhaustive_distance(X, r, P))
 
     def test_alpha_bar_one(self, bench_dataset):
         P = bench_dataset.points
         X = np.random.default_rng(2).standard_normal((5, 64)) * 3
         r = np.ones(5)
-        np.testing.assert_array_equal(gmet.nearest_distance(X, r, P),
+        np.testing.assert_array_equal(_nearest(X, r, P),
                                       exhaustive_distance(X, r, P))
 
     def test_one_point_dataset(self):
         P = np.full((1, 64), 0.25)
         X = np.random.default_rng(3).standard_normal((9, 64))
         r = np.sqrt(np.linspace(0.1, 1.0, 9))
-        d = gmet.nearest_distance(X, r, P)
+        d = _nearest(X, r, P)
         np.testing.assert_array_equal(d, np.linalg.norm(r[:, None] * P - X, axis=1))
 
     def test_non_finite_state_propagates(self):
         P = np.eye(3)
         X = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.5, 0.0, 0.0]])
         r = np.ones(3)
-        np.testing.assert_array_equal(gmet.nearest_distance(X, r, P),
+        np.testing.assert_array_equal(_nearest(X, r, P),
                                       exhaustive_distance(X, r, P))
 
     def test_overflowing_dataset_warns_nothing(self, linb_1000, monkeypatch):
@@ -681,13 +687,13 @@ class TestNearestDistanceKernel:
 
 
 class TestGroupingMemo:
-    """The grouped dataset is kept for the next call on the same points
-    array, and only for that array."""
+    """A dataset groups its points once, in its ``reference``, and keeps
+    them for its life; another dataset has a grouping of its own."""
 
     def test_export_groups_once(self, bench, bench_dataset, tmp_path, monkeypatch):
         _, sch, den, clf = bench
         batch = gsam.sample(den, clf, GuidanceRule("geoguide", 2.5), sch, 0, 4, seed=1)
-        monkeypatch.setattr(gmet, "_grouping_memo", None)
+        ds = dataclasses.replace(bench_dataset)  # grouped by no earlier test
         grouped = []
         pivots = gmet._pivots
 
@@ -696,9 +702,9 @@ class TestGroupingMemo:
             return pivots(rows)
 
         monkeypatch.setattr(gmet, "_pivots", counted)
-        gsam.export_trajectories_csv(batch, tmp_path / "traj.csv", bench_dataset)
-        gsam.forward_manifold_traces(bench_dataset, sch, 3, seed=0)
-        assert grouped == [len(bench_dataset.points)]
+        gsam.export_trajectories_csv(batch, tmp_path / "traj.csv", ds)
+        gsam.forward_manifold_traces(ds, sch, 3, seed=0)
+        assert grouped == [len(ds.points)]
 
     def test_equal_shapes_different_values(self, bench, bench_descriptor):
         _, sch, den, clf = bench
@@ -711,17 +717,6 @@ class TestGroupingMemo:
                 np.testing.assert_array_equal(
                     d_hat[j], exhaustive_distance(batch.stored_x[j], r, ds.points))
 
-    def test_swapped_points(self, bench, bench_descriptor):
-        _, sch, den, clf = bench
-        batch = gsam.sample(den, clf, GuidanceRule("none"), sch, 0, 1, seed=0)
-        ds = gd.generate(bench_descriptor, 3000, seed=1)
-        gsam.trace_manifold_distance(batch, ds)
-        object.__setattr__(ds, "points", gd.generate(bench_descriptor, 3000, seed=2).points)
-        np.testing.assert_array_equal(
-            gsam.trace_manifold_distance(batch, ds)[0],
-            exhaustive_distance(batch.stored_x[0], np.sqrt(batch.stored_alpha_bars),
-                                ds.points))
-
     def test_nan_state_and_dataset_rows(self, bench_record, bench_dataset):
         X = bench_record.stored_x[:2].reshape(-1, 64).copy()
         r = np.tile(np.sqrt(bench_record.stored_alpha_bars), 2)
@@ -730,15 +725,15 @@ class TestGroupingMemo:
         P[17, 5] = np.nan
         with np.errstate(invalid="ignore"):
             for points in (bench_dataset.points, P):
-                np.testing.assert_array_equal(gmet.nearest_distance(X, r, points),
+                np.testing.assert_array_equal(_nearest(X, r, points),
                                               exhaustive_distance(X, r, points))
 
-    def test_grouping_memory_bounded(self, bench_record, bench_dataset, monkeypatch):
+    def test_grouping_memory_bounded(self, bench_record, bench_dataset):
         # the grouping's operands and the one row block of a chain
-        monkeypatch.setattr(gmet, "_grouping_memo", None)
+        ds = dataclasses.replace(bench_dataset)  # grouped inside the trace
         tracemalloc.start()
         try:
-            gsam.trace_manifold_distance(bench_record.chain(0), bench_dataset)
+            gsam.trace_manifold_distance(bench_record.chain(0), ds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
