@@ -194,11 +194,25 @@ class RunConfig:
     def models(self, base, descriptor):
         den = (models_mod.AnalyticDenoiser(descriptor, base)
                if self["models.denoiser"] == "analytic"
-               else models_mod.load_model(_input_file(self, "models.denoiser"), base))
+               else self._checkpoint("models.denoiser", base, descriptor.dim))
         clf = (models_mod.AnalyticClassifier(descriptor, base)
                if self["models.classifier"] == "analytic"
-               else models_mod.load_model(_input_file(self, "models.classifier"), base))
+               else self._checkpoint("models.classifier", base, descriptor.dim))
         return den, clf
+
+    def _checkpoint(self, key, base, dim):
+        """The checkpoint that ``key`` names; a ModelMismatchError that names
+        the key and the path if it is not of the key's kind (a denoiser or a
+        classifier) or not of dimension ``dim``."""
+        path = _input_file(self, key)
+        model = models_mod.load_model(path, base)
+        kind = "denoiser" if isinstance(model, models_mod.LearnedDenoiser) else "classifier"
+        if key != f"models.{kind}":
+            raise models_mod.ModelMismatchError(f"{key}: {path} is a {kind} checkpoint")
+        if model.dim != dim:
+            raise models_mod.ModelMismatchError(
+                f"{key}: {path} has dimension {model.dim}, the data {dim}")
+        return model
 
     def rule(self):
         return GuidanceRule(kind=self["guidance.kind"], scale=self["guidance.s"],
@@ -477,6 +491,7 @@ def preset_distance_law(cfg, make_out):
 
 def preset_cutoff(cfg, make_out):
     env = _run_env(cfg)
+    oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
     out = make_out()
     rows = []
     fid = {}
@@ -485,7 +500,7 @@ def preset_cutoff(cfg, make_out):
     batches = env.sample(tuple(GuidanceRule(kind, s, cutoff_fraction=cut)
                                for kind, s, cut in arms), store="samples")
     for (kind, s, cut), batch in zip(arms, batches):
-        f = metrics_mod.class_fidelity(batch.samples, batch.targets, env.clf)
+        f = metrics_mod.class_fidelity(batch.samples, batch.targets, oracle)
         fid[(kind, cut)] = f
         rows.append((kind, s, cut, f))
     _write_table(out / "cutoff.csv", ["rule", "s", "cutoff_fraction", "class_fidelity"],

@@ -14,7 +14,8 @@ overridden by ``t_override``.
 A classifier provides ``class_grad(x, t, y) -> (log p, grad log p)`` for
 adm_g and ``class_grad_direction(x, t, y)``, the saturation-stable unit
 vector along grad log p (zero where it vanishes), for the geoguide kinds.
-Both backends in ``models`` do.
+Both backends in ``models`` do, for a batch x of shape (N, D) only, so
+``adjustment`` takes and returns (N, D) batches.
 """
 
 from dataclasses import dataclass
@@ -81,7 +82,7 @@ def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
     ``position`` is the 1-based index into the sampling schedule;
     ``step_index`` counts executed reverse steps from 0 (t = T downward).
     A ValueError names the kind and the step where the rule does not act.
-    Accepts a single point (D,) or a batch (N, D); y may be scalar or per-row.
+    ``x_t`` is an (N, D) batch; y may be scalar or per-row.
     """
     if rule.step_key(step_index, total_steps) is None:
         raise ValueError(f"rule {rule.kind} (s={rule.scale}, cutoff={rule.cutoff_fraction}) "
@@ -93,12 +94,12 @@ def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
         factor = schedule.gammas[position - 1]
     else:
         vec = classifier.class_grad_direction(x_t, t_label, y)
-        factor = np.sqrt(x_t.shape[-1]) / (rule.t_override or total_steps)
+        factor = np.sqrt(x_t.shape[1]) / (rule.t_override or total_steps)
         if rule.kind == "geoguide_scaled":
             factor = factor * np.sqrt(1.0 - schedule.alpha_bars[position - 1])
     if not np.all(np.isfinite(vec)):
         # name the first bad row only: a block holds up to 256 labels
-        rows = np.isfinite(np.atleast_2d(vec)).all(axis=1)
+        rows = np.isfinite(vec).all(axis=1)
         row = int(np.argmin(rows))
         label = int(np.broadcast_to(y, rows.shape)[row])
         raise GuidanceError(t_label, row, label)

@@ -42,7 +42,7 @@ operand (4.2 MiB for 8000 points in D = 64); a pass rebuilds a group's rows
 from it bit for bit (1 ms in all).
 
 At 4096 generated points against the 8000-point reference (eight
-components at least 7.6 apart, k-NN radii about 0.12), 16.3-16.5 M of the
+components at least 7.6 apart, k-NN radii about 0.12), 14.20-14.42 M of the
 113.5 M pairs of the dense kernel are computed.  Against that kernel,
 precision and recall were equal at data seeds 1000-1031, 99 % of the radii
 were bit-identical and the rest within 9e-12 relative.  The traced peak is

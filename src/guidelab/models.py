@@ -14,6 +14,11 @@ Two interchangeable families:
 Models are keyed by the external timestep label t against their *base*
 schedule, so they can be reused unchanged under respaced sampling.  t = 0 is
 the zero-noise level (abar = 1).
+
+Every model method takes a batch x of shape (N, D) and answers per row: (N, D)
+vectors, (N, C) log-probabilities, or (N,) log-probabilities or labels.  The
+label y is one class or one per row.  Any other shape of x, a single point
+(D,) among them, is a ModelError that names the (N, D) shape.
 """
 
 import json
@@ -62,16 +67,13 @@ def mu_from_eps(x_t, position, eps_hat, schedule: NoiseSchedule):
     return (np.asarray(x_t) - (1.0 - a) / np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(a)
 
 
-def _rows(x, dim):
-    """x as an (N, dim) float64 batch, and the function that gives a per-row
-    result the shape of x: for a single point (dim,) it drops the row axis
-    (a per-row scalar becomes a float)."""
+def _batch(x, dim):
+    """x as an (N, dim) float64 array; a ModelError names that shape if x has
+    any other."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != dim:
-        raise ModelError(f"expected dimension {dim}, got {x.shape[-1]}")
-    if x.ndim == 1:
-        return x[None], lambda out: out[0] if out.ndim > 1 else float(out[0])
-    return x, lambda out: out
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ModelError(f"expected an (N, {dim}) batch, got shape {x.shape}")
+    return x
 
 
 def _labels(y, n, n_classes):
@@ -82,13 +84,9 @@ def _labels(y, n, n_classes):
     return yb
 
 
-def _logsumexp(a, axis=None):
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
-
-
 def _log_softmax(logits):
-    return logits - _logsumexp(logits, axis=1)[:, None]
+    m = np.max(logits, axis=1, keepdims=True)
+    return logits - (m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True)))
 
 
 def _grad_weights(logits, y):
@@ -189,16 +187,11 @@ class AnalyticDenoiser(_AnalyticBase):
     """Exact minimizer of the epsilon objective for mixture data."""
 
     def predict_eps(self, x, t):
-        xb, back = _rows(x, self.dim)
+        x = _batch(x, self.dim)
         tab = self._table(t)
-        resp = np.exp(_log_softmax(_log_joint(xb, tab)))
+        resp = np.exp(_log_softmax(_log_joint(x, tab)))
         # the score of q_t is the responsibility-weighted pull
-        return back(-np.sqrt(1.0 - self._alpha_bar(t)) * _pull(resp, xb, tab))
-
-    def log_density(self, x, t):
-        """log q_t(x); used by finite-difference oracles."""
-        xb, back = _rows(x, self.dim)
-        return back(_logsumexp(_log_joint(xb, self._table(t)), axis=1))
+        return -np.sqrt(1.0 - self._alpha_bar(t)) * _pull(resp, x, tab)
 
 
 class AnalyticClassifier(_AnalyticBase):
@@ -209,28 +202,26 @@ class AnalyticClassifier(_AnalyticBase):
         return self.descriptor.n_classes
 
     def class_logprobs(self, x, t):
-        xb, back = _rows(x, self.dim)
-        return back(_log_softmax(_log_joint(xb, self._table(t))))
+        return _log_softmax(_log_joint(_batch(x, self.dim), self._table(t)))
 
     def class_grad(self, x, t, y):
         """(log p(y|x_t), gradient of log p(y|x_t) w.r.t. x_t)."""
-        xb, back = _rows(x, self.dim)
-        yb = _labels(y, len(xb), self.n_classes)
+        x = _batch(x, self.dim)
+        y = _labels(y, len(x), self.n_classes)
         tab = self._table(t)
-        logp, w = _grad_weights(_log_joint(xb, tab), yb)
-        return back(logp), back(_pull(w, xb, tab))
+        logp, w = _grad_weights(_log_joint(x, tab), y)
+        return logp, _pull(w, x, tab)
 
     def class_grad_direction(self, x, t, y):
         """Unit vector along grad log p(y|x_t), stable under saturation (see
         ``_direction_weights``); zero where even the direction vanishes."""
-        xb, back = _rows(x, self.dim)
-        yb = _labels(y, len(xb), self.n_classes)
+        x = _batch(x, self.dim)
+        y = _labels(y, len(x), self.n_classes)
         tab = self._table(t)
-        return back(_unit(_pull(_direction_weights(_log_joint(xb, tab), yb), xb, tab)))
+        return _unit(_pull(_direction_weights(_log_joint(x, tab), y), x, tab))
 
     def predict(self, x, t=0):
-        lp = self.class_logprobs(x, t)
-        return np.argmax(lp, axis=-1)
+        return np.argmax(self.class_logprobs(x, t), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +321,7 @@ class _LearnedBase:
 
 class LearnedDenoiser(_LearnedBase):
     def predict_eps(self, x, t):
-        xb, back = _rows(x, self.dim)
-        out, _ = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
-        return back(out)
-
-    def eps_vjp(self, x, t, u):
-        """Gradient of u . eps_theta(x, t) w.r.t. x (for gradient checks)."""
-        xb = np.asarray(x, dtype=np.float64)[None]
-        out, cache = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
-        _, g_in = self.mlp.backward(cache, np.asarray(u, dtype=np.float64)[None])
-        return g_in[0, :self.dim]
+        return self.mlp.forward(_net_input(_batch(x, self.dim), t, self.t_embed_dim))[0]
 
 
 class LearnedClassifier(_LearnedBase):
@@ -348,29 +330,27 @@ class LearnedClassifier(_LearnedBase):
         self.n_classes = n_classes
 
     def class_logprobs(self, x, t):
-        xb, back = _rows(x, self.dim)
-        logits, _ = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
-        return back(_log_softmax(logits))
+        logits, _ = self.mlp.forward(_net_input(_batch(x, self.dim), t, self.t_embed_dim))
+        return _log_softmax(logits)
 
     def class_grad(self, x, t, y):
-        xb, back = _rows(x, self.dim)
-        yb = _labels(y, len(xb), self.n_classes)
-        logits, cache = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
-        logp, g = _grad_weights(logits, yb)
-        return back(logp), back(self.mlp.backward(cache, g)[1][:, :self.dim])
+        x = _batch(x, self.dim)
+        y = _labels(y, len(x), self.n_classes)
+        logits, cache = self.mlp.forward(_net_input(x, t, self.t_embed_dim))
+        logp, g = _grad_weights(logits, y)
+        return logp, self.mlp.backward(cache, g)[1][:, :self.dim]
 
     def class_grad_direction(self, x, t, y):
         """Unit vector along grad log p(y|x_t), stable under saturation:
         backprop is linear in the upstream, so ``_direction_weights``'
         rescaling keeps the input gradient's direction."""
-        xb, back = _rows(x, self.dim)
-        yb = _labels(y, len(xb), self.n_classes)
-        logits, cache = self.mlp.forward(_net_input(xb, t, self.t_embed_dim))
-        g_in = self.mlp.backward(cache, _direction_weights(logits, yb))[1]
-        return back(_unit(g_in[:, :self.dim]))
+        x = _batch(x, self.dim)
+        y = _labels(y, len(x), self.n_classes)
+        logits, cache = self.mlp.forward(_net_input(x, t, self.t_embed_dim))
+        return _unit(self.mlp.backward(cache, _direction_weights(logits, y))[1][:, :self.dim])
 
     def predict(self, x, t=0):
-        return np.argmax(self.class_logprobs(x, t), axis=-1)
+        return np.argmax(self.class_logprobs(x, t), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ the closed-form jump (``forward.q_sample``) and the reverse mean
 (``models.mu_from_eps``) from first principles.  ``lockstep_counts`` gives
 the work of a lockstep sampler call from the rules' active masks alone.
 ``mixture_draw`` is the dataset draw as the plain formula, which
-``data.generate`` evaluates in place.
+``data.generate`` evaluates in place.  ``mixture_log_joint`` and
+``mixture_log_density`` give the noised mixture q_t from every row's
+difference to every component, not from the GEMM form of ``models``.
 """
 
 import numpy as np
@@ -81,3 +83,21 @@ def lockstep_counts(rules, total_steps: int):
         updates += len(split)
         groups = split
     return eps, guided, updates
+
+
+def mixture_log_joint(descriptor, schedule: NoiseSchedule, x, t: int):
+    """log w_c + log N(x; m_c, diag v_c) for every row of the (N, D) batch x
+    and every component of q_t, (N, C), with m_c = sqrt(abar_t) mu_c and
+    v_c = abar_t V_c + (1 - abar_t); t is a label of the unrespaced
+    ``schedule``, and t = 0 leaves the components as they are."""
+    ab = 1.0 if t == 0 else schedule.alpha_bars[t - 1]
+    m = np.sqrt(ab) * descriptor.means
+    v = descriptor.variances if t == 0 else ab * descriptor.variances + (1.0 - ab)
+    diff = np.asarray(x, dtype=np.float64)[:, None, :] - m[None]      # (N, C, D)
+    return np.log(descriptor.weights) - 0.5 * np.sum(diff * diff / v + np.log(v)
+                                                     + np.log(2 * np.pi), axis=2)
+
+
+def mixture_log_density(descriptor, schedule: NoiseSchedule, x, t: int):
+    """log q_t(x) for every row of the (N, D) batch x, (N,)."""
+    return np.logaddexp.reduce(mixture_log_joint(descriptor, schedule, x, t), axis=1)

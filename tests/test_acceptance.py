@@ -17,6 +17,7 @@ from guidelab import sampler as gsam
 from guidelab import schedule as gs
 from guidelab.forward import rng_stream
 from guidelab.guidance import GuidanceRule
+from oracles import mixture_log_density
 
 
 @pytest.fixture
@@ -208,17 +209,18 @@ def test_criterion_10_oracle_equivalence(report):
     probes = 3.0 * rng.standard_normal((100, 8))
     h = 1e-5
     worst_den, worst_clf = 0.0, 0.0
-    for x in probes:
+    for x in probes[:, None, :]:   # one-row batches
         t = int(rng.integers(1, 51))
         ab = sch.alpha_bars[t - 1]
-        # denoiser oracle vs FD of the log marginal density (score identity)
+        # denoiser oracle vs FD of the log marginal density (score identity),
+        # taken from the per-component form, not from the models' kernel
         eps_hat = den.predict_eps(x, t)
         grad_fd = np.empty(8)
         for j in range(8):
             e = np.zeros(8)
             e[j] = h
-            grad_fd[j] = (den.log_density(x + e, t)
-                          - den.log_density(x - e, t)) / (2 * h)
+            grad_fd[j] = (mixture_log_density(desc8, sch, x + e, t)[0]
+                          - mixture_log_density(desc8, sch, x - e, t)[0]) / (2 * h)
         eps_fd = -np.sqrt(1.0 - ab) * grad_fd
         worst_den = max(worst_den,
                         float(np.max(np.abs(eps_hat - eps_fd)))
@@ -230,24 +232,26 @@ def test_criterion_10_oracle_equivalence(report):
         for j in range(8):
             e = np.zeros(8)
             e[j] = h
-            clf_fd[j] = (clf.class_logprobs(x + e, t)[y]
-                         - clf.class_logprobs(x - e, t)[y]) / (2 * h)
+            clf_fd[j] = (clf.class_logprobs(x + e, t)[0, y]
+                         - clf.class_logprobs(x - e, t)[0, y]) / (2 * h)
         worst_clf = max(worst_clf, float(np.max(np.abs(grad - clf_fd))))
-    # learned model: small denoiser trained briefly, input gradients via vjp
+    # learned model: small denoiser trained briefly, the input gradient of
+    # v . eps_theta by the net's own backward pass
     ds = gd.generate(desc8, 512, seed=3)
     net, _ = gm.train_denoiser(ds, sch, gm.Hyperparams(hidden=(32, 32), epochs=10),
                                seed=4)
     worst_learned = 0.0
     v = rng.standard_normal(8)
-    for x in probes[:25]:
+    for x in probes[:25, None, :]:
         t = 20
-        g = net.eps_vjp(x, t, v)
+        _, cache = net.mlp.forward(gm._net_input(x, t, net.t_embed_dim))
+        g = net.mlp.backward(cache, v[None])[1][0, :8]
         g_fd = np.empty(8)
         for j in range(8):
             e = np.zeros(8)
             e[j] = 1e-4
             g_fd[j] = float(v @ (net.predict_eps(x + e, t)
-                                 - net.predict_eps(x - e, t))) / 2e-4
+                                 - net.predict_eps(x - e, t))[0]) / 2e-4
         worst_learned = max(worst_learned,
                             float(np.linalg.norm(g - g_fd))
                             / max(float(np.linalg.norm(g)), 1e-12))

@@ -580,6 +580,66 @@ class TestTraining:
                     "sample"]) == cli.EXIT_MISMATCH
 
 
+class TestCheckpointKind:
+    """A checkpoint of the other kind than its key, or of another dimension
+    than the data, is a model mismatch that names the key and the path,
+    found before --out is made."""
+
+    # the schedule of the experiment presets, at T = 20
+    SCHEDULE = "schedule.type = linear_alphabar\nschedule.T = 20\n"
+
+    @staticmethod
+    def _checkpoint(tmp_path, kind, dim):
+        base = cli.RunConfig({"schedule.type": "linear_alphabar",
+                              "schedule.T": "20"}).base_schedule()
+        n_out = dim if kind == "denoiser" else 8
+        mlp = gm.MLP((dim + 8, 16, n_out), rng=np.random.default_rng(0))
+        model = (gm.LearnedDenoiser(mlp, base, dim, 8) if kind == "denoiser"
+                 else gm.LearnedClassifier(mlp, base, dim, 8, n_out))
+        path = tmp_path / f"{kind}.gmod"
+        gm.save_model(model, path)
+        return path
+
+    @pytest.mark.parametrize("key, kind, dim", [
+        ("models.denoiser", "classifier", 4), ("models.classifier", "denoiser", 4),
+        ("models.denoiser", "denoiser", 6), ("models.classifier", "classifier", 6)])
+    def test_mismatch_exit_code(self, tmp_path, capsys, key, kind, dim):
+        path = self._checkpoint(tmp_path, kind, dim)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"data.n = 20\ndata.dim = 4\n{self.SCHEDULE}sampling.n_chains = 2\n"
+                       f"guidance.kind = geoguide\nguidance.s = 1.0\n{key} = {path}\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, "sample"]) == cli.EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith(f"model/schedule mismatch: {key}: {path} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_cutoff_grades_with_the_oracle(self, tmp_path):
+        # a checkpoint classifier guides the arms; the analytic oracle grades them
+        path = self._checkpoint(tmp_path, "classifier", 4)
+        text = (f"data.n = 64\ndata.dim = 4\n{self.SCHEDULE}schedule.respace = 10\n"
+                f"sampling.n_chains = 16\nmodels.classifier = {path}\n")
+        (tmp_path / "cfg.txt").write_text(text)
+        out = tmp_path / "out"
+        assert run(["--config", tmp_path / "cfg.txt", "--out", out,
+                    "experiment", "cutoff"]) in (0, 1)
+        _, defaults = cli.RUNNERS["experiment cutoff"]
+        env = cli._run_env(cli.RunConfig(dict(defaults,
+                                              **cli.parse_config_file(tmp_path / "cfg.txt"))))
+        oracle = gm.AnalyticClassifier(env.ds.descriptor, env.base)
+        graded = {"oracle": [], "checkpoint": []}
+        for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO)):
+            for cut in (1.0, 0.3):
+                batch = env.sample(GuidanceRule(kind, s, cutoff_fraction=cut))
+                for name, clf in (("oracle", oracle), ("checkpoint", env.clf)):
+                    graded[name].append(
+                        float(gmet.class_fidelity(batch.samples, batch.targets, clf)))
+        assert graded["oracle"] != graded["checkpoint"]
+        rows = (out / "cutoff.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[3]) for row in rows] == graded["oracle"]
+
+
 class TestInputFiles:
     """A missing input file or a malformed checkpoint is a precise error with
     its exit code, never a traceback."""

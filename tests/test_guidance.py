@@ -88,7 +88,7 @@ class TestAdjustment:
     def test_geoguide_norm_exact(self, setup):
         sch, clf = setup
         rule = GuidanceRule("geoguide", scale=1.0)
-        x = rng_stream(0, 1).standard_normal(8)
+        x = rng_stream(0, 1).standard_normal((1, 8))
         a = adjustment(rule, clf, x, 25, 0, sch, 10, 250)
         target = np.sqrt(8) / 250
         assert abs(np.linalg.norm(a) - target) / target < 1e-12
@@ -98,20 +98,20 @@ class TestAdjustment:
         desc = gd.eight_gaussians()
         clf = gm.AnalyticClassifier(desc, linb_1000)
         sch = gs.respace(linb_1000, 250)
-        x = rng_stream(0, 2).standard_normal(64)
+        x = rng_stream(0, 2).standard_normal((1, 64))
         a = adjustment(GuidanceRule("geoguide", 1.0), clf, x, 100, 2, sch, 5, sch.T)
         assert np.linalg.norm(a) == pytest.approx(0.032, rel=1e-12)
 
     def test_t_override(self, setup):
         sch, clf = setup
-        x = rng_stream(0, 3).standard_normal(8)
+        x = rng_stream(0, 3).standard_normal((1, 8))
         rule = GuidanceRule("geoguide", 1.0, t_override=1000)
         a = adjustment(rule, clf, x, 25, 0, sch, 0, 50)
         assert np.linalg.norm(a) == pytest.approx(np.sqrt(8) / 1000, rel=1e-12)
 
     def test_scaled_variant_ratio(self, setup):
         sch, clf = setup
-        x = rng_stream(0, 4).standard_normal(8)
+        x = rng_stream(0, 4).standard_normal((1, 8))
         for pos in (1, 10, 25, 50):
             base = adjustment(GuidanceRule("geoguide", 1.0), clf, x, pos, 0,
                               sch, 0, 50)
@@ -123,7 +123,7 @@ class TestAdjustment:
 
     def test_adm_g_formula(self, setup):
         sch, clf = setup
-        x = rng_stream(0, 5).standard_normal(8)
+        x = rng_stream(0, 5).standard_normal((1, 8))
         pos = 20
         a = adjustment(GuidanceRule("adm_g", 1.0), clf, x, pos, 1, sch, 0, 50)
         _, grad = clf.class_grad(x, int(sch.timesteps[pos - 1]), 1)
@@ -132,18 +132,18 @@ class TestAdjustment:
     def test_adm_g_identity_grad_p_over_p(self, setup):
         # gamma_t grad log p == (gamma_t / p) grad p via finite differences on p
         sch, clf = setup
-        x = np.array([0.3, 1.0, -0.2, 0.5, 0.0, 0.1, -0.4, 0.2])
+        x = np.array([[0.3, 1.0, -0.2, 0.5, 0.0, 0.1, -0.4, 0.2]])
         pos, y, h = 20, 0, 1e-6
         t = int(sch.timesteps[pos - 1])
         a = adjustment(GuidanceRule("adm_g", 1.0), clf, x, pos, y, sch, 0, 50)
-        p = np.exp(clf.class_logprobs(x, t)[y])
+        p = np.exp(clf.class_logprobs(x, t)[0, y])
         grad_p = np.empty(8)
         for j in range(8):
             e = np.zeros(8)
             e[j] = h
-            grad_p[j] = (np.exp(clf.class_logprobs(x + e, t)[y])
-                         - np.exp(clf.class_logprobs(x - e, t)[y])) / (2 * h)
-        np.testing.assert_allclose(a, sch.gammas[pos - 1] / p * grad_p, atol=1e-9)
+            grad_p[j] = (np.exp(clf.class_logprobs(x + e, t)[0, y])
+                         - np.exp(clf.class_logprobs(x - e, t)[0, y])) / (2 * h)
+        np.testing.assert_allclose(a[0], sch.gammas[pos - 1] / p * grad_p, atol=1e-9)
 
     def test_adm_g_two_gmm_hand_gradient(self):
         """Closed-form gradient of the 2-component Bayes posterior in D=2:
@@ -158,10 +158,10 @@ class TestAdjustment:
         t = int(sch.timesteps[pos - 1])
         ab = sch.alpha_bars[pos - 1]
         v = ab * 1.0 + (1 - ab)
-        x = np.array([0.0, 0.7])   # on the bisector: p = 0.5
+        x = np.array([[0.0, 0.7]])   # on the bisector: p = 0.5
         a = adjustment(GuidanceRule("adm_g", 1.0), clf, x, pos, 0, sch, 0, 10)
         hand = 0.5 * (np.sqrt(ab) * (desc.means[0] - desc.means[1])) / v
-        np.testing.assert_allclose(a, sch.gammas[pos - 1] * hand, rtol=1e-9,
+        np.testing.assert_allclose(a[0], sch.gammas[pos - 1] * hand, rtol=1e-9,
                                    atol=1e-15)
 
     def test_batched_matches_single(self, setup):
@@ -171,9 +171,15 @@ class TestAdjustment:
         for kind in ("adm_g", "geoguide", "geoguide_scaled"):
             ab = adjustment(GuidanceRule(kind, 1.0), clf, xb, 20, ys, sch, 0, 50)
             for i in range(6):
-                ai = adjustment(GuidanceRule(kind, 1.0), clf, xb[i], 20,
+                ai = adjustment(GuidanceRule(kind, 1.0), clf, xb[i:i + 1], 20,
                                 int(ys[i]), sch, 0, 50)
-                np.testing.assert_allclose(ab[i], ai, rtol=1e-12)
+                np.testing.assert_allclose(ab[i:i + 1], ai, rtol=1e-12)
+
+    def test_single_point_refused(self, setup):
+        sch, clf = setup
+        for kind in ("adm_g", "geoguide"):
+            with pytest.raises(gm.ModelError, match=r"expected an \(N, 8\) batch"):
+                adjustment(GuidanceRule(kind, 1.0), clf, np.zeros(8), 20, 0, sch, 0, 50)
 
     @pytest.mark.parametrize("rule, step", [
         (GuidanceRule("none", 2.0), 0),
@@ -184,13 +190,13 @@ class TestAdjustment:
         # no A_t where step_key says the rule does not act, not even a zero one
         sch, clf = setup
         assert rule.step_key(step, 50) is None
-        x = rng_stream(0, 1).standard_normal(8)
+        x = rng_stream(0, 1).standard_normal((1, 8))
         with pytest.raises(ValueError, match=rf"rule {rule.kind} .* at step {step} of 50"):
             adjustment(rule, clf, x, 20, 0, sch, step, 50)
 
     def test_nonfinite_gradient_aborts(self, setup):
         sch, clf = setup
-        x = np.full(8, np.nan)
+        x = np.full((1, 8), np.nan)
         with pytest.raises(GuidanceError):
             adjustment(GuidanceRule("adm_g", 1.0), clf, x, 20, 0, sch, 0, 50)
 
@@ -250,8 +256,7 @@ class _ScaledGradClassifier:
         return logp, self.c * grad
 
     def class_grad_direction(self, x, t, y):
-        grad = self.class_grad(x, t, y)[1]
-        return gm._unit(np.atleast_2d(grad)).reshape(np.shape(grad))
+        return gm._unit(self.class_grad(x, t, y)[1])
 
 
 class TestDirectionInvariance:
@@ -259,7 +264,7 @@ class TestDirectionInvariance:
     @given(c=st.floats(1e-6, 1e6), seed=st.integers(0, 1000))
     def test_positive_rescale_invariant(self, setup, c, seed):
         sch, clf = setup
-        x = rng_stream(seed, 0).standard_normal(8)
+        x = rng_stream(seed, 0).standard_normal((1, 8))
         rule = GuidanceRule("geoguide", 1.0)
         base = adjustment(rule, _ScaledGradClassifier(clf, 1.0), x, 20, 0, sch, 0, 50)
         scaled = adjustment(rule, _ScaledGradClassifier(clf, c), x, 20, 0, sch, 0, 50)
@@ -268,7 +273,7 @@ class TestDirectionInvariance:
     def test_zero_gradient_skipped(self, setup):
         sch, clf = setup
         wrapped = _ScaledGradClassifier(clf, 0.0)
-        x = rng_stream(1, 0).standard_normal(8)
+        x = rng_stream(1, 0).standard_normal((1, 8))
         for kind in ("geoguide", "geoguide_scaled"):
             a = adjustment(GuidanceRule(kind, 1.0), wrapped, x, 20, 0, sch, 0, 50)
             np.testing.assert_array_equal(a, 0.0)

@@ -1,5 +1,7 @@
 """Analytic oracles, learned backends, training, and checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from guidelab import data as gd
 from guidelab import models as gm
 from guidelab import schedule as gs
 from guidelab.forward import rng_stream
+from oracles import mixture_log_density, mixture_log_joint
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,7 @@ class TestAnalyticDenoiser:
 
     def test_symmetric_midpoint_zero(self, two_gmm_8, linb_50):
         den = gm.AnalyticDenoiser(two_gmm_8, linb_50)
-        np.testing.assert_allclose(den.predict_eps(np.zeros(8), 25), 0.0,
+        np.testing.assert_allclose(den.predict_eps(np.zeros((1, 8)), 25), 0.0,
                                    atol=1e-12)
 
     def test_matches_finite_difference_score(self, gmm8_d8, linb_50):
@@ -54,14 +57,17 @@ class TestAnalyticDenoiser:
         for j in range(8):
             e = np.zeros(8)
             e[j] = h
-            fd[:, j] = (den.log_density(x + e, t) - den.log_density(x - e, t)) / (2 * h)
+            fd[:, j] = (mixture_log_density(gmm8_d8, linb_50, x + e, t)
+                        - mixture_log_density(gmm8_d8, linb_50, x - e, t)) / (2 * h)
         expected = -np.sqrt(1 - ab) * fd
         rel = np.abs(eps - expected) / np.maximum(np.abs(expected), 1e-8)
         assert rel.max() < 1e-4
 
     def test_matches_quadrature_density(self, linb_50):
-        """Independent oracle: q_t built by numerically integrating the
-        noising kernel against q_0 on a D=2 grid."""
+        """Independent oracle: q_t and its gradient built by numerically
+        integrating the noising kernel against q_0 on a D=2 grid.  The
+        denoiser's eps is -sqrt(1 - abar_t) grad q_t / q_t, and the
+        per-component log-density of ``oracles`` is log q_t."""
         desc = gd.ManifoldDescriptor(kind="gaussian_mixture", dim=2,
                                      weights=np.array([0.3, 0.7]),
                                      means=np.array([[2.0, 0.0], [-1.0, 1.0]]),
@@ -81,19 +87,20 @@ class TestAnalyticDenoiser:
             log_q0 = np.logaddexp(log_q0, np.log(w) + lp)
         q0 = np.exp(log_q0)
 
-        def quad_log_qt(x):
-            d2 = np.sum((x - np.sqrt(ab) * nodes) ** 2, axis=1)
-            kernel = np.exp(-0.5 * d2 / (1 - ab)) / (2 * np.pi * (1 - ab))
-            return np.log(np.sum(q0 * kernel) * dA)
+        def quad(x):
+            """(log q_t(x), grad log q_t(x)) by quadrature."""
+            d = x - np.sqrt(ab) * nodes
+            kernel = np.exp(-0.5 * np.sum(d * d, axis=1) / (1 - ab)) / (2 * np.pi * (1 - ab))
+            w = q0 * kernel * dA
+            return np.log(np.sum(w)), -(w @ d) / ((1 - ab) * np.sum(w))
 
         probes = rng_stream(2, 0).standard_normal((20, 2)) * 2.0
-        for x in probes:
-            assert den.log_density(x, t) == pytest.approx(quad_log_qt(x), abs=1e-6)
-
-    def test_dimension_mismatch(self, single_gaussian_8, linb_50):
-        den = gm.AnalyticDenoiser(single_gaussian_8, linb_50)
-        with pytest.raises(gm.ModelError):
-            den.predict_eps(np.zeros(5), 1)
+        eps = den.predict_eps(probes, t)
+        log_q = mixture_log_density(desc, linb_50, probes, t)
+        for x, e, lq in zip(probes, eps, log_q):
+            want_lq, score = quad(x)
+            assert lq == pytest.approx(want_lq, abs=1e-6)
+            np.testing.assert_allclose(e, -np.sqrt(1 - ab) * score, rtol=0, atol=1e-6)
 
 
 class TestMuFromEps:
@@ -128,7 +135,7 @@ class TestMuFromEps:
 class TestAnalyticClassifier:
     def test_single_class_degenerate(self, single_gaussian_8, linb_50):
         clf = gm.AnalyticClassifier(single_gaussian_8, linb_50)
-        x = rng_stream(4, 0).standard_normal(8)
+        x = rng_stream(4, 0).standard_normal((1, 8))
         assert clf.class_logprobs(x, 10) == pytest.approx(0.0, abs=1e-12)
         logp, grad = clf.class_grad(x, 10, 0)
         assert logp == pytest.approx(0.0, abs=1e-12)
@@ -137,11 +144,11 @@ class TestAnalyticClassifier:
 
     def test_symmetric_bisector(self, two_gmm_8, linb_50):
         clf = gm.AnalyticClassifier(two_gmm_8, linb_50)
-        x = np.zeros(8)
-        x[1] = 1.7   # on the perpendicular bisector of the two means
+        x = np.zeros((1, 8))
+        x[0, 1] = 1.7   # on the perpendicular bisector of the two means
         lp = clf.class_logprobs(x, 20)
         np.testing.assert_allclose(np.exp(lp), 0.5, atol=1e-12)
-        _, grad = clf.class_grad(x, 20, 0)
+        grad = clf.class_grad(x, 20, 0)[1][0]
         direction = two_gmm_8.means[0] - two_gmm_8.means[1]
         cos = grad @ direction / (np.linalg.norm(grad) * np.linalg.norm(direction))
         assert cos == pytest.approx(1.0, abs=1e-12)
@@ -198,7 +205,7 @@ class TestAnalyticClassifier:
         stay well defined and unit-norm."""
         desc = gd.eight_gaussians(dim=8, radius=200.0, sigma=0.5)
         clf = gm.AnalyticClassifier(desc, linb_50)
-        x = desc.means[3] + 0.1
+        x = desc.means[3:4] + 0.1
         _, raw = clf.class_grad(x, 1, 3)
         assert np.linalg.norm(raw) == 0.0          # saturated: underflowed
         unit = clf.class_grad_direction(x, 1, 3)
@@ -207,12 +214,58 @@ class TestAnalyticClassifier:
     def test_label_out_of_range(self, gmm8_d8, linb_50):
         clf = gm.AnalyticClassifier(gmm8_d8, linb_50)
         with pytest.raises(gm.ModelError):
-            clf.class_grad(np.zeros(8), 1, 8)
+            clf.class_grad(np.zeros((1, 8)), 1, 8)
 
     def test_predict_at_zero_noise(self, gmm8_d8, linb_50):
         clf = gm.AnalyticClassifier(gmm8_d8, linb_50)
         preds = clf.predict(gmm8_d8.means, 0)
         np.testing.assert_array_equal(preds, np.arange(8))
+
+
+@pytest.fixture(scope="module")
+def backends(gmm8_d8, linb_50):
+    """One model of each class, analytic and learned, on D = 8 and C = 8; the
+    learned ones untrained."""
+    def mlp(seed):
+        return gm.MLP((8 + 8, 16, 8), rng=rng_stream(10, seed))
+    return {"AnalyticDenoiser": gm.AnalyticDenoiser(gmm8_d8, linb_50),
+            "AnalyticClassifier": gm.AnalyticClassifier(gmm8_d8, linb_50),
+            "LearnedDenoiser": gm.LearnedDenoiser(mlp(0), linb_50, 8, 8),
+            "LearnedClassifier": gm.LearnedClassifier(mlp(1), linb_50, 8, 8, 8)}
+
+
+class TestInputShape:
+    """Every public model method takes an (N, D) batch only: any other shape,
+    a single point (D,) among them, is a ModelError that names (N, D)."""
+
+    METHODS = [("AnalyticDenoiser", "predict_eps"), ("LearnedDenoiser", "predict_eps")] + [
+        (backend, method) for backend in ("AnalyticClassifier", "LearnedClassifier")
+        for method in ("class_logprobs", "class_grad", "class_grad_direction", "predict")]
+
+    @staticmethod
+    def _call(model, method, x):
+        args = (x, 3, 2) if method in ("class_grad", "class_grad_direction") else (x, 3)
+        return getattr(model, method)(*args)
+
+    @pytest.mark.parametrize("backend, method", METHODS)
+    @pytest.mark.parametrize("shape", [(8,), (4, 5), (4, 9), (2, 4, 8)],
+                             ids=["point", "fewer_dims", "more_dims", "stacked"])
+    def test_other_shapes_refused(self, backends, backend, method, shape):
+        with pytest.raises(gm.ModelError, match=rf"expected an \(N, 8\) batch, got shape "
+                                                rf"{re.escape(str(shape))}$"):
+            self._call(backends[backend], method, np.zeros(shape))
+
+    @pytest.mark.parametrize("backend, method", METHODS)
+    def test_rows_are_one_row_batches(self, backends, backend, method):
+        # equal up to the rounding of the GEMMs, which depends on N
+        x = rng_stream(10, 0).standard_normal((5, 8)) * 3.0
+        batch = self._call(backends[backend], method, x)
+        for i in range(len(x)):
+            row = self._call(backends[backend], method, x[i:i + 1])
+            for got, want in zip(*(out if method == "class_grad" else (out,)
+                                   for out in (batch, row))):
+                np.testing.assert_allclose(got[i:i + 1], want, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(want)))
 
 
 def _direct_posterior(desc, sch, x, t, y):
@@ -222,8 +275,7 @@ def _direct_posterior(desc, sch, x, t, y):
     m = np.sqrt(ab) * desc.means
     v = desc.variances if t == 0 else ab * desc.variances + (1.0 - ab)
     diff = x[:, None, :] - m[None]                                  # (N, C, D)
-    lj = np.log(desc.weights) - 0.5 * np.sum(diff * diff / v + np.log(v)
-                                             + np.log(2 * np.pi), axis=2)
+    lj = mixture_log_joint(desc, sch, x, t)
     lz = np.logaddexp.reduce(lj, axis=1)
     lp = lj - lz[:, None]
     pulls = -diff / v                                               # (N, C, D)
@@ -236,7 +288,7 @@ def _direct_posterior(desc, sch, x, t, y):
         w = np.nan_to_num(np.exp(comp - comp.max(axis=1, keepdims=True)))
     vdir = np.sum(w[:, :, None] * (pull_y[:, None, :] - pulls), axis=1)
     norm = np.linalg.norm(vdir, axis=1, keepdims=True)
-    return {"eps": -np.sqrt(1.0 - ab) * score, "log_density": lz, "logprobs": lp,
+    return {"eps": -np.sqrt(1.0 - ab) * score, "logprobs": lp,
             "logp": lp[rows, y], "grad": pull_y - score,
             "unit": np.divide(vdir, norm, out=np.zeros_like(vdir), where=norm > 0),
             "grad_scale": (np.linalg.norm(x, axis=1) * np.max(1.0 / v)
@@ -278,7 +330,6 @@ class TestKernelEquivalence:
 
         eps = den.predict_eps(x, t)
         close_rows(eps, ref["eps"], np.linalg.norm(ref["eps"], axis=1))
-        close_logs(den.log_density(x, t), ref["log_density"])
         close_logs(clf.class_logprobs(x, t), ref["logprobs"])
         logp, grad = clf.class_grad(x, t, y)
         close_logs(logp, ref["logp"])
@@ -305,7 +356,6 @@ class TestKernelEquivalence:
             new_den = gm.AnalyticDenoiser(desc, linb_1000)
             new_clf = gm.AnalyticClassifier(desc, linb_1000)
             for got, want in ((den.predict_eps(x, t), new_den.predict_eps(x, t)),
-                              (den.log_density(x, t), new_den.log_density(x, t)),
                               (clf.class_logprobs(x, t), new_clf.class_logprobs(x, t)),
                               (clf.class_grad(x, t, 3)[1], new_clf.class_grad(x, t, 3)[1]),
                               (clf.class_grad_direction(x, t, 3),
@@ -404,15 +454,15 @@ class TestLearnedGradients:
         h, t = 1e-4, 17
         worst = 0.0
         for _ in range(50):
-            x = rng.standard_normal(64) * 4.0
+            x = rng.standard_normal((1, 64)) * 4.0
             y = int(rng.integers(0, 8))
-            _, grad = clf.class_grad(x, t, y)
+            grad = clf.class_grad(x, t, y)[1][0]
             fd = np.empty(64)
             for j in range(64):
                 e = np.zeros(64)
                 e[j] = h
-                fd[j] = (clf.class_grad(x + e, t, y)[0]
-                         - clf.class_grad(x - e, t, y)[0]) / (2 * h)
+                fd[j] = (clf.class_grad(x + e, t, y)[0][0]
+                         - clf.class_grad(x - e, t, y)[0][0]) / (2 * h)
             denom = max(np.linalg.norm(fd), 1e-12)
             worst = max(worst, np.linalg.norm(grad - fd) / denom)
         assert worst < 1e-3
@@ -422,15 +472,17 @@ class TestLearnedGradients:
         rng = rng_stream(8, 1)
         h, t = 1e-4, 17
         for _ in range(10):
-            x = rng.standard_normal(64)
+            x = rng.standard_normal((1, 64))
             u = rng.standard_normal(64)
-            g = den.eps_vjp(x, t, u)
+            # the gradient of u . eps_theta(x, t), by the net's own backward pass
+            _, cache = den.mlp.forward(gm._net_input(x, t, den.t_embed_dim))
+            g = den.mlp.backward(cache, u[None])[1][0, :64]
             fd = np.empty(64)
             for j in range(64):
                 e = np.zeros(64)
                 e[j] = h
-                fd[j] = (u @ den.predict_eps(x + e, t)
-                         - u @ den.predict_eps(x - e, t)) / (2 * h)
+                fd[j] = (u @ den.predict_eps(x + e, t)[0]
+                         - u @ den.predict_eps(x - e, t)[0]) / (2 * h)
             assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-3
 
     def test_learned_direction_matches_grad(self, trained_pair):

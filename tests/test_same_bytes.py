@@ -36,3 +36,17 @@ def test_normaliser_maps_two_run_directories_to_equal_text(tmp_path):
         texts.append(same_bytes.normalise(text.encode(), {"tree": tree, "run": run}))
     assert texts[0] == texts[1]
     assert str(tmp_path).encode() not in texts[0]
+
+
+def test_set_samples_with_both_trained_models():
+    # so that the learned backends' guidance paths sit under the check too
+    kinds = set()
+    for cmd in same_bytes.command_set():
+        if cmd.argv[-1] != "sample" or "in/sample.cfg" not in cmd.files:
+            continue
+        keys = dict(line.split(" = ") for line in cmd.files["in/sample.cfg"].splitlines())
+        trained = {f"{argv[argv.index('--out') + 1]}/{argv[-1].removeprefix('train-')}.gmod"
+                   for argv in cmd.prepare}
+        if {keys.get("models.denoiser"), keys.get("models.classifier")} <= trained:
+            kinds.add(keys["guidance.kind"])
+    assert kinds == {"geoguide", "adm_g"}

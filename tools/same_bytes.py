@@ -18,7 +18,8 @@ exit code is 1 on any difference, 0 otherwise.
 
 The set: the command lines of ``bench/run.py``'s workloads at bench seeds
 0-31, read from its ``command_spec``; every experiment preset at ``--seed
-0`` and ``distance_law`` at seed 3; a small training run of each model.
+0`` and ``distance_law`` at seed 3; a small training run of each model; a
+``sample`` with both trained models under ``geoguide`` and under ``adm_g``.
 """
 
 import argparse
@@ -37,6 +38,9 @@ import run as bench_run  # noqa: E402
 BENCH_SEEDS = range(32)
 PRESETS = ("norm_curves", "distance_law", "cutoff", "scale_sweep", "respace_study")
 TRAIN_CFG = "data.n = 200\ndata.dim = 4\nschedule.T = 20\ntrain.epochs = 3\n"
+LEARNED_CFG = TRAIN_CFG + ("models.denoiser = models/denoiser.gmod\n"
+                           "models.classifier = models/classifier.gmod\n"
+                           "sampling.n_chains = 16\nguidance.s = 2.0\n")
 CHILD = "import sys, guidelab.cli; sys.exit(guidelab.cli.main(sys.argv[1:]))"
 EXIT_CODES = "exit codes"  # the pseudo-file of a command's exit codes
 
@@ -65,6 +69,13 @@ def command_set():
         commands.append(Command(f"train-{model}", {"in/train.cfg": TRAIN_CFG}, [],
                                 ["--config", "in/train.cfg", "--out", "out",
                                  f"train-{model}"]))
+    train = [["--config", "in/train.cfg", "--out", "models", f"train-{model}"]
+             for model in ("denoiser", "classifier")]
+    for kind in ("geoguide", "adm_g"):
+        commands.append(Command(f"sample-learned-{kind}",
+                                {"in/train.cfg": TRAIN_CFG,
+                                 "in/sample.cfg": LEARNED_CFG + f"guidance.kind = {kind}\n"},
+                                train, ["--config", "in/sample.cfg", "--out", "out", "sample"]))
     return commands
 
 
