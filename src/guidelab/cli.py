@@ -194,24 +194,29 @@ class RunConfig:
     def models(self, base, descriptor):
         den = (models_mod.AnalyticDenoiser(descriptor, base)
                if self["models.denoiser"] == "analytic"
-               else self._checkpoint("models.denoiser", base, descriptor.dim))
+               else self._checkpoint("models.denoiser", base, descriptor))
         clf = (models_mod.AnalyticClassifier(descriptor, base)
                if self["models.classifier"] == "analytic"
-               else self._checkpoint("models.classifier", base, descriptor.dim))
+               else self._checkpoint("models.classifier", base, descriptor))
         return den, clf
 
-    def _checkpoint(self, key, base, dim):
+    def _checkpoint(self, key, base, descriptor):
         """The checkpoint that ``key`` names; a ModelMismatchError that names
         the key and the path if it is not of the key's kind (a denoiser or a
-        classifier) or not of dimension ``dim``."""
+        classifier), not of the data's dimension or, for a classifier, not
+        of the data's class count."""
         path = _input_file(self, key)
         model = models_mod.load_model(path, base)
         kind = "denoiser" if isinstance(model, models_mod.LearnedDenoiser) else "classifier"
         if key != f"models.{kind}":
             raise models_mod.ModelMismatchError(f"{key}: {path} is a {kind} checkpoint")
-        if model.dim != dim:
+        if model.dim != descriptor.dim:
             raise models_mod.ModelMismatchError(
-                f"{key}: {path} has dimension {model.dim}, the data {dim}")
+                f"{key}: {path} has dimension {model.dim}, the data {descriptor.dim}")
+        if kind == "classifier" and model.n_classes != descriptor.n_classes:
+            raise models_mod.ModelMismatchError(
+                f"{key}: {path} has {model.n_classes} classes, the data "
+                f"{descriptor.n_classes}")
         return model
 
     def rule(self):

@@ -13,9 +13,13 @@ overridden by ``t_override``.
 
 A classifier provides ``class_grad(x, t, y) -> (log p, grad log p)`` for
 adm_g and ``class_grad_direction(x, t, y)``, the saturation-stable unit
-vector along grad log p (zero where it vanishes), for the geoguide kinds.
-Both backends in ``models`` do, for a batch x of shape (N, D) only, so
-``adjustment`` takes and returns (N, D) batches.
+vector along grad log p, for the geoguide kinds.  The direction is zero
+where no class competes with y, and not finite where the row's own
+log-joint is not, so that ``adjustment`` refuses it as it refuses a
+non-finite gradient.  Both backends in ``models`` do, for a batch x of shape
+(N, D) only, so ``adjustment`` takes and returns (N, D) batches.  Each
+returns a fresh array, which ``adjustment`` scales in place; neither
+function here writes an input.
 """
 
 from dataclasses import dataclass
@@ -103,12 +107,13 @@ def adjustment(rule: GuidanceRule, classifier, x_t, position: int, y,
         row = int(np.argmin(rows))
         label = int(np.broadcast_to(y, rows.shape)[row])
         raise GuidanceError(t_label, row, label)
-    return factor * vec
+    vec *= factor  # the classifier's own fresh array
+    return vec
 
 
 def guided_reverse_step(mu, gamma_t: float, a_t, s: float, is_final: bool = False,
                         eps=None):
-    """x_{t-1} = mu + sqrt(gamma_t) * eps + s * A_t.
+    """x_{t-1} = mu + sqrt(gamma_t) * eps + s * A_t, with eps of mu's shape.
 
     The caller supplies the noise ``eps``; the final step is noise-free
     (eps = 0) and needs none.  ``a_t = None`` is an unguided step: no
@@ -116,10 +121,14 @@ def guided_reverse_step(mu, gamma_t: float, a_t, s: float, is_final: bool = Fals
     """
     if gamma_t < 0:
         raise ValueError("gamma_t must be nonnegative")
-    mu = np.asarray(mu, dtype=np.float64)
     if is_final:
-        eps = np.zeros_like(mu)
+        # noise-free: mu + sqrt(gamma_t) * 0, which turns a -0.0 of mu into +0.0
+        x = np.add(mu, np.sqrt(gamma_t) * 0.0, dtype=np.float64)
     elif eps is None:
         raise ValueError("eps is required before the final step")
-    x = mu + np.sqrt(gamma_t) * eps
-    return x if a_t is None else x + s * np.asarray(a_t)
+    else:
+        x = np.multiply(eps, np.sqrt(gamma_t), dtype=np.float64)
+        x += mu
+    if a_t is not None:
+        x += np.multiply(a_t, s)
+    return x

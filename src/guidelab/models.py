@@ -19,6 +19,14 @@ Every model method takes a batch x of shape (N, D) and answers per row: (N, D)
 vectors, (N, C) log-probabilities, or (N,) log-probabilities or labels.  The
 label y is one class or one per row.  Any other shape of x, a single point
 (D,) among them, is a ModelError that names the (N, D) shape.
+
+Inside a call the per-component arrays (the log-joint or logits, the
+softmax, the weights) are component-major, (C, N): numpy reduces a short
+last axis slowly, and C is 8 where N is up to 256.  ``_component_sum`` adds
+the C rows in numpy's own pairwise order, and the GEMMs take the row-layout
+operands, so each answer equals that of the row-layout kernel bit for bit.
+Each per-step kernel allocates its output and finishes it in place, with the
+operations and their order unchanged; none writes an input.
 """
 
 import json
@@ -54,7 +62,7 @@ class TrainingError(NumericalError):
 
 
 def mu_from_eps(x_t, position, eps_hat, schedule: NoiseSchedule):
-    """Reverse-step mean from an epsilon estimate:
+    """Reverse-step mean from an epsilon estimate of x_t's shape:
     (x_t - (1 - alpha_t) / sqrt(1 - abar_t) * eps_hat) / sqrt(alpha_t).
 
     ``position`` is the 1-based index into the sampling schedule, not a
@@ -64,7 +72,10 @@ def mu_from_eps(x_t, position, eps_hat, schedule: NoiseSchedule):
     i = position - 1
     a = schedule.alphas[i]
     ab = schedule.alpha_bars[i]
-    return (np.asarray(x_t) - (1.0 - a) / np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(a)
+    mu = np.multiply(eps_hat, (1.0 - a) / np.sqrt(1.0 - ab))
+    np.subtract(x_t, mu, out=mu)
+    mu /= np.sqrt(a)
+    return mu
 
 
 def _batch(x, dim):
@@ -84,42 +95,105 @@ def _labels(y, n, n_classes):
     return yb
 
 
-def _log_softmax(logits):
-    m = np.max(logits, axis=1, keepdims=True)
-    return logits - (m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True)))
+def _transposed(a):
+    """The transpose of the 2-d array a as a contiguous array: (N, C) network
+    logits in as the (C, N) array the weight helpers take, their weights out
+    as the (N, C) rows that backprop and the GEMMs take."""
+    return np.ascontiguousarray(a.T)
 
 
-def _grad_weights(logits, y):
-    """(log p_y, e_y - softmax): grad log p(y|x) is the logits' gradient
-    contracted with these weights."""
-    lp = _log_softmax(logits)
-    rows = np.arange(len(lp))
-    w = -np.exp(lp)
-    w[rows, y] += 1.0
-    return lp[rows, y], w
+def _component_sum(e):
+    """The sum over the C rows of the (C, N) array e, (N,), bit for bit
+    ``np.sum(r, axis=1)`` of the C-contiguous (N, C) array r that holds e.T:
+    numpy's pairwise order along a contiguous row, then numpy's initial 0.0,
+    which turns a -0.0 sum into +0.0."""
+    total = _pairwise(e)
+    total += 0.0
+    return total
 
 
-def _direction_weights(logits, y):
-    """e_y - q, with q the softmax over the classes other than y.
+def _pairwise(e):
+    """numpy's pairwise sum of the rows of e: in turn below 8 rows; up to 128,
+    eight accumulators over blocks of 8 rows, summed as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
+    rows in turn; above 128, the two halves, split at a multiple of 8."""
+    c = len(e)
+    if c > 128:
+        half = c // 2 - (c // 2) % 8
+        total = _pairwise(e[:half])
+        total += _pairwise(e[half:])
+        return total
+    if c < 8:
+        total = e[0].copy()
+        for row in e[1:]:
+            total += row
+        return total
+    end = c - c % 8
+    acc = e[:8].copy()
+    for i in range(8, end, 8):
+        acc += e[i:i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    total = quads[0] + quads[1]
+    for row in e[end:]:
+        total += row
+    return total
+
+
+def _log_softmax(z):
+    """log softmax over the components of the (C, N) logits z, in z."""
+    m = np.max(z, axis=0)
+    e = np.subtract(z, m)
+    np.exp(e, out=e)
+    m += np.log(_component_sum(e))
+    z -= m
+    return z
+
+
+def _grad_weights(z, y):
+    """(log p_y, e_y - softmax) of the (C, N) logits z, the weights in z:
+    grad log p(y|x) is the logits' gradient contracted with these weights."""
+    cols = np.arange(z.shape[1])
+    w = _log_softmax(z)
+    logp = w[y, cols]
+    np.exp(w, out=w)
+    np.negative(w, out=w)
+    w[y, cols] += 1.0
+    return logp, w
+
+
+def _direction_weights(z, y):
+    """e_y - q of the (C, N) logits z, in z, with q the softmax over the
+    classes other than y.
 
     This is (e_y - softmax) / (1 - p_y): a positive rescaling of the
     gradient weights that stays representable when p_y -> 1 and the
     competitors' probabilities underflow.  The weight of y is taken as
-    sum(q), so that a row with no competitor (C = 1) is all zeros.
+    sum(q).  A column with no competitor left (C = 1, or every other logit at
+    -inf) is all zeros, so its direction vanishes; a column whose own logit
+    is not finite is all NaN, so its direction is not finite either.
     """
-    rows = np.arange(len(logits))
-    comp = logits.copy()
-    comp[rows, y] = -np.inf
+    cols = np.arange(z.shape[1])
+    own = z[y, cols]
+    z[y, cols] = -np.inf
+    alone = np.max(z, axis=0) == -np.inf
     with np.errstate(invalid="ignore"):
-        w = -np.nan_to_num(np.exp(_log_softmax(comp)))
-    w[rows, y] = -w.sum(axis=1)
+        w = np.exp(_log_softmax(z), out=z)
+    w[:, alone] = 0.0
+    w[:, ~np.isfinite(own)] = np.nan
+    np.negative(w, out=w)
+    w[y, cols] = -_component_sum(w)
     return w
 
 
 def _unit(v):
-    """Rows of v scaled to unit norm; zero rows stay zero."""
+    """The rows of v scaled to unit norm, in v.  A zero row is +0.0 and a
+    row that is not finite stays so."""
     norm = np.linalg.norm(v, axis=1, keepdims=True)
-    return np.divide(v, norm, out=np.zeros_like(v), where=norm > 0)
+    zero = norm == 0
+    np.divide(v, norm, out=v, where=~zero)
+    v[zero[:, 0]] = 0.0
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +201,27 @@ def _unit(v):
 # ---------------------------------------------------------------------------
 
 def _log_joint(x, tab):
-    """log w_c + log N(x; m_c, diag v_c) for every row and component, (N, C),
-    as two GEMMs: const - 1/2 (x*x) @ (1/v).T + x @ (m/v).T."""
+    """log w_c + log N(x; m_c, diag v_c) for every component and row, (C, N),
+    from two GEMMs in the row form: const - 1/2 (x*x) @ (1/v).T + x @ (m/v).T,
+    transposed."""
     inv_v, m_v, const = tab
-    return const - 0.5 * ((x * x) @ inv_v.T) + x @ m_v.T
+    z = (x * x) @ inv_v.T
+    z *= 0.5
+    np.subtract(const, z, out=z)
+    z += x @ m_v.T
+    return _transposed(z)
 
 
 def _pull(w, x, tab):
-    """sum_c w_c (m_c - x) / v_c for every row, (N, D), without an (N, C, D)
-    temporary: w @ (m/v) - x * (w @ (1/v))."""
+    """sum_c w_c (m_c - x) / v_c for every row, (N, D), of the (C, N) weights
+    w, without an (N, C, D) temporary: w.T @ (m/v) - x * (w.T @ (1/v))."""
     inv_v, m_v, _ = tab
-    return w @ m_v - x * (w @ inv_v)
+    w = _transposed(w)
+    pull = w @ m_v
+    inward = w @ inv_v
+    inward *= x
+    pull -= inward
+    return pull
 
 
 class _AnalyticBase:
@@ -189,9 +273,12 @@ class AnalyticDenoiser(_AnalyticBase):
     def predict_eps(self, x, t):
         x = _batch(x, self.dim)
         tab = self._table(t)
-        resp = np.exp(_log_softmax(_log_joint(x, tab)))
+        resp = _log_softmax(_log_joint(x, tab))
+        np.exp(resp, out=resp)
         # the score of q_t is the responsibility-weighted pull
-        return -np.sqrt(1.0 - self._alpha_bar(t)) * _pull(resp, x, tab)
+        eps = _pull(resp, x, tab)
+        eps *= -np.sqrt(1.0 - self._alpha_bar(t))
+        return eps
 
 
 class AnalyticClassifier(_AnalyticBase):
@@ -202,7 +289,7 @@ class AnalyticClassifier(_AnalyticBase):
         return self.descriptor.n_classes
 
     def class_logprobs(self, x, t):
-        return _log_softmax(_log_joint(_batch(x, self.dim), self._table(t)))
+        return _transposed(_log_softmax(_log_joint(_batch(x, self.dim), self._table(t))))
 
     def class_grad(self, x, t, y):
         """(log p(y|x_t), gradient of log p(y|x_t) w.r.t. x_t)."""
@@ -331,14 +418,14 @@ class LearnedClassifier(_LearnedBase):
 
     def class_logprobs(self, x, t):
         logits, _ = self.mlp.forward(_net_input(_batch(x, self.dim), t, self.t_embed_dim))
-        return _log_softmax(logits)
+        return _transposed(_log_softmax(_transposed(logits)))
 
     def class_grad(self, x, t, y):
         x = _batch(x, self.dim)
         y = _labels(y, len(x), self.n_classes)
         logits, cache = self.mlp.forward(_net_input(x, t, self.t_embed_dim))
-        logp, g = _grad_weights(logits, y)
-        return logp, self.mlp.backward(cache, g)[1][:, :self.dim]
+        logp, w = _grad_weights(_transposed(logits), y)
+        return logp, self.mlp.backward(cache, _transposed(w))[1][:, :self.dim]
 
     def class_grad_direction(self, x, t, y):
         """Unit vector along grad log p(y|x_t), stable under saturation:
@@ -347,7 +434,8 @@ class LearnedClassifier(_LearnedBase):
         x = _batch(x, self.dim)
         y = _labels(y, len(x), self.n_classes)
         logits, cache = self.mlp.forward(_net_input(x, t, self.t_embed_dim))
-        return _unit(self.mlp.backward(cache, _direction_weights(logits, y))[1][:, :self.dim])
+        w = _transposed(_direction_weights(_transposed(logits), y))
+        return _unit(self.mlp.backward(cache, w)[1][:, :self.dim])
 
     def predict(self, x, t=0):
         return np.argmax(self.class_logprobs(x, t), axis=1)
@@ -456,8 +544,8 @@ def train_classifier(dataset, schedule: NoiseSchedule, hyper: Hyperparams = None
         t = rng.integers(1, schedule.T + 1, size=len(idx))
         xt = q_sample(x0, t, schedule, rng).x_t
         logits, cache = mlp.forward(_net_input(xt, t, hyper.t_embed_dim))
-        logp, w = _grad_weights(logits, y)
-        grads, _ = mlp.backward(cache, -w / len(idx))
+        logp, w = _grad_weights(_transposed(logits), y)
+        grads, _ = mlp.backward(cache, -_transposed(w) / len(idx))
         return float(-np.mean(logp)), grads
 
     mlp, report = _train_loop(dataset, schedule, hyper, seed, C, batch_fn)

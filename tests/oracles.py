@@ -8,6 +8,8 @@ the work of a lockstep sampler call from the rules' active masks alone.
 ``data.generate`` evaluates in place.  ``mixture_log_joint`` and
 ``mixture_log_density`` give the noised mixture q_t from every row's
 difference to every component, not from the GEMM form of ``models``.
+``row_kernel`` is that GEMM form as it stood in the row layout, (N, C), to
+which the component-major kernel of ``models`` is held bit for bit.
 """
 
 import numpy as np
@@ -101,3 +103,43 @@ def mixture_log_joint(descriptor, schedule: NoiseSchedule, x, t: int):
 def mixture_log_density(descriptor, schedule: NoiseSchedule, x, t: int):
     """log q_t(x) for every row of the (N, D) batch x, (N,)."""
     return np.logaddexp.reduce(mixture_log_joint(descriptor, schedule, x, t), axis=1)
+
+
+def row_kernel(descriptor, schedule: NoiseSchedule, x, t: int, y):
+    """The analytic models' answers at the (N, D) batch x, label t of the
+    unrespaced ``schedule`` and class(es) y, from the row-layout kernel:
+    {"eps", "logprobs", "logp", "grad", "unit"} of ``predict_eps``,
+    ``class_logprobs``, ``class_grad`` and ``class_grad_direction``."""
+    x = np.asarray(x, dtype=np.float64)
+    ab = 1.0 if t == 0 else schedule.alpha_bars[t - 1]
+    m = np.sqrt(ab) * descriptor.means
+    v = descriptor.variances if t == 0 else ab * descriptor.variances + (1.0 - ab)
+    inv_v = 1.0 / v
+    m_v = m * inv_v
+    const = np.log(descriptor.weights) - 0.5 * np.sum(m * m_v + np.log(v)
+                                                      + np.log(2.0 * np.pi), axis=1)
+
+    def log_softmax(z):
+        top = np.max(z, axis=1, keepdims=True)
+        return z - (top + np.log(np.sum(np.exp(z - top), axis=1, keepdims=True)))
+
+    def pull(w):
+        return w @ m_v - x * (w @ inv_v)
+
+    rows = np.arange(len(x))
+    y = np.broadcast_to(y, rows.shape)
+    lj = const - 0.5 * ((x * x) @ inv_v.T) + x @ m_v.T
+    lp = log_softmax(lj)
+    grad_w = -np.exp(lp)
+    grad_w[rows, y] += 1.0
+    comp = lj.copy()
+    comp[rows, y] = -np.inf
+    with np.errstate(invalid="ignore"):
+        dir_w = -np.nan_to_num(np.exp(log_softmax(comp)))
+    dir_w[rows, y] = -dir_w.sum(axis=1)
+    direction = pull(dir_w)
+    norm = np.linalg.norm(direction, axis=1, keepdims=True)
+    return {"eps": -np.sqrt(1.0 - ab) * pull(np.exp(lp)), "logprobs": lp,
+            "logp": lp[rows, y], "grad": pull(grad_w),
+            "unit": np.divide(direction, norm, out=np.zeros_like(direction),
+                              where=norm > 0)}

@@ -581,18 +581,18 @@ class TestTraining:
 
 
 class TestCheckpointKind:
-    """A checkpoint of the other kind than its key, or of another dimension
-    than the data, is a model mismatch that names the key and the path,
-    found before --out is made."""
+    """A checkpoint of the other kind than its key, of another dimension
+    than the data or, for a classifier, of another class count, is a model
+    mismatch that names the key and the path, found before --out is made."""
 
     # the schedule of the experiment presets, at T = 20
     SCHEDULE = "schedule.type = linear_alphabar\nschedule.T = 20\n"
 
     @staticmethod
-    def _checkpoint(tmp_path, kind, dim):
+    def _checkpoint(tmp_path, kind, dim, n_classes=8):
         base = cli.RunConfig({"schedule.type": "linear_alphabar",
                               "schedule.T": "20"}).base_schedule()
-        n_out = dim if kind == "denoiser" else 8
+        n_out = dim if kind == "denoiser" else n_classes
         mlp = gm.MLP((dim + 8, 16, n_out), rng=np.random.default_rng(0))
         model = (gm.LearnedDenoiser(mlp, base, dim, 8) if kind == "denoiser"
                  else gm.LearnedClassifier(mlp, base, dim, 8, n_out))
@@ -613,6 +613,21 @@ class TestCheckpointKind:
         err = capsys.readouterr().err
         assert err.startswith(f"model/schedule mismatch: {key}: {path} ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_class_count_mismatch_exit_code(self, tmp_path, capsys):
+        # a 4-class classifier for the 8-class data: refused before sampling,
+        # where the targets 4..7 would be labels the model does not have
+        path = self._checkpoint(tmp_path, "classifier", 4, n_classes=4)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"data.n = 20\ndata.dim = 4\n{self.SCHEDULE}sampling.n_chains = 8\n"
+                       f"guidance.kind = geoguide\nguidance.s = 1.0\n"
+                       f"models.classifier = {path}\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, "sample"]) == cli.EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert err == (f"model/schedule mismatch: models.classifier: {path} has 4 classes, "
+                       f"the data 8\n")
         assert not out.exists()
 
     def test_cutoff_grades_with_the_oracle(self, tmp_path):
@@ -922,13 +937,15 @@ class TestNumericalErrors:
     @pytest.mark.parametrize("kind, scale, message", [
         ("adm_g", "1e308", "numerical error: non-finite classifier gradient at t=19 "
                            "in chain 0 (class 0)\n"),
-        ("geoguide", "1e300", "numerical error: non-finite state at step 1 (t=19) in "
-                              "chain 0 under rule geoguide (s=1e+300, cutoff=1.0)\n"),
+        ("geoguide", "1e300", "numerical error: non-finite classifier gradient at t=19 "
+                              "in chain 0 (class 0)\n"),
     ], ids=["adm_g", "geoguide"])
     def test_real_overflow_is_one_line(self, tmp_path, capsys, kind, scale, message):
         # a scale this large overflows the models' own arithmetic: the
         # sampler's finiteness checks report it, with no numpy warning first
-        # (a warning is an error under this suite's filterwarnings)
+        # (a warning is an error under this suite's filterwarnings).  Under
+        # geoguide the first step leaves states near 1e300, whose log-joint
+        # is -inf: the direction there is not finite, as adm_g's gradient
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"schedule.T = 20\nsampling.n_chains = 3\nguidance.kind = {kind}\n"
                        f"guidance.s = {scale}\n")

@@ -8,6 +8,7 @@ from guidelab import data as gd
 from guidelab import models as gm
 from guidelab import schedule as gs
 from guidelab.forward import rng_stream
+from guidelab.models import mu_from_eps
 from guidelab.guidance import GuidanceError, GuidanceRule, adjustment, guided_reverse_step
 
 
@@ -200,6 +201,21 @@ class TestAdjustment:
         with pytest.raises(GuidanceError):
             adjustment(GuidanceRule("adm_g", 1.0), clf, x, 20, 0, sch, 0, 50)
 
+    @pytest.mark.parametrize("kind", ["adm_g", "geoguide", "geoguide_scaled"])
+    def test_overflowing_row_aborts(self, setup, kind):
+        # x * x overflows in a row of 1e200, so its log-joint is -inf for every
+        # class: the gradient there is NaN, and so is the direction, not zero
+        sch, clf = setup
+        x = rng_stream(5, 0).standard_normal((4, 8))
+        x[2] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(clf.class_grad(x, 20, 1)[1][2]).all()
+            direction = clf.class_grad_direction(x, 20, 1)
+            assert np.isnan(direction[2]).all()
+            assert np.isfinite(np.delete(direction, 2, axis=0)).all()
+            with pytest.raises(GuidanceError, match=r"at t=20 in row 2 \(class 1\)$"):
+                adjustment(GuidanceRule(kind, 1.0), clf, x, 20, 1, sch, 0, 50)
+
 
 def _learned_classifier(sch, dim=8, n_classes=2, seed=0):
     """An untrained learned classifier: random weights suffice for checking
@@ -322,3 +338,65 @@ class TestGuidedStep:
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
             guided_reverse_step(np.zeros(2), -0.1, np.zeros(2), 0.0, eps=np.zeros(2))
+
+
+def _frozen(a):
+    """A read-only copy of a."""
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+class TestReadOnlyInputs:
+    """Every kernel of a step allocates its output and never writes an input:
+    called with read-only inputs, where a write into one would raise, each
+    answers bit for bit as with writable copies."""
+
+    @staticmethod
+    def _same(got, want):
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_models(self, setup, small_descriptor):
+        sch, clf = setup
+        mlp = gm.MLP((8 + 8, 16, 8), rng=rng_stream(3, 0))
+        models = [gm.AnalyticDenoiser(small_descriptor, sch), clf,
+                  gm.LearnedDenoiser(mlp, sch, 8, 8), _learned_classifier(sch)]
+        x = rng_stream(3, 1).standard_normal((16, 8)) * 3.0
+        y = rng_stream(3, 2).integers(0, 2, size=16)
+        for model in models:
+            calls = (["predict_eps"] if hasattr(model, "predict_eps") else
+                     ["class_logprobs", "class_grad", "class_grad_direction"])
+            for name in calls:
+                args = (20,) if name in ("predict_eps", "class_logprobs") else (20, y)
+                frozen_args = (20,) if len(args) == 1 else (20, _frozen(y))
+                want = getattr(model, name)(x.copy(), *args)
+                got = getattr(model, name)(_frozen(x), *frozen_args)
+                self._same(got if name == "class_grad" else [got],
+                           want if name == "class_grad" else [want])
+
+    def test_mean_and_adjustment(self, setup):
+        sch, clf = setup
+        x = rng_stream(4, 0).standard_normal((16, 8))
+        eps = rng_stream(4, 1).standard_normal((16, 8))
+        self._same([mu_from_eps(_frozen(x), 20, _frozen(eps), sch)],
+                   [mu_from_eps(x.copy(), 20, eps.copy(), sch)])
+        y = np.arange(16) % 2
+        for classifier in (clf, _learned_classifier(sch)):
+            for kind in ("adm_g", "geoguide", "geoguide_scaled"):
+                rule = GuidanceRule(kind, 1.0)
+                self._same([adjustment(rule, classifier, _frozen(x), 20, _frozen(y), sch, 0,
+                                       50)],
+                           [adjustment(rule, classifier, x.copy(), 20, y.copy(), sch, 0, 50)])
+
+    def test_reverse_step_on_the_noise_window(self):
+        # the sampler passes a step's noise as a slice of its block's window
+        window = _frozen(rng_stream(4, 2).standard_normal((16, 5, 8)))
+        mu = _frozen(rng_stream(4, 3).standard_normal((16, 8)))
+        a_t = _frozen(rng_stream(4, 4).standard_normal((16, 8)))
+        for a, final in ((a_t, False), (None, False), (a_t, True), (None, True)):
+            eps = window[:, 3]
+            got = guided_reverse_step(mu, 0.3, a, 1.5, is_final=final, eps=eps)
+            want = guided_reverse_step(mu.copy(), 0.3, None if a is None else a.copy(), 1.5,
+                                       is_final=final, eps=eps.copy())
+            self._same([got], [want])

@@ -9,7 +9,7 @@ from guidelab import data as gd
 from guidelab import models as gm
 from guidelab import schedule as gs
 from guidelab.forward import rng_stream
-from oracles import mixture_log_density, mixture_log_joint
+from oracles import mixture_log_density, mixture_log_joint, row_kernel
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,18 @@ class TestAnalyticClassifier:
         unit = clf.class_grad_direction(x, 1, 3)
         assert np.linalg.norm(unit) == pytest.approx(1.0, rel=1e-12)
 
+    def test_direction_weights_vanish_only_without_competitors(self):
+        # (C, N) logits, one column a case: competitors all at -inf (a zero
+        # direction), or an own logit or a competitor that is not finite
+        z = np.array([[0.0, 1.0, -np.inf, np.nan, 2.0],
+                      [-np.inf, 0.5, 0.0, 0.0, np.nan],
+                      [-np.inf, -2.0, 1.0, 1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            w = gm._direction_weights(z.copy(), np.zeros(5, dtype=np.int64))
+        np.testing.assert_array_equal(w[:, 0], 0.0)
+        assert np.isfinite(w[:, 1]).all() and w[0, 1] == pytest.approx(1.0)
+        assert np.isnan(w[:, 2:]).all()
+
     def test_label_out_of_range(self, gmm8_d8, linb_50):
         clf = gm.AnalyticClassifier(gmm8_d8, linb_50)
         with pytest.raises(gm.ModelError):
@@ -361,6 +373,77 @@ class TestKernelEquivalence:
                               (clf.class_grad_direction(x, t, 3),
                                new_clf.class_grad_direction(x, t, 3))):
                 np.testing.assert_array_equal(got, want)
+
+
+def _random_mixture(n_classes, dim, seed):
+    rng = rng_stream(seed, 7)
+    return gd.ManifoldDescriptor(kind="gaussian_mixture", dim=dim,
+                                 weights=rng.dirichlet(np.ones(n_classes)),
+                                 means=rng.standard_normal((n_classes, dim)) * 4.0,
+                                 variances=rng.uniform(0.05, 2.0, (n_classes, dim)))
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestComponentMajorKernel:
+    """The analytic models keep the log-joint, the softmax and the weights as
+    (C, N).  Their answers equal the row-layout kernel (``oracles.row_kernel``)
+    bit for bit: at the bench geometry, at small class counts, at a D that is
+    not a multiple of 8 and at row counts other than the block's."""
+
+    GEOMETRIES = {
+        "bench": (lambda: gd.eight_gaussians(), 256),
+        "c1": (lambda: _random_mixture(1, 8, 1), 64),
+        "c2": (lambda: _random_mixture(2, 8, 2), 64),
+        "c3": (lambda: _random_mixture(3, 12, 3), 64),
+        "d7": (lambda: gd.eight_gaussians(dim=7), 256),
+        "d65_odd_rows": (lambda: gd.eight_gaussians(dim=65), 255),
+        "c16_d9_odd_rows": (lambda: _random_mixture(16, 9, 4), 255),
+        "one_row": (lambda: gd.eight_gaussians(dim=16), 1),
+    }
+
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    def test_bit_equal_to_row_form(self, geometry, lina_1000):
+        make, n = self.GEOMETRIES[geometry]
+        desc = make()
+        den = gm.AnalyticDenoiser(desc, lina_1000)
+        clf = gm.AnalyticClassifier(desc, lina_1000)
+        rng = rng_stream(30, desc.n_classes)
+        for trial, t in enumerate((0, 1, 40, 250, 700, 1000)):
+            # points near q_t's components, far out (p_y saturates), and a mix
+            scale = (0.5, 2.0, 12.0)[trial % 3]
+            x = rng.standard_normal((n, desc.dim)) * scale
+            x[: n // 2] += np.sqrt(lina_1000.alpha_bars[max(t, 1) - 1]) * desc.means[
+                rng.integers(0, desc.n_classes, n // 2)]
+            y = rng.integers(0, desc.n_classes, size=n)
+            want = row_kernel(desc, lina_1000, x, t, y)
+            _same_bits(den.predict_eps(x, t), want["eps"])
+            _same_bits(clf.class_logprobs(x, t), want["logprobs"])
+            logp, grad = clf.class_grad(x, t, y)
+            _same_bits(logp, want["logp"])
+            _same_bits(grad, want["grad"])
+            _same_bits(clf.class_grad_direction(x, t, y), want["unit"])
+
+    SPECIAL = {"neg_zero": -0.0, "pos_inf": np.inf, "neg_inf": -np.inf, "nan": np.nan}
+
+    @pytest.mark.parametrize("n_classes", list(range(1, 41)) + [128, 129, 300])
+    def test_component_sum_is_numpys_row_sum(self, n_classes):
+        # numpy sums a contiguous row pairwise; the helper sums a column of
+        # the transpose in that order, -0.0, infinities and NaN included
+        rng = rng_stream(31, n_classes)
+        rows = rng.standard_normal((64, n_classes)) * 10.0 ** rng.integers(-8, 9, (64, n_classes))
+        rows[0] = -0.0
+        rows[1, ::2] = -0.0
+        rows[1, 1::2] = 0.0
+        for i, value in enumerate(self.SPECIAL.values()):
+            rows[2 + i, rng.integers(0, n_classes)] = value
+        rows[6, 0], rows[6, -1] = np.inf, -np.inf
+        rows[7, rng.integers(0, n_classes, 3)] = -0.0
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            _same_bits(gm._component_sum(np.ascontiguousarray(rows.T)), np.sum(rows, axis=1))
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,7 @@ The set: the command lines of ``bench/run.py``'s workloads at bench seeds
 """
 
 import argparse
+import contextlib
 import os
 import subprocess
 import sys
@@ -128,23 +129,29 @@ def compare(base, work):
     return len(names), len(differ), first
 
 
+@contextlib.contextmanager
+def worktree(rev, parent):
+    """A detached checkout of ``rev`` at ``parent``/tree, removed on exit."""
+    tree = Path(parent) / "tree"
+    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                    str(tree), rev], check=True)
+    try:
+        yield tree
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                       check=False)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to compare with")
     args = parser.parse_args(argv)
     commands = command_set()
-    with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
-        tree = Path(tmp) / "tree"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(tree), args.rev], check=True)
-        try:
-            with ThreadPoolExecutor(2) as pool:
-                base = pool.submit(run_side, tree, Path(tmp) / "base", commands)
-                work = pool.submit(run_side, ROOT, Path(tmp) / "work", commands)
-                base, work = base.result(), work.result()
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(tree)], check=False)
+    with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp, \
+            worktree(args.rev, tmp) as tree, ThreadPoolExecutor(2) as pool:
+        base = pool.submit(run_side, tree, Path(tmp) / "base", commands)
+        work = pool.submit(run_side, ROOT, Path(tmp) / "work", commands)
+        base, work = base.result(), work.result()
     n, n_differ, first = compare(base, work)
     failed = sum(code != b"0" for name, codes in work.items()
                  if name.endswith(EXIT_CODES) for code in codes.split())
