@@ -191,32 +191,43 @@ class RunConfig:
                               f"count in [2, {base.T}], got {n}")
         return schedule_mod.respace(base, n)
 
-    def models(self, base, descriptor):
-        den = (models_mod.AnalyticDenoiser(descriptor, base)
+    def models(self, base, ds):
+        """The denoiser and the classifier that models.* name, for the
+        dataset ds: each analytic on its descriptor, or a checkpoint."""
+        den = (self.analytic(models_mod.AnalyticDenoiser, "models.denoiser", base, ds)
                if self["models.denoiser"] == "analytic"
-               else self._checkpoint("models.denoiser", base, descriptor))
-        clf = (models_mod.AnalyticClassifier(descriptor, base)
+               else self._checkpoint("models.denoiser", base, ds))
+        clf = (self.analytic(models_mod.AnalyticClassifier, "models.classifier", base, ds)
                if self["models.classifier"] == "analytic"
-               else self._checkpoint("models.classifier", base, descriptor))
+               else self._checkpoint("models.classifier", base, ds))
         return den, clf
 
-    def _checkpoint(self, key, base, descriptor):
+    def analytic(self, backend, user, base, ds):
+        """The analytic ``backend`` on the descriptor of the dataset ds; a
+        ConfigError naming ``user`` (a models.* key, or the presets' oracle)
+        and data.path if ds, read from that file, carries no descriptor."""
+        if ds.descriptor is None:
+            raise ConfigError(f"{user} is analytic and needs a gaussian_mixture descriptor, "
+                              f"but data.path ({self['data.path']}) carries none")
+        return backend(ds.descriptor, base)
+
+    def _checkpoint(self, key, base, ds):
         """The checkpoint that ``key`` names; a ModelMismatchError that names
         the key and the path if it is not of the key's kind (a denoiser or a
-        classifier), not of the data's dimension or, for a classifier, not
-        of the data's class count."""
+        classifier), not of the dimension of the dataset ds's points or, for
+        a classifier, not of ds's class count."""
         path = _input_file(self, key)
         model = models_mod.load_model(path, base)
         kind = "denoiser" if isinstance(model, models_mod.LearnedDenoiser) else "classifier"
         if key != f"models.{kind}":
             raise models_mod.ModelMismatchError(f"{key}: {path} is a {kind} checkpoint")
-        if model.dim != descriptor.dim:
+        dim = ds.points.shape[1]
+        if model.dim != dim:
             raise models_mod.ModelMismatchError(
-                f"{key}: {path} has dimension {model.dim}, the data {descriptor.dim}")
-        if kind == "classifier" and model.n_classes != descriptor.n_classes:
+                f"{key}: {path} has dimension {model.dim}, the data {dim}")
+        if kind == "classifier" and model.n_classes != ds.n_classes:
             raise models_mod.ModelMismatchError(
-                f"{key}: {path} has {model.n_classes} classes, the data "
-                f"{descriptor.n_classes}")
+                f"{key}: {path} has {model.n_classes} classes, the data {ds.n_classes}")
         return model
 
     def rule(self):
@@ -299,7 +310,7 @@ def _run_env(cfg):
     ds = cfg.dataset()
     base = cfg.base_schedule()
     sch = cfg.sampling_schedule(base)
-    den, clf = cfg.models(base, ds.descriptor)
+    den, clf = cfg.models(base, ds)
     n = cfg["sampling.n_chains"]
     return RunEnv(ds, base, sch, den, clf, cfg["sampling.seed"], n,
                   cfg.targets(n, ds.n_classes))
@@ -432,6 +443,13 @@ RESPACE_STEPS = (50, 250, 1000)
 GEOMETRY_SCHEDULE = {"schedule.type": "linear_alphabar", "schedule.respace": "250"}
 
 
+def _oracle(cfg, env):
+    """The analytic classifier that grades the class fidelity of a preset's
+    samples, on the run's base schedule."""
+    return cfg.analytic(models_mod.AnalyticClassifier, "the class-fidelity oracle",
+                        env.base, env.ds)
+
+
 def _check(lines, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     lines.append(f"[{status}] {name}: {detail}\n")
@@ -496,7 +514,7 @@ def preset_distance_law(cfg, make_out):
 
 def preset_cutoff(cfg, make_out):
     env = _run_env(cfg)
-    oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
+    oracle = _oracle(cfg, env)
     out = make_out()
     rows = []
     fid = {}
@@ -525,7 +543,7 @@ def preset_cutoff(cfg, make_out):
 
 def preset_scale_sweep(cfg, make_out):
     env = _run_env(cfg)
-    oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
+    oracle = _oracle(cfg, env)
     k = _eval_k(cfg, env.n, len(env.ds.points))
     out = make_out()
     files = []
@@ -585,7 +603,7 @@ def preset_scale_sweep(cfg, make_out):
 
 def preset_respace_study(cfg, make_out):
     env = _run_env(cfg)
-    oracle = models_mod.AnalyticClassifier(env.ds.descriptor, env.base)
+    oracle = _oracle(cfg, env)
     s = cfg["guidance.s"]
     k = _eval_k(cfg, env.n, len(env.ds.points))
     if env.base.T < max(RESPACE_STEPS):

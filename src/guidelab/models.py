@@ -22,9 +22,12 @@ label y is one class or one per row.  Any other shape of x, a single point
 
 Inside a call the per-component arrays (the log-joint or logits, the
 softmax, the weights) are component-major, (C, N): numpy reduces a short
-last axis slowly, and C is 8 where N is up to 256.  ``_component_sum`` adds
-the C rows in numpy's own pairwise order, and the GEMMs take the row-layout
-operands, so each answer equals that of the row-layout kernel bit for bit.
+last axis slowly, and C is 8 where N is up to 256.  The kernel's one rule:
+the steps whose result depends on the order of their operations, the GEMMs
+and the sum over components (``_component_sum``), run on contiguous
+row-layout copies; the order-free steps (max, exp, subtraction, indexing)
+stay component-major.  So each answer equals that of the row-layout kernel
+bit for bit.
 Each per-step kernel allocates its output and finishes it in place, with the
 operations and their order unchanged; none writes an input.
 """
@@ -98,46 +101,15 @@ def _labels(y, n, n_classes):
 def _transposed(a):
     """The transpose of the 2-d array a as a contiguous array: (N, C) network
     logits in as the (C, N) array the weight helpers take, their weights out
-    as the (N, C) rows that backprop and the GEMMs take."""
+    as the (N, C) rows that backprop, the GEMMs and the component sum take."""
     return np.ascontiguousarray(a.T)
 
 
 def _component_sum(e):
-    """The sum over the C rows of the (C, N) array e, (N,), bit for bit
-    ``np.sum(r, axis=1)`` of the C-contiguous (N, C) array r that holds e.T:
-    numpy's pairwise order along a contiguous row, then numpy's initial 0.0,
-    which turns a -0.0 sum into +0.0."""
-    total = _pairwise(e)
-    total += 0.0
-    return total
-
-
-def _pairwise(e):
-    """numpy's pairwise sum of the rows of e: in turn below 8 rows; up to 128,
-    eight accumulators over blocks of 8 rows, summed as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
-    rows in turn; above 128, the two halves, split at a multiple of 8."""
-    c = len(e)
-    if c > 128:
-        half = c // 2 - (c // 2) % 8
-        total = _pairwise(e[:half])
-        total += _pairwise(e[half:])
-        return total
-    if c < 8:
-        total = e[0].copy()
-        for row in e[1:]:
-            total += row
-        return total
-    end = c - c % 8
-    acc = e[:8].copy()
-    for i in range(8, end, 8):
-        acc += e[i:i + 8]
-    pairs = acc[0::2] + acc[1::2]
-    quads = pairs[0::2] + pairs[1::2]
-    total = quads[0] + quads[1]
-    for row in e[end:]:
-        total += row
-    return total
+    """The sum over the C rows of the (C, N) array e, (N,): numpy's own sum
+    along the contiguous rows of the (N, C) transpose, so bit for bit the
+    row layout's ``np.sum(r, axis=1)``."""
+    return _transposed(e).sum(axis=1)
 
 
 def _log_softmax(z):
@@ -416,10 +388,6 @@ class LearnedClassifier(_LearnedBase):
         super().__init__(mlp, schedule, dim, t_embed_dim)
         self.n_classes = n_classes
 
-    def class_logprobs(self, x, t):
-        logits, _ = self.mlp.forward(_net_input(_batch(x, self.dim), t, self.t_embed_dim))
-        return _transposed(_log_softmax(_transposed(logits)))
-
     def class_grad(self, x, t, y):
         x = _batch(x, self.dim)
         y = _labels(y, len(x), self.n_classes)
@@ -436,9 +404,6 @@ class LearnedClassifier(_LearnedBase):
         logits, cache = self.mlp.forward(_net_input(x, t, self.t_embed_dim))
         w = _transposed(_direction_weights(_transposed(logits), y))
         return _unit(self.mlp.backward(cache, w)[1][:, :self.dim])
-
-    def predict(self, x, t=0):
-        return np.argmax(self.class_logprobs(x, t), axis=1)
 
 
 # ---------------------------------------------------------------------------

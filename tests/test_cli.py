@@ -647,12 +647,81 @@ class TestCheckpointKind:
         for kind, s in (("adm_g", cli.TUNED_ADM), ("geoguide", cli.TUNED_GEO)):
             for cut in (1.0, 0.3):
                 batch = env.sample(GuidanceRule(kind, s, cutoff_fraction=cut))
-                for name, clf in (("oracle", oracle), ("checkpoint", env.clf)):
-                    graded[name].append(
-                        float(gmet.class_fidelity(batch.samples, batch.targets, clf)))
+                graded["oracle"].append(
+                    float(gmet.class_fidelity(batch.samples, batch.targets, oracle)))
+                logits = env.clf.mlp.forward(gm._net_input(batch.samples, 0,
+                                                           env.clf.t_embed_dim))[0]
+                graded["checkpoint"].append(
+                    float(np.mean(np.argmax(logits, axis=1) == batch.targets)))
         assert graded["oracle"] != graded["checkpoint"]
         rows = (out / "cutoff.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[3]) for row in rows] == graded["oracle"]
+
+
+class TestDataWithoutDescriptor:
+    """A data.path file saved without a descriptor: checkpoints fit it by its
+    points' dimension and its class count, and an analytic model or a
+    preset's class-fidelity oracle on it is a config error that names the
+    model and the path, found before --out is made."""
+
+    SCHEDULE = "schedule.type = linear_alphabar\nschedule.T = 20\nschedule.respace = 10\n"
+
+    @pytest.fixture()
+    def plain(self, tmp_path):
+        """(the 300 x 8, 3-class file, the denoiser and the classifier
+        checkpoints for it)"""
+        path = tmp_path / "plain.glab"
+        rng = np.random.default_rng(0)
+        gd.save(gd.LabeledDataset(points=rng.standard_normal((300, 8)),
+                                  labels=np.arange(300) % 3), path)
+        return (path, TestCheckpointKind._checkpoint(tmp_path, "denoiser", 8),
+                TestCheckpointKind._checkpoint(tmp_path, "classifier", 8, n_classes=3))
+
+    def _run(self, tmp_path, command, lines):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{self.SCHEDULE}sampling.n_chains = 6\nguidance.kind = geoguide\n"
+                       "guidance.s = 1.0\n" + "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        return run(["--config", cfg, "--out", tmp_path / "out", *command.split()])
+
+    def test_checkpoints_sample(self, tmp_path, plain):
+        data, den, clf = plain
+        assert self._run(tmp_path, "sample", {"data.path": data, "models.denoiser": den,
+                                              "models.classifier": clf}) == 0
+        samples = gd.load(tmp_path / "out" / "samples.glab")
+        assert samples.descriptor is None
+        assert samples.labels.tolist() == [0, 1, 2, 0, 1, 2]
+
+    def test_class_count_mismatch(self, tmp_path, capsys, plain):
+        data, den, _ = plain
+        clf = TestCheckpointKind._checkpoint(tmp_path, "classifier", 8, n_classes=8)
+        assert self._run(tmp_path, "sample", {"data.path": data, "models.denoiser": den,
+                                              "models.classifier": clf}) == cli.EXIT_MISMATCH
+        assert capsys.readouterr().err == (
+            f"model/schedule mismatch: models.classifier: {clf} has 8 classes, the data 3\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, checkpoints, user", [
+        ("sample", "", "models.denoiser"),
+        ("sample", "models.denoiser", "models.classifier"),
+        ("experiment norm_curves", "", "models.denoiser"),
+        ("experiment cutoff", "", "models.denoiser"),
+        ("experiment cutoff", "both", "the class-fidelity oracle"),
+        ("experiment scale_sweep", "both", "the class-fidelity oracle"),
+        ("experiment respace_study", "both", "the class-fidelity oracle"),
+    ], ids=["sample", "sample_classifier", "norm_curves", "cutoff", "cutoff_oracle",
+            "scale_sweep_oracle", "respace_study_oracle"])
+    def test_analytic_refused(self, tmp_path, capsys, plain, command, checkpoints, user):
+        data, den, clf = plain
+        lines = {"data.path": data}
+        if checkpoints:
+            lines["models.denoiser"] = den
+        if checkpoints == "both":
+            lines["models.classifier"] = clf
+        assert self._run(tmp_path, command, lines) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {user} is analytic and needs a gaussian_mixture descriptor, "
+            f"but data.path ({data}) carries none\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestInputFiles:

@@ -365,8 +365,8 @@ class TestReadOnlyInputs:
         x = rng_stream(3, 1).standard_normal((16, 8)) * 3.0
         y = rng_stream(3, 2).integers(0, 2, size=16)
         for model in models:
-            calls = (["predict_eps"] if hasattr(model, "predict_eps") else
-                     ["class_logprobs", "class_grad", "class_grad_direction"])
+            calls = [name for name in ("predict_eps", "class_logprobs", "class_grad",
+                                       "class_grad_direction") if hasattr(model, name)]
             for name in calls:
                 args = (20,) if name in ("predict_eps", "class_logprobs") else (20, y)
                 frozen_args = (20,) if len(args) == 1 else (20, _frozen(y))

@@ -251,8 +251,9 @@ class TestInputShape:
     a single point (D,) among them, is a ModelError that names (N, D)."""
 
     METHODS = [("AnalyticDenoiser", "predict_eps"), ("LearnedDenoiser", "predict_eps")] + [
+        ("AnalyticClassifier", method) for method in ("class_logprobs", "predict")] + [
         (backend, method) for backend in ("AnalyticClassifier", "LearnedClassifier")
-        for method in ("class_logprobs", "class_grad", "class_grad_direction", "predict")]
+        for method in ("class_grad", "class_grad_direction")]
 
     @staticmethod
     def _call(model, method, x):
@@ -391,17 +392,21 @@ def _same_bits(got, want):
 class TestComponentMajorKernel:
     """The analytic models keep the log-joint, the softmax and the weights as
     (C, N).  Their answers equal the row-layout kernel (``oracles.row_kernel``)
-    bit for bit: at the bench geometry, at small class counts, at a D that is
-    not a multiple of 8 and at row counts other than the block's."""
+    bit for bit: at the bench geometry in blocks of 256 and of 64 rows, at
+    small class counts, at more than 128 classes (where numpy's pairwise sum
+    recurses), at a D that is not a multiple of 8 and at row counts other
+    than the block's."""
 
     GEOMETRIES = {
         "bench": (lambda: gd.eight_gaussians(), 256),
+        "bench_64_rows": (lambda: gd.eight_gaussians(), 64),
         "c1": (lambda: _random_mixture(1, 8, 1), 64),
         "c2": (lambda: _random_mixture(2, 8, 2), 64),
         "c3": (lambda: _random_mixture(3, 12, 3), 64),
         "d7": (lambda: gd.eight_gaussians(dim=7), 256),
         "d65_odd_rows": (lambda: gd.eight_gaussians(dim=65), 255),
         "c16_d9_odd_rows": (lambda: _random_mixture(16, 9, 4), 255),
+        "c129_d3": (lambda: _random_mixture(129, 3, 5), 64),
         "one_row": (lambda: gd.eight_gaussians(dim=16), 1),
     }
 
@@ -444,6 +449,12 @@ class TestComponentMajorKernel:
         rows[7, rng.integers(0, n_classes, 3)] = -0.0
         with np.errstate(invalid="ignore"):  # inf + -inf
             _same_bits(gm._component_sum(np.ascontiguousarray(rows.T)), np.sum(rows, axis=1))
+
+
+def _learned_predict(clf, x, t):
+    """The learned classifier's most likely class for every row of x: the
+    argmax of its network's logits."""
+    return np.argmax(clf.mlp.forward(gm._net_input(x, t, clf.t_embed_dim))[0], axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -492,11 +503,11 @@ class TestTraining:
         t_low = 2
         ab = sch.alpha_bars[t_low - 1]
         x_low = np.sqrt(ab) * test.points + np.sqrt(1 - ab) * rng.standard_normal(test.points.shape)
-        acc_low = float(np.mean(clf.predict(x_low, t_low) == test.labels))
+        acc_low = float(np.mean(_learned_predict(clf, x_low, t_low) == test.labels))
         assert acc_low >= 0.95
         # full noise: abar_T ~ 0, accuracy collapses to chance
         x_high = rng.standard_normal(test.points.shape)
-        acc_high = float(np.mean(clf.predict(x_high, sch.T) == test.labels))
+        acc_high = float(np.mean(_learned_predict(clf, x_high, sch.T) == test.labels))
         assert acc_high == pytest.approx(1.0 / 8.0, abs=0.05)
 
     def test_memorization_limit(self):
@@ -580,8 +591,10 @@ class TestLearnedGradients:
         np.testing.assert_allclose(unit[keep], grad[keep] / norms, atol=1e-9)
 
     def test_learned_logprobs_normalized(self, trained_pair):
+        # the log p(y|x) of class_grad, over every y, sums to 1 in each row
         _, _, _, _, _, clf, _ = trained_pair
-        lp = clf.class_logprobs(rng_stream(8, 4).standard_normal((30, 64)), 5)
+        x = rng_stream(8, 4).standard_normal((30, 64))
+        lp = np.stack([clf.class_grad(x, 5, y)[0] for y in range(clf.n_classes)], axis=1)
         np.testing.assert_allclose(np.log(np.sum(np.exp(lp), axis=1)), 0.0,
                                    atol=1e-9)
 
@@ -594,12 +607,12 @@ class TestCheckpoints:
             path = tmp_path / f"{name}.gmod"
             gm.save_model(model, path)
             back = gm.load_model(path, sch)
+            net_input = gm._net_input(probes, 7, model.t_embed_dim)
+            np.testing.assert_array_equal(back.mlp.forward(net_input)[0],
+                                          model.mlp.forward(net_input)[0])
             if name == "den":
                 np.testing.assert_array_equal(back.predict_eps(probes, 7),
                                               model.predict_eps(probes, 7))
-            else:
-                np.testing.assert_array_equal(back.class_logprobs(probes, 7),
-                                              model.class_logprobs(probes, 7))
 
     def test_analytic_model_not_saved(self, gmm8_d8, linb_50, tmp_path):
         # the config rebuilds analytic models; only trained ones are checkpoints
